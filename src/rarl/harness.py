@@ -31,7 +31,7 @@ import numpy as np
 from . import environments as envs
 from .estimators import KernelSampler, MlmcConfig, default_psi, mlmc_estimate_support
 from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rvi_q, robust_rvi_td
-from .mdp import OffsetFn, Policy, TabularMDP, validate
+from .mdp import OffsetFn, Policy, TabularMDP, validate, validate_policy
 from .planners import robust_rvi_control, robust_rvi_eval
 from .uncertainty import (
     ChiSquare,
@@ -172,11 +172,20 @@ def build_schedule(doc: dict):
 def build_policy(doc, mdp: TabularMDP) -> Policy:
     if doc == "uniform":
         return Policy.uniform(mdp.n_states, mdp.n_actions)
-    if isinstance(doc, dict) and "deterministic" in doc:
-        return Policy.deterministic(doc["deterministic"], mdp.n_actions)
-    if isinstance(doc, list):
-        return Policy(np.asarray(doc, dtype=float))
-    raise ConfigError(f"unsupported policy spec {doc!r}")
+    deterministic = isinstance(doc, dict) and "deterministic" in doc
+    if not (deterministic or isinstance(doc, list)):
+        raise ConfigError(f"unsupported policy spec {doc!r}")
+    try:
+        if deterministic:
+            policy = Policy.deterministic(doc["deterministic"], mdp.n_actions)
+        else:
+            policy = Policy(np.asarray(doc, dtype=float))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad policy: {exc}") from exc
+    problem = validate_policy(policy, mdp)
+    if problem is not None:
+        raise ConfigError(f"bad policy: {problem}")
+    return policy
 
 
 def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:

@@ -6,7 +6,8 @@ This module provides:
 - Stationary distributions, unichain detection, and exact gain / relative value
   ("bias") computation for a fixed policy via a dense linear solve.
 - Relative-value-iteration offset functionals (reference state, mean).
-- The span seminorm and the worst-case Bellman residual check used to certify
+- The span seminorm, the support table sigma(s, a, v) shared with the
+  planners, and the worst-case Bellman residual check used to certify
   solutions of the worst-case average-reward fixed-point equation.
 
 All containers are immutable after construction; the operations are pure
@@ -22,6 +23,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+
+from .uncertainty import UncertaintySet
 
 ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
@@ -97,6 +100,8 @@ class Policy:
 
     @staticmethod
     def deterministic(actions: Sequence[int], n_actions: int) -> "Policy":
+        if any(not 0 <= a < n_actions for a in actions):
+            raise ValueError(f"actions {list(actions)} outside 0..{n_actions - 1}")
         probs = np.zeros((len(actions), n_actions))
         probs[np.arange(len(actions)), list(actions)] = 1.0
         return Policy(probs)
@@ -178,6 +183,9 @@ def validate_policy(policy: Policy, mdp: TabularMDP | None = None) -> str | None
     probs = policy.probs
     if mdp is not None and probs.shape != (mdp.n_states, mdp.n_actions):
         return f"policy shape {probs.shape} != {(mdp.n_states, mdp.n_actions)}"
+    if not np.all(np.isfinite(probs)):
+        s, a = np.argwhere(~np.isfinite(probs))[0]
+        return f"non-finite probability at (s={s},a={a})"
     if np.any(probs < 0):
         s, a = np.argwhere(probs < 0)[0]
         return f"negative probability at (s={s},a={a})"
@@ -310,6 +318,24 @@ def span(v: np.ndarray) -> float:
     return float(v.max() - v.min())
 
 
+def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
+    """sigma(s, a, v) for every pair, batched for the parametric families.
+
+    Other sets (``rarl.planners.FiniteKernelSet``) provide
+    ``support_for(s, a, nominal_row, v)`` and are evaluated pair by pair.
+    """
+    v = np.asarray(v, dtype=float)
+    n_s, n_a = mdp.n_states, mdp.n_actions
+    if isinstance(uset, UncertaintySet):
+        rows = mdp.kernel.reshape(n_s * n_a, n_s)
+        return uset.support_batch(rows, v).reshape(n_s, n_a)
+    table = np.empty((n_s, n_a))
+    for s in range(n_s):
+        for a in range(n_a):
+            table[s, a] = uset.support_for(s, a, mdp.kernel[s, a], v)
+    return table
+
+
 def robust_bellman_residual(
     mdp: TabularMDP,
     policy: Policy,
@@ -320,20 +346,9 @@ def robust_bellman_residual(
     """Residual of the worst-case average-reward fixed-point equation.
 
     residual[s] = sum_a pi(a|s) (r(s,a) - gain + sigma(s,a,v)) - v(s), where
-    sigma is the uncertainty set's support value at the nominal row. ``uset``
-    must provide ``support_for(s, a, nominal_row, v)`` (see
-    ``rarl.uncertainty`` and ``rarl.planners.FiniteKernelSet``).
+    sigma is the uncertainty set's support value at the nominal row, taken
+    from ``support_table``.
     """
     v = np.asarray(v, dtype=float)
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    rhs = np.zeros(n_s)
-    for s in range(n_s):
-        acc = 0.0
-        for a in range(n_a):
-            w = policy.probs[s, a]
-            if w == 0.0:
-                continue
-            sigma = uset.support_for(s, a, mdp.kernel[s, a], v)
-            acc += w * (mdp.reward[s, a] - gain + sigma)
-        rhs[s] = acc
-    return rhs - v
+    sigma = support_table(mdp, uset, v)
+    return np.einsum("sa,sa->s", policy.probs, mdp.reward - gain + sigma) - v

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import greedy_policy
-from .mdp import ConvergenceError, GainBias, OffsetFn, Policy, TabularMDP, gain_and_bias
-from .uncertainty import UncertaintySet
+from .mdp import ConvergenceError, GainBias, OffsetFn, Policy, TabularMDP, gain_and_bias, support_table
 
 
 class FiniteKernelSet:
@@ -46,20 +45,6 @@ class FiniteKernelSet:
     def worst_row_for(self, s, a, nominal_row, v):
         rows = self.rows_by_sa[(s, a)]
         return rows[int(np.argmin(rows @ np.asarray(v, dtype=float)))].copy()
-
-
-def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """sigma(s, a, v) for every pair, batched for the parametric families."""
-    v = np.asarray(v, dtype=float)
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    if isinstance(uset, UncertaintySet):
-        rows = mdp.kernel.reshape(n_s * n_a, n_s)
-        return uset.support_batch(rows, v).reshape(n_s, n_a)
-    table = np.empty((n_s, n_a))
-    for s in range(n_s):
-        for a in range(n_a):
-            table[s, a] = uset.support_for(s, a, mdp.kernel[s, a], v)
-    return table
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:

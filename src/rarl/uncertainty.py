@@ -6,7 +6,7 @@ balls, and Wasserstein balls over a state metric. The module provides:
 
 - Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows.
 - Dual variables and worst-case rows recovered from optimality conditions
-  (exact for contamination/TV, diagnostic quality for the divergence balls,
+  (exact for contamination, TV and chi-square, diagnostic quality for KL,
   transport LP for Wasserstein).
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
   q.v over all simplex grid points satisfying the set constraint.
@@ -187,9 +187,12 @@ class ChiSquare(UncertaintySet):
     """Ball {q : sum_i (q_i - p_i)^2 / p_i <= delta} (q_i = 0 wherever p_i = 0).
 
     The vector dual max_{mu >= 0} p.(v-mu) - sqrt(delta Var_p(v-mu)) reduces to
-    a one-dimensional search: at the optimum v - mu = min(v, t) for a scalar
-    threshold t, and the reduced objective is concave between consecutive
-    entries of v. We evaluate every breakpoint and golden-search each segment.
+    a scalar threshold: at the optimum v - mu = min(v, t), and the reduced
+    objective phi(t) is concave between consecutive sorted entries of v. On
+    such a segment min(v, t) is affine in t, so mean and variance are
+    quadratics in t and the segment's maximizer is a closed-form stationary
+    point clipped to the segment (Iyengar 2005). ``solve`` takes the best
+    segment per row; it sorts v once and is vectorized over rows.
     """
 
     delta: float
@@ -199,82 +202,66 @@ class ChiSquare(UncertaintySet):
         if self.delta < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
-    def _phi(self, rows, w):
-        mean = rows @ w
-        var = rows @ (w * w) - mean * mean
-        return mean - np.sqrt(self.delta * np.maximum(var, 0.0))
-
-    def support_batch(self, rows, v):
+    def solve(self, rows, v):
+        """Support values and maximizing thresholds t, one per row."""
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0 or v.max() == v.min():
-            return rows @ v
-        knots = np.unique(v)
-        best = self._phi(rows, np.minimum(v, knots[0]))
-        for t in knots[1:]:
-            best = np.maximum(best, self._phi(rows, np.minimum(v, t)))
-        n = rows.shape[0]
-        scale = max(1.0, knots[-1] - knots[0])
-        for k in range(len(knots) - 1):
-            # the reduced dual is concave between consecutive knots
-            lo = np.full(n, knots[k])
-            hi = np.full(n, knots[k + 1])
-            for _ in range(SEARCH_ITERS):
-                if hi[0] - lo[0] < SEARCH_TOL * scale:
-                    break
-                x1 = hi - GOLDEN * (hi - lo)
-                x2 = lo + GOLDEN * (hi - lo)
-                f1 = self._phi_t(rows, v, x1)
-                f2 = self._phi_t(rows, v, x2)
-                shrink_hi = f1 >= f2
-                hi = np.where(shrink_hi, x2, hi)
-                lo = np.where(shrink_hi, lo, x1)
-            best = np.maximum(best, self._phi_t(rows, v, 0.5 * (lo + hi)))
-        return best
+            return rows @ v, np.full(rows.shape[0], v.max())
+        order = np.argsort(v, kind="stable")
+        knots = v[order]
+        lo, width = knots[0], knots[-1] - knots[0]
+        u = (knots - lo) / width  # the problem is shift and scale equivariant
+        p = rows[:, order]
+        # segment k is [u_k, u_{k+1}]: states 0..k keep their value, the rest sit at t
+        low = np.cumsum(p, axis=1)[:, :-1]
+        m1 = np.cumsum(p * u, axis=1)[:, :-1]
+        m2 = np.cumsum(p * u * u, axis=1)[:, :-1]
+        tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        # phi'(t) = 0 at t = m1/low + sqrt(Var_low / (delta low - tail)), which
+        # exists iff delta low > tail; otherwise phi increases on the segment
+        gap = self.delta * low - tail
+        inside = (low > 0.0) & (gap > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.sqrt(np.maximum(low * m2 - m1 * m1, 0.0) / gap)
+            stationary = lo + width * (m1 + spread) / low
+        cand = np.clip(np.where(inside, stationary, knots[1:]), knots[:-1], knots[1:])
+        values = np.full(rows.shape[0], -np.inf)
+        thresholds = np.empty(rows.shape[0])
+        for k in range(cand.shape[1]):
+            # two-pass variance: one pass E[w^2] - mean^2 cancels as var -> 0
+            w = np.minimum(u, (cand[:, k : k + 1] - lo) / width)
+            mean = np.einsum("bs,bs->b", p, w)
+            dev = w - mean[:, None]
+            phi = mean - np.sqrt(self.delta * np.einsum("bs,bs->b", p, dev * dev))
+            better = phi > values
+            values = np.where(better, phi, values)
+            thresholds = np.where(better, cand[:, k], thresholds)
+        return lo + width * values, thresholds
 
-    def _phi_t(self, rows, v, t):
-        w = np.minimum(v[None, :], t[:, None])
-        mean = np.einsum("bs,bs->b", rows, w)
-        var = np.einsum("bs,bs->b", rows, w * w) - mean * mean
-        return mean - np.sqrt(self.delta * np.maximum(var, 0.0))
-
-    def _threshold(self, p, v):
-        """Argmax threshold t of the reduced dual, via the same search."""
-        if self.delta == 0.0 or v.max() == v.min():
-            return float(v.max())
-        knots = np.unique(v)
-        cand = list(knots)
-        for k in range(len(knots) - 1):
-            lo, hi = knots[k], knots[k + 1]
-            for _ in range(SEARCH_ITERS):
-                if hi - lo < SEARCH_TOL * max(1.0, knots[-1] - knots[0]):
-                    break
-                x1 = hi - GOLDEN * (hi - lo)
-                x2 = lo + GOLDEN * (hi - lo)
-                if self._phi(p[None, :], np.minimum(v, x1))[0] >= self._phi(p[None, :], np.minimum(v, x2))[0]:
-                    hi = x2
-                else:
-                    lo = x1
-            cand.append(0.5 * (lo + hi))
-        vals = [self._phi(p[None, :], np.minimum(v, t))[0] for t in cand]
-        return float(cand[int(np.argmax(vals))])
+    def support_batch(self, rows, v):
+        return self.solve(rows, v)[0]
 
     def support_with_dual(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
-        t_star = self._threshold(p, v)
-        return SupportResult(self.support(p, v), dual=np.maximum(v - t_star, 0.0))
+        values, thresholds = self.solve(p, v)
+        return SupportResult(float(values[0]), dual=np.maximum(v - thresholds[0], 0.0))
 
     def worst_row(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0:
             return p.copy()
-        w = np.minimum(v, self._threshold(p, v))
+        support = p > 0.0
+        argmin = support & (v == v[support].min())
+        p_min = p[argmin].sum()
+        if 1.0 - p_min <= self.delta * p_min:
+            # the argmin vertex of supp(p) has divergence 1/p_min - 1 <= delta
+            return np.where(argmin, p, 0.0) / p_min
+        w = np.minimum(v, self.solve(p, v)[1][0])
         mean = p @ w
-        var = p @ (w * w) - mean * mean
-        if var <= 0.0:
-            return p.copy()
+        var = p @ ((w - mean) ** 2)
         q = p * (1.0 + np.sqrt(self.delta / var) * (mean - w))
         q = np.maximum(q, 0.0)
         q /= q.sum()
@@ -302,7 +289,8 @@ class KLDivergence(UncertaintySet):
 
     Evaluated through the exponential-tilt dual: sigma = -min_{alpha >= 0}
     (delta * alpha + alpha * log E_p[exp(-v/alpha)]), a convex 1-D problem
-    solved by golden section on [~0, max(1, ||v||/delta)]. The alpha -> 0
+    solved by golden section on [~0, max(1, span(v)/delta)]; the top is a
+    valid bracket because KL(q_alpha || p) <= span(v)/alpha. The alpha -> 0
     limit equals min v over the support of p; states with p_i = 0 never
     receive mass and are excluded from the log-sum. Log-sums are computed in
     shifted form to avoid overflow.
@@ -330,7 +318,7 @@ class KLDivergence(UncertaintySet):
         m = np.where(rows > 0.0, v[None, :], np.inf).min(axis=1)
         scale = max(1.0, float(np.abs(v).max()))
         lo = np.full(rows.shape[0], 1e-9 * scale)
-        hi = np.full(rows.shape[0], max(1.0, np.abs(v).max() / self.delta))
+        hi = np.full(rows.shape[0], max(1.0, (v.max() - v.min()) / self.delta))
         h_star = self._objective(rows, v, hi, m)
         for _ in range(SEARCH_ITERS):
             if hi[0] - lo[0] < SEARCH_TOL * scale:
@@ -351,7 +339,7 @@ class KLDivergence(UncertaintySet):
             return np.inf
         m = np.array([np.where(p > 0.0, v, np.inf).min()])
         scale = max(1.0, float(np.abs(v).max()))
-        lo, hi = 1e-9 * scale, max(1.0, np.abs(v).max() / self.delta)
+        lo, hi = 1e-9 * scale, max(1.0, (v.max() - v.min()) / self.delta)
         rows = p[None, :]
         for _ in range(SEARCH_ITERS):
             if hi - lo < SEARCH_TOL * scale:
@@ -603,7 +591,7 @@ def support_exact(spec: UncertaintySet, p: np.ndarray, v: np.ndarray) -> Support
 
 
 def worst_case_row(spec: UncertaintySet, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A row attaining (approximately, for the divergence balls) the support value."""
+    """A row attaining the support value (approximately, for the KL ball)."""
     return spec.worst_row(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
 
 

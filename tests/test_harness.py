@@ -10,6 +10,7 @@ from rarl.harness import (
     ConfigError,
     ExperimentConfig,
     build_environment,
+    build_policy,
     nearest_rank_percentile,
     run_control_experiment,
     run_eval_experiment,
@@ -60,6 +61,30 @@ class TestConfig:
             {"id": "example_a", "params": {"r1": 1.0, "r2": 2.0, "r3": 4.0}},
         ):
             assert build_environment(doc).n_states >= 2
+
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            [[0.5, 0.5]] * 3,  # 3 rows for 4 states
+            {"deterministic": [0, 1, 0]},  # 3 actions for 4 states
+            [[1.5, -0.5]] * 4,  # negative entry
+            [[0.6, 0.6]] * 4,  # row sum 1.2
+            [[float("nan"), 1.0]] * 4,  # non-finite entry
+            [[0.5, 0.5], [1.0]] * 2,  # ragged rows
+            {"deterministic": [0, 1, 2, 0]},  # action 2 of 2
+            {"deterministic": [0, 1, -1, 0]},  # negative action
+            "greedy",  # no such spec
+        ],
+    )
+    def test_rejects_bad_policies(self, policy):
+        with pytest.raises(ConfigError, match="policy"):
+            build_policy(policy, build_environment(eval_config().environment))
+
+    def test_accepts_valid_policies(self):
+        mdp = build_environment(eval_config().environment)
+        assert build_policy({"deterministic": [0, 1, 1, 0]}, mdp).actions().tolist() == [0, 1, 1, 0]
+        np.testing.assert_array_equal(build_policy([[0.25, 0.75]] * 4, mdp).probs, [[0.25, 0.75]] * 4)
 
 
 class TestSeedStreams:

@@ -63,6 +63,33 @@ class TestRobustRviEval:
         assert gains[2] <= gains[1] <= gains[0] + 1e-9
 
 
+    def test_batched_residual_matches_per_pair_loop(self):
+        def per_pair(m, policy, uset, gain, v):
+            rhs = np.zeros(m.n_states)
+            for s in range(m.n_states):
+                for a in range(m.n_actions):
+                    sigma = uset.support_for(s, a, m.kernel[s, a], v)
+                    rhs[s] += policy.probs[s, a] * (m.reward[s, a] - gain + sigma)
+            return rhs - v
+
+        rng = np.random.default_rng(12)
+        m = garnet(5, 3, seed=8)
+        policy = Policy(rng.dirichlet(np.ones(3), size=5))
+        v = rng.normal(size=5)
+        for spec in (Contamination(0.3), TotalVariation(0.3), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)):
+            np.testing.assert_allclose(
+                robust_bellman_residual(m, policy, spec, 0.7, v), per_pair(m, policy, spec, 0.7, v), rtol=0, atol=1e-12
+            )
+        ex = example_a(1.0, 2.0, 4.0)
+        v = np.array([-2.5, -0.5, 0.5])
+        np.testing.assert_allclose(
+            robust_bellman_residual(ex.mdp, ex.policy, ex.uset, 3.0, v),
+            per_pair(ex.mdp, ex.policy, ex.uset, 3.0, v),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 class TestRobustRviControl:
     def test_single_action_matches_eval(self):
         m = garnet(4, 1, seed=4)

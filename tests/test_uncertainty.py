@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from rarl.uncertainty import (
     ChiSquare,
@@ -170,7 +171,7 @@ class TestWorstRows:
 
     def test_feasible_and_attains_value(self):
         rng = np.random.default_rng(8)
-        exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8}
+        exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8, "ChiSquare": 1e-8}
         for trial in range(40):
             p, v = random_instance(rng, n=5)
             for spec in families(DELTAS[trial % 3]):
@@ -179,7 +180,7 @@ class TestWorstRows:
                 assert q.min() >= -1e-12 and q.sum() == pytest.approx(1.0, abs=1e-8)
                 value = float(q @ v)
                 target = spec.support(p, v)
-                # attains the support value (diagnostic 1e-4 for the divergence balls)
+                # attains the support value (diagnostic 1e-4 for KL and Wasserstein)
                 tol = exact_tol.get(name, 1e-4 * max(1.0, np.abs(v).max()))
                 assert value >= target - 1e-8
                 assert value - target <= tol
@@ -252,3 +253,79 @@ class TestJsonRoundTrip:
         assert uncertainty_from_json({"kind": "wasserstein", "delta": 0.4, "l": 2.0}).order == 2.0
         with pytest.raises(ValueError):
             uncertainty_from_json({"kind": "nope", "delta": 0.1})
+
+
+def _chi2_reference(p, v, delta):
+    """Independent chi-square support: scipy's bounded Brent on each segment of phi(t)."""
+
+    def phi(t):
+        w = np.minimum(v, t)
+        mean = p @ w
+        return mean - np.sqrt(delta * (p @ (w - mean) ** 2))
+
+    knots = np.unique(v)
+    best = max(phi(t) for t in knots)
+    xatol = 1e-12 * (knots[-1] - knots[0])
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        res = minimize_scalar(lambda t: -phi(t), bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        best = max(best, -res.fun)
+    return best
+
+
+class TestChiSquareSolve:
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.3, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
+    def test_matches_scipy_per_segment(self, delta, scale, offset):
+        rng = np.random.default_rng(int(1000 * delta + scale + offset))
+        rows = rng.dirichlet(np.ones(6), size=8)
+        rows[::2, 1] = 0.0  # rows with zero entries
+        rows[::3, 4] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        v = scale * (rng.normal(size=6) + offset)
+        v[3] = v[0]  # tied values
+        values, thresholds = ChiSquare(delta).solve(rows, v)
+        span = v.max() - v.min()
+        for p, value, t in zip(rows, values, thresholds):
+            assert abs(value - _chi2_reference(p, v, delta)) <= 1e-9 * span
+            w = np.minimum(v, t)  # the threshold attains the value
+            assert w @ p - np.sqrt(delta * (p @ (w - p @ w) ** 2)) == pytest.approx(value, abs=1e-12 * span)
+
+    def test_worst_row_on_argmin_vertex(self):
+        # 1/p_min - 1 = 0.11 <= delta: the vertex e_0 lies in the ball and attains min v
+        spec = ChiSquare(0.3)
+        p, v = np.array([0.9, 0.1]), np.array([0.0, 1.0])
+        q = spec.worst_row(p, v)
+        np.testing.assert_allclose(q, [1.0, 0.0], atol=1e-15)
+        assert spec.support(p, v) == pytest.approx(0.0, abs=1e-15)
+        assert spec.divergence(q, p) <= spec.delta
+
+    def test_worst_row_attains_support_in_ball(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            p = rng.dirichlet(np.full(n, 0.5))
+            if trial % 3 == 0:
+                p[rng.integers(n)] = 0.0
+                p /= p.sum()
+            v = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=n)
+            if trial % 4 == 0:
+                v[-1] = v[0]
+            spec = ChiSquare(float(10.0 ** rng.uniform(-3, 1)))
+            q = spec.worst_row(p, v)
+            assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(q @ v - spec.support(p, v)) <= 1e-9 * max(1.0, np.abs(v).max())
+            assert spec.divergence(q, p) <= spec.delta * (1.0 + 1e-9)
+
+
+def test_kl_large_radius_bracket():
+    # the optimal dual alpha ~ 14.4 lies above the old bracket top ||v||/delta = 12
+    p, v, delta = np.array([5.5e-5, 1.0 - 5.5e-5]), np.array([-105.0, 72.0]), 8.75
+    # primal reference: q = (x, 1 - x) with the largest x inside the ball
+    def kl(x):
+        return x * np.log(x / p[0]) + (1.0 - x) * np.log((1.0 - x) / p[1])
+
+    x = brentq(lambda x: kl(x) - delta, p[0], 1.0 - 1e-15, xtol=1e-15)
+    expected = x * v[0] + (1.0 - x) * v[1]
+    assert expected > -90.92  # above the dual bound at alpha = 14.44
+    assert KLDivergence(delta).support(p, v) == pytest.approx(expected, abs=1e-7)
