@@ -23,13 +23,13 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from . import environments as envs
-from .estimators import KernelSampler, MlmcConfig, default_psi, mlmc_estimate_support
+from .estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rvi_q, robust_rvi_td
 from .mdp import OffsetFn, Policy, TabularMDP, validate, validate_policy
 from .planners import robust_rvi_control, robust_rvi_eval
@@ -98,24 +98,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "environment": self.environment,
-            "uncertainty": self.uncertainty,
-            "algorithm": self.algorithm,
-            "offset": self.offset,
-            "schedule": self.schedule,
-            "n_iters": self.n_iters,
-            "n_seeds": self.n_seeds,
-            "base_seed": self.base_seed,
-            "estimator": self.estimator,
-            "policy": self.policy,
-            "record_every": self.record_every,
-            "tail_fraction": self.tail_fraction,
-            "snapshot_every": self.snapshot_every,
-            "planner_tol": self.planner_tol,
-            "sweep": self.sweep,
-            "support_check": self.support_check,
-        }
+        return asdict(self)
 
 
 def build_environment(doc: dict) -> TabularMDP:
@@ -528,9 +511,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
         spec = family(name, 0.2)
         exact = spec.support(p, v)
         mlmc = MlmcConfig(psi=default_psi(spec))
-        vals = np.array(
-            [mlmc_estimate_support(source, spec, 0, 0, v, mlmc, rng).value for _ in range(mlmc_draws)]
-        )
+        vals, _ = sigma_hat_for_pairs(source, spec, [(0, 0)] * mlmc_draws, v, mlmc, rng)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         gap = abs(vals.mean() - exact)
         rows.append(

@@ -6,8 +6,8 @@ balls, and Wasserstein balls over a state metric. The module provides:
 
 - Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows.
 - Dual variables and worst-case rows recovered from optimality conditions
-  (exact for contamination, TV and chi-square, diagnostic quality for KL,
-  transport LP for Wasserstein).
+  (exact for contamination, TV, chi-square and Wasserstein, diagnostic
+  quality for KL).
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
   q.v over all simplex grid points satisfying the set constraint.
 
@@ -27,6 +27,7 @@ SIMPLEX_TOL = 1e-9
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SEARCH_TOL = 1e-10
 SEARCH_ITERS = 200
+_BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
 
 
 @dataclass
@@ -303,72 +304,58 @@ class KLDivergence(UncertaintySet):
         if self.delta < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
-    def _objective(self, rows, v, alpha, m):
-        # h(alpha) = delta*alpha - m + alpha*log sum_supp p * exp(-(v - m)/alpha)
-        expo = (m[:, None] - v[None, :]) / alpha[:, None]
-        expo = np.where(rows > 0.0, expo, -np.inf)
-        lse = np.log(np.maximum(np.einsum("bs,bs->b", rows, np.exp(expo)), 1e-300))
-        return self.delta * alpha - m + alpha * lse
-
-    def support_batch(self, rows, v):
+    def solve(self, rows, v):
+        """Support values and minimizing alphas, one per row (inf where sigma = p.v)."""
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0 or v.max() == v.min():
-            return rows @ v
+            return rows @ v, np.full(rows.shape[0], np.inf)
         m = np.where(rows > 0.0, v[None, :], np.inf).min(axis=1)
+        gap = np.where(rows > 0.0, m[:, None] - v[None, :], -np.inf)
+
+        def h(alpha):
+            # h(alpha) = delta*alpha - m + alpha*log sum_supp p * exp(-(v - m)/alpha)
+            lse = np.log(np.maximum(np.einsum("bs,bs->b", rows, np.exp(gap / alpha[:, None])), 1e-300))
+            return self.delta * alpha - m + alpha * lse
+
         scale = max(1.0, float(np.abs(v).max()))
         lo = np.full(rows.shape[0], 1e-9 * scale)
         hi = np.full(rows.shape[0], max(1.0, (v.max() - v.min()) / self.delta))
-        h_star = self._objective(rows, v, hi, m)
+        top = hi
+        h_top = h(top)
         for _ in range(SEARCH_ITERS):
             if hi[0] - lo[0] < SEARCH_TOL * scale:
                 break
-            x1 = hi - GOLDEN * (hi - lo)
-            x2 = lo + GOLDEN * (hi - lo)
-            f1 = self._objective(rows, v, x1, m)
-            f2 = self._objective(rows, v, x2, m)
+            step = GOLDEN * (hi - lo)
+            x1 = hi - step
+            x2 = lo + step
+            f1 = h(x1)
+            f2 = h(x2)
             shrink_hi = f1 <= f2  # minimizing a convex objective
             hi = np.where(shrink_hi, x2, hi)
             lo = np.where(shrink_hi, lo, x1)
-        h_star = np.minimum(h_star, self._objective(rows, v, 0.5 * (lo + hi), m))
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+        h_star = np.minimum(h_top, h_mid)
+        alphas = np.where(h_mid < h_top, mid, top)
         # the alpha -> 0 boundary value of -h is min v over the support
-        return np.maximum(-h_star, m)
+        return np.maximum(-h_star, m), np.where(m > -h_star, 0.0, alphas)
 
-    def _alpha_star(self, p, v):
-        if self.delta == 0.0 or v.max() == v.min():
-            return np.inf
-        m = np.array([np.where(p > 0.0, v, np.inf).min()])
-        scale = max(1.0, float(np.abs(v).max()))
-        lo, hi = 1e-9 * scale, max(1.0, (v.max() - v.min()) / self.delta)
-        rows = p[None, :]
-        for _ in range(SEARCH_ITERS):
-            if hi - lo < SEARCH_TOL * scale:
-                break
-            x1 = hi - GOLDEN * (hi - lo)
-            x2 = lo + GOLDEN * (hi - lo)
-            h1 = self._objective(rows, v, np.array([x1]), m)[0]
-            h2 = self._objective(rows, v, np.array([x2]), m)[0]
-            if h1 <= h2:
-                hi = x2
-            else:
-                lo = x1
-        alpha = 0.5 * (lo + hi)
-        h_alpha = self._objective(rows, v, np.array([alpha]), m)[0]
-        if -float(m[0]) < h_alpha:  # boundary is the true minimum
-            return 0.0
-        return float(alpha)
+    def support_batch(self, rows, v):
+        return self.solve(rows, v)[0]
 
     def support_with_dual(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
-        return SupportResult(self.support(p, v), dual=self._alpha_star(p, v))
+        values, alphas = self.solve(p, v)
+        return SupportResult(float(values[0]), dual=float(alphas[0]))
 
     def worst_row(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0:
             return p.copy()
-        alpha = self._alpha_star(p, v)
+        alpha = self.solve(p, v)[1][0]
         support = p > 0.0
         if alpha <= 0.0 or not np.isfinite(alpha):
             if np.isinf(alpha):
@@ -417,9 +404,15 @@ def line_metric(n: int) -> np.ndarray:
 class Wasserstein(UncertaintySet):
     """Ball {q : W_l(p, q) <= delta} for the metric d (default d(i,j) = |i-j|).
 
-    The dual g(lambda) = -lambda delta^l + E_p[min_y (v_y + lambda d(.,y)^l)]
-    is concave; golden section on lambda in [0, 2||v||/delta^l] per the dual
-    bracket. Worst rows come from the exact transport LP.
+    With D = d^l and phi_x(lambda) = min_y (v_y + lambda D[x, y]), the dual is
+    sigma = max_{lambda >= 0} g(lambda), g = -lambda delta^l + sum_x p_x
+    phi_x(lambda) (Gao & Kleywegt 2016). Each phi_x is concave and piecewise
+    linear, so g is too, and for delta > 0 its final slope is -delta^l: the
+    maximum lies at lambda = 0 or at a kink of some phi_x, where two of x's
+    lines cross on its lower envelope. The kinks depend on v and D only, so
+    ``solve`` finds them once and evaluates g at all of them with one matrix
+    product over the rows. The worst row moves each p_x onto the argmin lines
+    of phi_x at the optimal lambda.
     """
 
     delta: float
@@ -456,91 +449,71 @@ class Wasserstein(UncertaintySet):
     def uses_line_metric(self, n: int) -> bool:
         return self.metric is None or np.array_equal(self.metric, line_metric(n))
 
-    def _g(self, rows, v, lam, dl):
-        # Phi[b, x] = min_y (v_y + lam_b * dl[x, y])
-        phi = (v[None, None, :] + lam[:, None, None] * dl[None, :, :]).min(axis=2)
-        return -lam * self.delta**self.order + np.einsum("bs,bs->b", rows, phi)
+    @staticmethod
+    def _kinks(u, dl):
+        """0 and every lambda > 0 where two lines cross on the lower envelope of some phi_x (u >= 0)."""
+        n = u.shape[0]
+        i, j = np.triu_indices(n, 1)
+        span = u.max()
+        found = [np.zeros(1)]
+        step = max(1, _BLOCK // n**3)
+        for start in range(0, n, step):
+            d = dl[start : start + step]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = (u[i] - u[j]) / (d[:, j] - d[:, i])
+            lam = np.where(np.isfinite(lam) & (lam > 0.0), lam, 0.0)
+            at = u[i] + lam * d[:, i]
+            env = (u + lam[:, :, None] * d[:, None, :]).min(axis=2)
+            # loose on purpose: a spurious kink costs time, a missed one the value
+            found.append(lam[(lam > 0.0) & (at - env <= 1e-9 * (at + span))])
+        return np.unique(np.concatenate(found))
 
-    def support_batch(self, rows, v):
+    def solve(self, rows, v):
+        """Support values and maximizing duals lambda, one per row."""
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
-        if self.delta == 0.0 or v.max() == v.min():
-            return rows @ v
-        dl = self._dl(v.shape[0])
-        n = rows.shape[0]
-        vmax = float(np.abs(v).max())
-        lo = np.zeros(n)
-        hi = np.full(n, 2.0 * vmax / self.delta**self.order + 1e-12)
-        best = self._g(rows, v, lo, dl)  # lambda = 0 gives min v
-        x1 = hi - GOLDEN * (hi - lo)
-        x2 = lo + GOLDEN * (hi - lo)
-        f1 = self._g(rows, v, x1, dl)
-        f2 = self._g(rows, v, x2, dl)
-        for _ in range(SEARCH_ITERS):
-            if np.all(hi - lo < SEARCH_TOL * max(1.0, hi.max())):
-                break
-            shrink_hi = f1 >= f2  # maximize
-            hi = np.where(shrink_hi, x2, hi)
-            lo = np.where(shrink_hi, lo, x1)
-            x1 = hi - GOLDEN * (hi - lo)
-            x2 = lo + GOLDEN * (hi - lo)
-            f1 = self._g(rows, v, x1, dl)
-            f2 = self._g(rows, v, x2, dl)
-        return np.maximum(best, np.maximum(f1, f2))
+        if self.delta == 0.0:
+            return rows @ v, np.zeros(rows.shape[0])
+        lo = v.min()
+        u = v - lo  # the problem is shift equivariant
+        n = u.shape[0]
+        dl = self._dl(n)
+        lam = self._kinks(u, dl)
+        phi = np.empty((lam.shape[0], n))  # phi[k, x] = phi_x(lam_k)
+        step = max(1, _BLOCK // (lam.shape[0] * n))
+        for start in range(0, n, step):
+            phi[:, start : start + step] = (u + lam[:, None, None] * dl[None, start : start + step]).min(axis=2)
+        g = rows @ phi.T - lam * self.delta**self.order
+        best = g.argmax(axis=1)
+        return lo + g[np.arange(rows.shape[0]), best], lam[best]
 
-    def _lambda_star(self, p, v):
-        if self.delta == 0.0 or v.max() == v.min():
-            return 0.0
-        dl = self._dl(v.shape[0])
-        rows = p[None, :]
-        vmax = float(np.abs(v).max())
-        lo, hi = 0.0, 2.0 * vmax / self.delta**self.order + 1e-12
-        for _ in range(SEARCH_ITERS):
-            if hi - lo < SEARCH_TOL * max(1.0, hi):
-                break
-            x1 = hi - GOLDEN * (hi - lo)
-            x2 = lo + GOLDEN * (hi - lo)
-            g1 = self._g(rows, v, np.array([x1]), dl)[0]
-            g2 = self._g(rows, v, np.array([x2]), dl)[0]
-            if g1 >= g2:
-                hi = x2
-            else:
-                lo = x1
-        return 0.5 * (lo + hi)
+    def support_batch(self, rows, v):
+        return self.solve(rows, v)[0]
 
     def support_with_dual(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
-        return SupportResult(self.support(p, v), dual=self._lambda_star(p, v))
+        values, lambdas = self.solve(p, v)
+        return SupportResult(float(values[0]), dual=float(lambdas[0]))
 
     def worst_row(self, p, v):
-        """Exact minimizer via the transport linear program."""
+        """Each p_x split between the argmin lines of phi_x at the optimal lambda."""
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0:
             return p.copy()
         n = v.shape[0]
         dl = self._dl(n)
-        # variables gamma[x, y] flattened; min sum gamma[x, y] v[y]
-        c = np.tile(v, n)
-        a_eq = np.zeros((n, n * n))
-        for x in range(n):
-            a_eq[x, x * n : (x + 1) * n] = 1.0
-        a_ub = dl.reshape(1, -1)
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=[self.delta**self.order],
-            A_eq=a_eq,
-            b_eq=p,
-            bounds=(0, None),
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        gamma = res.x.reshape(n, n)
-        q = gamma.sum(axis=0)
-        return np.maximum(q, 0.0) / max(q.sum(), 1e-300)
+        u = v - v.min()
+        lines = u + self.solve(p, v)[1][0] * dl
+        tied = lines <= lines.min(axis=1, keepdims=True) + 1e-12 * u.max()
+        y_lo = np.where(tied, dl, np.inf).argmin(axis=1)
+        y_hi = np.where(tied, dl, -np.inf).argmax(axis=1)
+        x = np.arange(n)
+        c_lo, c_hi = p @ dl[x, y_lo], p @ dl[x, y_hi]
+        # at an optimal lambda the one-sided slopes of g bracket 0: c_lo <= delta^l <= c_hi
+        theta = min(max((self.delta**self.order - c_lo) / (c_hi - c_lo), 0.0), 1.0) if c_hi > c_lo else 0.0
+        return np.bincount(y_lo, (1.0 - theta) * p, n) + np.bincount(y_hi, theta * p, n)
 
     def distance_pow(self, p, q):
         """W_l(p, q)^l via the transport LP (used by the oracle for general metrics)."""

@@ -48,6 +48,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             eval_config(n_seeds=0)
 
+    def test_to_dict_round_trip(self):
+        cfg = eval_config(policy=[[0.5, 0.5]] * 4, sweep={"family": "one_loop_mix"}, support_check={"instances": 2})
+        doc = cfg.to_dict()
+        assert ExperimentConfig.from_dict(doc) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(doc))) == cfg
+        assert list(doc) == [
+            "environment", "uncertainty", "algorithm", "offset", "schedule", "n_iters", "n_seeds", "base_seed",
+            "estimator", "policy", "record_every", "tail_fraction", "snapshot_every", "planner_tol", "sweep",
+            "support_check",
+        ]
+
     def test_from_file_missing(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "nope.json")

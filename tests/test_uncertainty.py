@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, linprog, minimize_scalar
 
 from rarl.uncertainty import (
     ChiSquare,
@@ -171,17 +171,18 @@ class TestWorstRows:
 
     def test_feasible_and_attains_value(self):
         rng = np.random.default_rng(8)
-        exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8, "ChiSquare": 1e-8}
         for trial in range(40):
             p, v = random_instance(rng, n=5)
+            scale = max(1.0, np.abs(v).max())
+            exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8, "ChiSquare": 1e-8, "Wasserstein": 1e-9 * scale}
             for spec in families(DELTAS[trial % 3]):
                 name = type(spec).__name__
                 q = worst_case_row(spec, p, v)
                 assert q.min() >= -1e-12 and q.sum() == pytest.approx(1.0, abs=1e-8)
                 value = float(q @ v)
                 target = spec.support(p, v)
-                # attains the support value (diagnostic 1e-4 for KL and Wasserstein)
-                tol = exact_tol.get(name, 1e-4 * max(1.0, np.abs(v).max()))
+                # attains the support value (diagnostic 1e-4 for KL)
+                tol = exact_tol.get(name, 1e-4 * scale)
                 assert value >= target - 1e-8
                 assert value - target <= tol
                 if isinstance(spec, Contamination):
@@ -191,7 +192,7 @@ class TestWorstRows:
                 elif isinstance(spec, (ChiSquare, KLDivergence)):
                     assert spec.divergence(q, p) <= spec.delta + 1e-8
                 else:
-                    assert spec.distance_pow(p, q) <= spec.delta**spec.order + 1e-6
+                    assert spec.distance_pow(p, q) <= spec.delta**spec.order * (1.0 + 1e-9)
 
 
 class TestGridOracle:
@@ -329,3 +330,109 @@ def test_kl_large_radius_bracket():
     expected = x * v[0] + (1.0 - x) * v[1]
     assert expected > -90.92  # above the dual bound at alpha = 14.44
     assert KLDivergence(delta).support(p, v) == pytest.approx(expected, abs=1e-7)
+
+
+def test_kl_solve_alpha_attains_value():
+    rng = np.random.default_rng(12)
+    rows = rng.dirichlet(np.full(5, 0.5), size=30)
+    rows[::4, 2] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    v = rng.normal(0.0, 3.0, size=5)
+    spec = KLDivergence(0.4)
+    values, alphas = spec.solve(rows, v)
+    np.testing.assert_array_equal(values, spec.support_batch(rows, v))
+    for p, value, alpha in zip(rows, values, alphas):
+        supp = p > 0.0
+        if alpha == 0.0:  # the alpha -> 0 boundary: min v over the support
+            assert value == v[supp].min()
+        else:
+            dual = -spec.delta * alpha - alpha * np.log(p[supp] @ np.exp(-v[supp] / alpha))
+            assert dual == pytest.approx(value, abs=1e-12 * np.abs(v).max())
+
+
+def _transport_reference(p, v, dl, budget):
+    """Independent Wasserstein support: min q.v over couplings of p with cost <= budget (HiGHS LP)."""
+    n = len(p)
+    res = linprog(
+        np.tile(v, n),
+        A_ub=dl.reshape(1, -1),
+        b_ub=[budget],
+        A_eq=np.kron(np.eye(n), np.ones(n)),
+        b_eq=p,
+        bounds=(0, None),
+        method="highs",
+        # the default 1e-7 feasibility tolerance may drop a state holding 1e-8 of p's mass
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return res.fun
+
+
+def _plane_metric(rng, n):
+    points = rng.normal(size=(n, 2))
+    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+
+
+class TestWassersteinSolve:
+    @pytest.mark.parametrize("delta", [1e-2, 0.1, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
+    @pytest.mark.parametrize("metric", ["line", "plane"])
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_matches_transport_lp(self, delta, scale, offset, metric, order):
+        rng = np.random.default_rng(int(100 * delta + scale + offset + 7 * order + (metric == "plane")))
+        n = 6
+        spec = Wasserstein(delta, order=order, metric=None if metric == "line" else _plane_metric(rng, n))
+        dl = (line_metric(n) if metric == "line" else spec.metric) ** order
+        rows = rng.dirichlet(np.ones(n), size=6)
+        rows[::2, 1] = 0.0  # rows with zero entries
+        rows[::3, 4] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        v = scale * (rng.normal(size=n) + offset)
+        v[3] = v[0]  # tied values
+        values, lambdas = spec.solve(rows, v)
+        span = v.max() - v.min()
+        for p, value, lam in zip(rows, values, lambdas):
+            assert abs(value - _transport_reference(p, v, dl, delta**order)) <= 1e-9 * span
+            # lambda attains the value in the dual g
+            g = -lam * delta**order + p @ (v[None, :] + lam * dl).min(axis=1)
+            assert g == pytest.approx(value, abs=1e-12 * np.abs(v).max())
+
+    def test_kink_outside_pairwise_ratio_set(self):
+        # lambda* = 1 is where lines y = 0 and y = 3 of phi_1 cross; it is not of the
+        # form (v_x - v_y) / d(x, y), and that set gives -0.833 instead of -0.5
+        p, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 5.0, 5.0, -1.0])
+        res = support_exact(Wasserstein(1.5), p, v)
+        assert res.value == pytest.approx(-0.5, abs=1e-15)
+        assert res.dual == pytest.approx(1.0, abs=1e-15)
+
+    def test_worst_row_attains_support_in_ball(self):
+        rng = np.random.default_rng(13)
+        for trial in range(200):
+            n = int(rng.integers(2, 7))
+            metric = _plane_metric(rng, n) if trial % 2 else None
+            spec = Wasserstein(float(10.0 ** rng.uniform(-2, 1)), order=1.0 + trial % 3 // 2, metric=metric)
+            p = rng.dirichlet(np.full(n, 0.5))
+            if trial % 3 == 0:
+                p[rng.integers(n)] = 0.0
+                p /= p.sum()
+            v = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=n)
+            if trial % 4 == 0:
+                v[-1] = v[0]
+            q = spec.worst_row(p, v)
+            assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(q @ v - spec.support(p, v)) <= 1e-9 * max(1.0, np.abs(v).max())
+            assert spec.distance_pow(p, q) <= spec.delta**spec.order * (1.0 + 1e-9)
+
+    def test_worst_row_constant_values_and_zero_radius(self):
+        rng = np.random.default_rng(14)
+        p = rng.dirichlet(np.ones(5))
+        metric = _plane_metric(rng, 5)
+        for spec in (Wasserstein(0.7), Wasserstein(0.7, order=2.0, metric=metric)):
+            q = spec.worst_row(p, np.full(5, 3.0))
+            assert q @ np.full(5, 3.0) == pytest.approx(3.0, abs=1e-15)
+            assert spec.distance_pow(p, q) <= spec.delta**spec.order * (1.0 + 1e-9)
+        for spec in (Wasserstein(0.0), Wasserstein(0.0, order=2.0, metric=metric)):
+            v = rng.normal(size=5)
+            np.testing.assert_array_equal(spec.worst_row(p, v), p)
+            assert spec.support(p, v) == pytest.approx(p @ v, abs=1e-15)
