@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.base_seed = int(args.seed)
+            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": args.seed})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Unbiased sampled estimators of the support function and Bellman operators.
+"""Unbiased sampled estimates of the support function sigma(p, v) = min q.v.
 
 Only next-state samples from the nominal kernel are available. The
 contamination family is linear in the nominal row, so a single sample gives an
@@ -25,41 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import Policy, TabularMDP
+from .mdp import TabularMDP
 from .uncertainty import ChiSquare, Contamination, UncertaintySet
 
 
-class SampleSource:
-    """Generative access to the nominal kernel: i.i.d. next states per (s, a)."""
-
-    n_states: int
-
-    def draw(self, s: int, a: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def draw_counts(self, s: int, a: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """State-occurrence counts of ``count`` i.i.d. draws."""
-        if count == 0:
-            return np.zeros(self.n_states, dtype=np.int64)
-        return np.bincount(self.draw(s, a, count, rng), minlength=self.n_states)
-
-    def draw_one_each(self, s_idx: np.ndarray, a_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One independent next state per (s_idx[i], a_idx[i])."""
-        return np.array(
-            [int(self.draw(int(s), int(a), 1, rng)[0]) for s, a in zip(s_idx, a_idx)], dtype=np.int64
-        )
-
-    def draw_counts_each(
-        self, s_idx: np.ndarray, a_idx: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-pair occurrence counts of ``count`` i.i.d. draws, shape (len(s_idx), S)."""
-        if count == 0:
-            return np.zeros((len(s_idx), self.n_states), dtype=np.int64)
-        return np.stack([self.draw_counts(int(s), int(a), count, rng) for s, a in zip(s_idx, a_idx)])
-
-
-class KernelSampler(SampleSource):
-    """SampleSource backed by an explicit nominal kernel, with vectorized paths."""
+class KernelSampler:
+    """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a)."""
 
     def __init__(self, kernel: np.ndarray):
         kernel = np.asarray(kernel, dtype=float)
@@ -73,22 +44,16 @@ class KernelSampler(SampleSource):
     def from_mdp(mdp: TabularMDP) -> "KernelSampler":
         return KernelSampler(mdp.kernel)
 
-    def draw(self, s, a, count, rng):
-        u = rng.random(count)
-        idx = (self._cdf[s, a][None, :] < u[:, None]).sum(axis=1)
-        return np.minimum(idx, self.n_states - 1)
-
-    def draw_counts(self, s, a, count, rng):
-        if count == 0:
-            return np.zeros(self.n_states, dtype=np.int64)
-        return rng.multinomial(count, self.kernel[s, a]).astype(np.int64)
-
-    def draw_one_each(self, s_idx, a_idx, rng):
+    def draw_one_each(self, s_idx: np.ndarray, a_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One independent next state per (s_idx[i], a_idx[i])."""
         u = rng.random(len(s_idx))
         idx = (self._cdf[s_idx, a_idx] < u[:, None]).sum(axis=1)
         return np.minimum(idx, self.n_states - 1)
 
-    def draw_counts_each(self, s_idx, a_idx, count, rng):
+    def draw_counts_each(
+        self, s_idx: np.ndarray, a_idx: np.ndarray, count: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Per-pair occurrence counts of ``count`` i.i.d. draws, shape (len(s_idx), S)."""
         if count == 0:
             return np.zeros((len(s_idx), self.n_states), dtype=np.int64)
         return rng.multinomial(count, self.kernel[s_idx, a_idx]).astype(np.int64)
@@ -101,7 +66,7 @@ class MlmcConfig:
     The proven ranges are psi in (0, 0.5) for TV / KL / Wasserstein and
     psi in (0, 1 - sqrt(2)/2) for chi-square. The cap bounds the worst-case
     sample cost at 2^(max_level + 1); truncation happens with probability
-    (1 - psi)^(max_level + 1) per estimate and is recorded in the outcome.
+    (1 - psi)^(max_level + 1) per estimate.
     """
 
     psi: float
@@ -123,70 +88,8 @@ def default_mlmc_config(spec: UncertaintySet, max_level: int = 20) -> MlmcConfig
     return MlmcConfig(psi=default_psi(spec), max_level=max_level)
 
 
-@dataclass
-class EstimateOutcome:
-    value: float
-    level: int
-    samples_used: int
-    capped: bool = False
-
-
-def estimate_support_contamination(next_state: int, spec: Contamination, v: np.ndarray) -> float:
-    """Single-sample unbiased estimate (1 - delta) v(s') + delta min v."""
-    v = np.asarray(v, dtype=float)
-    return float((1.0 - spec.delta) * v[next_state] + spec.delta * v.min())
-
-
-def mlmc_estimate_support(
-    source: SampleSource,
-    spec: UncertaintySet,
-    s: int,
-    a: int,
-    v: np.ndarray,
-    cfg: MlmcConfig,
-    rng: np.random.Generator,
-) -> EstimateOutcome:
-    """One multi-level Monte-Carlo support estimate for a non-linear set."""
-    if isinstance(spec, Contamination):
-        raise ValueError("contamination uses the single-sample estimator")
-    v = np.asarray(v, dtype=float)
-    raw_level = int(rng.geometric(cfg.psi)) - 1
-    capped = raw_level > cfg.max_level
-    level = min(raw_level, cfg.max_level)
-    half = 2**level
-    first = int(source.draw(s, a, 1, rng)[0])
-    one_hot = np.zeros(source.n_states)
-    one_hot[first] = 1.0
-    odd = one_hot.copy()
-    if half > 1:
-        odd += source.draw_counts(s, a, half - 1, rng)
-    even = source.draw_counts(s, a, half, rng).astype(float)
-    rows = np.stack([one_hot, (odd + even) / (2 * half), even / half, odd / half])
-    sig_first, sig_all, sig_even, sig_odd = spec.support_batch(rows, v)
-    p_n = cfg.psi * (1.0 - cfg.psi) ** level
-    value = sig_first + (sig_all - 0.5 * (sig_even + sig_odd)) / p_n
-    return EstimateOutcome(float(value), level, 2 ** (level + 1), capped)
-
-
-def mlmc_estimate_batch(
-    source: SampleSource,
-    spec: UncertaintySet,
-    s: int,
-    a: int,
-    v: np.ndarray,
-    cfg: MlmcConfig,
-    rng: np.random.Generator,
-    n_estimates: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Many independent MLMC estimates of one (s, a); returns (values, levels, capped)."""
-    s_idx = np.full(n_estimates, s, dtype=np.int64)
-    a_idx = np.full(n_estimates, a, dtype=np.int64)
-    values, levels, capped = _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng)
-    return values, levels, capped
-
-
 def _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng):
-    """Vectorized MLMC estimates, one per index pair.
+    """Vectorized MLMC estimates, one per index pair; returns (values, levels).
 
     Next-state counts are drawn per level group (one broadcast multinomial
     each), but all 4n empirical rows go through a single support_batch call;
@@ -195,9 +98,7 @@ def _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng):
     """
     n = len(s_idx)
     n_states = source.n_states
-    raw = rng.geometric(cfg.psi, size=n).astype(np.int64) - 1
-    levels = np.minimum(raw, cfg.max_level)
-    capped = raw > cfg.max_level
+    levels = np.minimum(rng.geometric(cfg.psi, size=n).astype(np.int64) - 1, cfg.max_level)
     firsts = source.draw_one_each(s_idx, a_idx, rng)
     one_hot = np.zeros((n, n_states))
     one_hot[np.arange(n), firsts] = 1.0
@@ -217,11 +118,11 @@ def _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng):
     sig = spec.support_batch(np.concatenate([one_hot, pooled, even_row, odd_row]), v)
     p_n = cfg.psi * (1.0 - cfg.psi) ** levels
     sigma = sig[:n] + (sig[n : 2 * n] - 0.5 * (sig[2 * n : 3 * n] + sig[3 * n :])) / p_n
-    return sigma, levels, capped
+    return sigma, levels
 
 
 def sigma_hat_for_pairs(
-    source: SampleSource,
+    source: KernelSampler,
     spec: UncertaintySet,
     pairs: Sequence[tuple[int, int]],
     v: np.ndarray,
@@ -238,45 +139,6 @@ def sigma_hat_for_pairs(
         return values, np.ones(len(pairs), dtype=np.int64)
     if cfg is None:
         cfg = default_mlmc_config(spec)
-    sigma, levels, _ = _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng)
+    sigma, levels = _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng)
     return sigma, (2 ** (levels + 1)).astype(np.int64)
 
-
-def estimate_T(
-    source: SampleSource,
-    mdp: TabularMDP,
-    policy: Policy,
-    spec: UncertaintySet,
-    v: np.ndarray,
-    cfg: MlmcConfig | None,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Sampled worst-case evaluation operator: T_hat v(s) = sum_a pi(a|s)(r + sigma_hat).
-
-    Actions with pi(a|s) = 0 draw nothing; every contributing (s, a) gets a
-    fresh independent estimate.
-    """
-    v = np.asarray(v, dtype=float)
-    pairs = [(s, a) for s in range(mdp.n_states) for a in range(mdp.n_actions) if policy.probs[s, a] > 0.0]
-    sigma, costs = sigma_hat_for_pairs(source, spec, pairs, v, cfg, rng)
-    t_hat = np.zeros(mdp.n_states)
-    for (s, a), sig in zip(pairs, sigma):
-        t_hat[s] += policy.probs[s, a] * (mdp.reward[s, a] + sig)
-    return t_hat, int(costs.sum())
-
-
-def estimate_H(
-    source: SampleSource,
-    mdp: TabularMDP,
-    spec: UncertaintySet,
-    q: np.ndarray,
-    s: int,
-    a: int,
-    cfg: MlmcConfig | None,
-    rng: np.random.Generator,
-) -> float:
-    """Sampled optimal-control operator H_hat q(s,a) = r(s,a) + sigma_hat(max_a q)."""
-    q = np.asarray(q, dtype=float)
-    v_q = q.max(axis=1)
-    sigma, _ = sigma_hat_for_pairs(source, spec, [(s, a)], v_q, cfg, rng)
-    return float(mdp.reward[s, a] + sigma[0])

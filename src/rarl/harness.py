@@ -40,7 +40,6 @@ from .uncertainty import (
     TotalVariation,
     UncertaintySet,
     Wasserstein,
-    support_exact,
     support_oracle_grid,
     uncertainty_from_json,
 )
@@ -69,7 +68,6 @@ class ExperimentConfig:
     policy: Any = "uniform"
     record_every: int = 1
     tail_fraction: float = 0.1
-    snapshot_every: int = 0
     planner_tol: float = 1e-9
     sweep: dict | None = None
     support_check: dict = field(default_factory=dict)
@@ -82,9 +80,15 @@ class ExperimentConfig:
             raise ConfigError(f"bad config fields: {exc}") from exc
         if cfg.algorithm not in ("td", "q", "planner", "support-check", "robustness-sweep"):
             raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-        if cfg.n_seeds < 1 or cfg.n_iters < 1:
-            raise ConfigError("n_seeds and n_iters must be >= 1")
-        if not 0.0 < cfg.tail_fraction <= 1.0:
+        for name, low in (("n_iters", 1), ("n_seeds", 1), ("base_seed", 0), ("record_every", 1)):
+            value = getattr(cfg, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("tail_fraction", "planner_tol"):
+            value = getattr(cfg, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if cfg.tail_fraction > 1.0:
             raise ConfigError("tail_fraction must lie in (0, 1]")
         return cfg
 
@@ -198,13 +202,9 @@ def _run_one_seed(config_doc: dict, seed_index: int) -> RunTrace:
     if cfg.algorithm == "td":
         policy = build_policy(cfg.policy, mdp)
         return robust_rvi_td(
-            source, mdp, policy, spec, offset, schedule, cfg.n_iters, mlmc, rng,
-            record_every=cfg.record_every, snapshot_every=cfg.snapshot_every,
+            source, mdp, policy, spec, offset, schedule, cfg.n_iters, mlmc, rng, record_every=cfg.record_every
         )
-    return robust_rvi_q(
-        source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, rng,
-        record_every=cfg.record_every, snapshot_every=cfg.snapshot_every,
-    )
+    return robust_rvi_q(source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, rng, record_every=cfg.record_every)
 
 
 def _run_seeds(cfg: ExperimentConfig, jobs: int) -> tuple[list[RunTrace | None], list[str]]:

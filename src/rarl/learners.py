@@ -14,13 +14,12 @@ streams and trace buffers.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MlmcConfig, SampleSource, sigma_hat_for_pairs
+from .estimators import KernelSampler, MlmcConfig, sigma_hat_for_pairs
 from .mdp import OffsetFn, Policy, TabularMDP, induced_chain, is_unichain
 from .uncertainty import UncertaintySet
 
@@ -60,31 +59,19 @@ class RunTrace:
     """Per-iteration record of a learner run.
 
     ``f_values[k]`` is the offset value of the iterate after update
-    ``iters[k]``; ``costs`` is the cumulative sample count. Snapshots hold
-    copies of the iterate at the recorded iteration indices.
+    ``iters[k]``; ``costs`` is the cumulative sample count; ``final`` is the
+    last iterate.
     """
 
     iters: np.ndarray
     f_values: np.ndarray
     costs: np.ndarray
     final: np.ndarray
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
     def tail_mean(self, fraction: float = 0.1) -> float:
         """Mean of the recorded f values over the trailing fraction of the run."""
         k = max(1, int(round(fraction * len(self.f_values))))
         return float(self.f_values[-k:].mean())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,f_value,cost\n")
-            for i, f, c in zip(self.iters, self.f_values, self.costs):
-                fh.write(f"{int(i)},{float(f)!r},{int(c)}\n")
-
-    def snapshots_to_json(self, path) -> None:
-        doc = {str(i): snap.tolist() for i, snap in self.snapshots.items()}
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
 
 
 def _check_iterate(x: np.ndarray, n: int) -> None:
@@ -96,7 +83,7 @@ def _check_iterate(x: np.ndarray, n: int) -> None:
 
 
 def robust_rvi_td(
-    source: SampleSource,
+    source: KernelSampler,
     mdp: TabularMDP,
     policy: Policy,
     spec: UncertaintySet,
@@ -107,7 +94,6 @@ def robust_rvi_td(
     rng: np.random.Generator,
     v0: np.ndarray | None = None,
     record_every: int = 1,
-    snapshot_every: int = 0,
 ) -> RunTrace:
     """Policy-evaluation learner: v <- v + alpha (T_hat v - f(v) - v), all states
     updated each iteration with fresh estimates.
@@ -124,7 +110,7 @@ def robust_rvi_td(
     weights = np.array([policy.probs[s, a] for s, a in pairs])
     rewards = np.array([mdp.reward[s, a] for s, a in pairs])
     state_of = np.array([s for s, _ in pairs])
-    iters, fvals, costs, snaps = [], [], [], {}
+    iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):
         sigma, cost = sigma_hat_for_pairs(source, spec, pairs, v, cfg, rng)
@@ -138,13 +124,11 @@ def robust_rvi_td(
             iters.append(step)
             fvals.append(offset(v))
             costs.append(total_cost)
-        if snapshot_every and step % snapshot_every == 0:
-            snaps[step] = v.copy()
-    return RunTrace(np.array(iters), np.array(fvals), np.array(costs), v, snaps)
+    return RunTrace(np.array(iters), np.array(fvals), np.array(costs), v)
 
 
 def robust_rvi_q(
-    source: SampleSource,
+    source: KernelSampler,
     mdp: TabularMDP,
     spec: UncertaintySet,
     offset: OffsetFn,
@@ -154,7 +138,6 @@ def robust_rvi_q(
     rng: np.random.Generator,
     q0: np.ndarray | None = None,
     record_every: int = 1,
-    snapshot_every: int = 0,
 ) -> RunTrace:
     """Control learner: q <- q + alpha (H_hat q - f(q) - q) over all (s, a).
 
@@ -163,7 +146,7 @@ def robust_rvi_q(
     """
     q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
     pairs = [(s, a) for s in range(mdp.n_states) for a in range(mdp.n_actions)]
-    iters, fvals, costs, snaps = [], [], [], {}
+    iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):
         v_q = q.max(axis=1)
@@ -177,9 +160,7 @@ def robust_rvi_q(
             iters.append(step)
             fvals.append(offset(q))
             costs.append(total_cost)
-        if snapshot_every and step % snapshot_every == 0:
-            snaps[step] = q.copy()
-    return RunTrace(np.array(iters), np.array(fvals), np.array(costs), q, snaps)
+    return RunTrace(np.array(iters), np.array(fvals), np.array(costs), q)
 
 
 def greedy_policy(q: np.ndarray) -> Policy:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .learners import greedy_policy
 from .mdp import ConvergenceError, GainBias, OffsetFn, Policy, TabularMDP, gain_and_bias, support_table
+from .uncertainty import UncertaintySet
 
 
 class FiniteKernelSet:
@@ -53,7 +54,10 @@ def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
     kernel = np.empty_like(mdp.kernel)
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
-            kernel[s, a] = uset.worst_row_for(s, a, mdp.kernel[s, a], v)
+            if isinstance(uset, UncertaintySet):
+                kernel[s, a] = uset.worst_row(mdp.kernel[s, a], v)
+            else:
+                kernel[s, a] = uset.worst_row_for(s, a, mdp.kernel[s, a], v)
     return kernel
 
 

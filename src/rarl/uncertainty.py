@@ -61,12 +61,7 @@ def _as_batch(rows: np.ndarray) -> np.ndarray:
 
 
 class UncertaintySet:
-    """Shared interface: ``support``, ``support_batch``, ``worst_row``.
-
-    ``support_for(s, a, row, v)`` ignores the indices; it exists so that
-    per-(s,a) set collections (finite kernel sets) can share call sites with
-    the parametric families.
-    """
+    """Shared interface: ``support``, ``support_batch``, ``worst_row``."""
 
     kind = "abstract"
 
@@ -82,12 +77,6 @@ class UncertaintySet:
 
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def support_for(self, s: int, a: int, row: np.ndarray, v: np.ndarray) -> float:
-        return self.support(row, v)
-
-    def worst_row_for(self, s: int, a: int, row: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.worst_row(row, v)
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -556,16 +545,6 @@ def uncertainty_from_json(doc: dict) -> UncertaintySet:
             metric=None if metric is None else np.asarray(metric, dtype=float),
         )
     raise ValueError(f"unknown uncertainty set kind {kind!r}")
-
-
-def support_exact(spec: UncertaintySet, p: np.ndarray, v: np.ndarray) -> SupportResult:
-    """Support value and dual certificate for one nominal row."""
-    return spec.support_with_dual(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
-
-
-def worst_case_row(spec: UncertaintySet, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A row attaining the support value (approximately, for the KL ball)."""
-    return spec.worst_row(np.asarray(p, dtype=float), np.asarray(v, dtype=float))
 
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}

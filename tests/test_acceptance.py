@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rarl.environments import example_a, garnet, one_loop
-from rarl.estimators import KernelSampler, MlmcConfig, default_psi, mlmc_estimate_batch
+from rarl.estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.harness import ExperimentConfig, run_control_experiment, run_eval_experiment, run_robustness_sweep
 from rarl.learners import Constant, greedy_policy, robust_rvi_q
 from rarl.mdp import OffsetFn, Policy, gain_and_bias, robust_bellman_residual, span
@@ -116,7 +116,7 @@ def test_criterion_3_mlmc_unbiasedness(name):
     cfg = MlmcConfig(psi=default_psi(spec))
     rng = np.random.default_rng(2000 + ["tv", "chi2", "kl", "wasserstein"].index(name))
     start = time.time()
-    vals, _, _ = mlmc_estimate_batch(source, spec, 0, 0, MLMC_V, cfg, rng, 200_000)
+    vals, _ = sigma_hat_for_pairs(source, spec, [(0, 0)] * 200_000, MLMC_V, cfg, rng)
     elapsed = time.time() - start
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     gap = abs(vals.mean() - exact)
@@ -334,7 +334,7 @@ def test_criterion_8_variance_proxy(name):
     buckets = []
     for scale in (1.0, 10.0, 100.0):
         v = scale * MLMC_V / MLMC_V.max()  # sup norm exactly `scale`
-        vals, _, _ = mlmc_estimate_batch(source, spec, 0, 0, v, cfg, rng, 30_000)
+        vals, _ = sigma_hat_for_pairs(source, spec, [(0, 0)] * 30_000, v, cfg, rng)
         buckets.append(vals.var(ddof=1) / (1.0 + scale**2))
     ok = max(buckets) <= 10 * min(buckets)
     _report(

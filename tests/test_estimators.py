@@ -1,21 +1,12 @@
-"""Tests for the sampled support / Bellman-operator estimators."""
+"""Tests for the sampled support estimator and the nominal-kernel sampler."""
 
 import numpy as np
 import pytest
 
-from rarl.estimators import (
-    KernelSampler,
-    MlmcConfig,
-    default_psi,
-    estimate_H,
-    estimate_T,
-    estimate_support_contamination,
-    mlmc_estimate_batch,
-    mlmc_estimate_support,
-    sigma_hat_for_pairs,
-)
+from rarl.estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.environments import garnet
-from rarl.mdp import Policy, TabularMDP, induced_chain
+from rarl.learners import Constant, robust_rvi_q, robust_rvi_td
+from rarl.mdp import OffsetFn, Policy
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 
 P3 = np.array([0.2, 0.3, 0.5])
@@ -30,15 +21,23 @@ def row_sampler(p):
     return KernelSampler(kernel)
 
 
+def one_pair(n):
+    """Index arrays for n draws from pair (0, 0)."""
+    return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+
+
 class TestContaminationEstimator:
     def test_full_radius_returns_min(self):
         spec = Contamination(0.999)
         v = np.array([3.0, -1.0, 2.0])
-        got = estimate_support_contamination(0, spec, v)
-        assert got == pytest.approx(0.001 * 3.0 + 0.999 * (-1.0), abs=1e-12)
+        got, _ = sigma_hat_for_pairs(row_sampler([1.0, 0.0, 0.0]), spec, [(0, 0)], v, None, np.random.default_rng(0))
+        assert got[0] == pytest.approx(0.001 * 3.0 + 0.999 * (-1.0), abs=1e-12)
 
     def test_zero_radius_returns_sampled_value(self):
-        assert estimate_support_contamination(2, Contamination(0.0), V3) == 2.0
+        got, _ = sigma_hat_for_pairs(
+            row_sampler([0.0, 0.0, 1.0]), Contamination(0.0), [(0, 0)], V3, None, np.random.default_rng(0)
+        )
+        assert got[0] == 2.0
 
     def test_monte_carlo_mean_matches_closed_form(self):
         spec = Contamination(0.5)
@@ -46,8 +45,7 @@ class TestContaminationEstimator:
         v = np.array([0.0, 2.0])
         src = row_sampler(p)
         rng = np.random.default_rng(0)
-        draws = src.draw(0, 0, 100_000, rng)
-        vals = (1 - spec.delta) * v[draws] + spec.delta * v.min()
+        vals, _ = sigma_hat_for_pairs(src, spec, [(0, 0)] * 100_000, v, None, rng)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - spec.support(p, v)) <= 3 * se
 
@@ -77,27 +75,32 @@ class TestMlmcEstimate:
         # all draws land on one state: the four empirical rows coincide
         src = row_sampler([0.0, 1.0, 0.0])
         spec = TotalVariation(0.2)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            out = mlmc_estimate_support(src, spec, 0, 0, V3, MlmcConfig(0.25), rng)
-            point = np.array([0.0, 1.0, 0.0])
-            assert out.value == pytest.approx(spec.support(point, V3), abs=1e-12)
-            assert out.samples_used == 2 ** (out.level + 1)
+        vals, costs = sigma_hat_for_pairs(src, spec, [(0, 0)] * 10, V3, MlmcConfig(0.25), np.random.default_rng(1))
+        point = np.array([0.0, 1.0, 0.0])
+        np.testing.assert_allclose(vals, spec.support(point, V3), rtol=0, atol=1e-12)
+        levels = np.log2(costs).astype(np.int64) - 1
+        np.testing.assert_array_equal(costs, 2 ** (levels + 1))
+        assert levels.min() >= 0
 
-    def test_contamination_rejected(self):
+    def test_contamination_uses_single_sample(self):
+        # contamination is linear in the row: one draw per estimate, MLMC settings ignored
         src = row_sampler(P3)
-        with pytest.raises(ValueError):
-            mlmc_estimate_support(src, Contamination(0.1), 0, 0, V3, MlmcConfig(0.25), np.random.default_rng(0))
+        spec = Contamination(0.1)
+        vals, costs = sigma_hat_for_pairs(src, spec, [(0, 0)] * 50, V3, MlmcConfig(0.25), np.random.default_rng(0))
+        again, _ = sigma_hat_for_pairs(src, spec, [(0, 0)] * 50, V3, None, np.random.default_rng(0))
+        np.testing.assert_array_equal(costs, 1)
+        np.testing.assert_array_equal(vals, again)
 
     def test_level_cap_frequency(self):
         src = row_sampler(P3)
         cfg = MlmcConfig(psi=0.25, max_level=3)
         rng = np.random.default_rng(2)
-        _, levels, capped = mlmc_estimate_batch(src, TotalVariation(0.2), 0, 0, V3, cfg, rng, 40_000)
+        _, costs = sigma_hat_for_pairs(src, TotalVariation(0.2), [(0, 0)] * 40_000, V3, cfg, rng)
+        levels = np.log2(costs).astype(np.int64) - 1
         assert levels.max() <= 3
-        expected = (1 - 0.25) ** 4  # P(raw level > 3) = P(geometric N >= 4)
+        expected = (1 - 0.25) ** 3  # P(level at the cap) = P(geometric N >= 4)
         se = np.sqrt(expected * (1 - expected) / 40_000)
-        assert abs(capped.mean() - expected) <= 4 * se
+        assert abs((levels == 3).mean() - expected) <= 4 * se
 
     @pytest.mark.parametrize(
         "spec",
@@ -109,36 +112,50 @@ class TestMlmcEstimate:
         src = row_sampler(P3)
         rng = np.random.default_rng(3)
         cfg = MlmcConfig(psi=default_psi(spec))
-        vals, _, _ = mlmc_estimate_batch(src, spec, 0, 0, V3, cfg, rng, 30_000)
+        vals, _ = sigma_hat_for_pairs(src, spec, [(0, 0)] * 30_000, V3, cfg, rng)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - spec.support(P3, V3)) <= 4 * se
 
     def test_batch_law_matches_scalar_path(self):
-        # same seed stream, one estimate: identical value and level
+        # one estimate per seed, rebuilt draw for draw from the telescope formula
+        # with scalar support calls: identical level and value
         spec = TotalVariation(0.3)
         src = row_sampler(P3)
-        a = mlmc_estimate_support(src, spec, 0, 0, V3, MlmcConfig(0.25), np.random.default_rng(7))
-        vals, levels, _ = mlmc_estimate_batch(src, spec, 0, 0, V3, MlmcConfig(0.25), np.random.default_rng(7), 1)
-        assert vals[0] == pytest.approx(a.value, abs=1e-12)
-        assert levels[0] == a.level
+        cfg = MlmcConfig(0.25, max_level=4)
+        s_idx, a_idx = one_pair(1)
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            level = min(int(rng.geometric(cfg.psi, size=1)[0]) - 1, cfg.max_level)
+            half = 2**level
+            odd = np.zeros(3)
+            odd[src.draw_one_each(s_idx, a_idx, rng)[0]] = 1.0
+            first = odd.copy()
+            if half > 1:
+                odd += src.draw_counts_each(s_idx, a_idx, half - 1, rng)[0]
+            even = src.draw_counts_each(s_idx, a_idx, half, rng)[0].astype(float)
+            sig_all = spec.support((odd + even) / (2 * half), V3)
+            sig_halves = 0.5 * (spec.support(even / half, V3) + spec.support(odd / half, V3))
+            expected = spec.support(first, V3) + (sig_all - sig_halves) / (cfg.psi * (1 - cfg.psi) ** level)
+            vals, costs = sigma_hat_for_pairs(src, spec, [(0, 0)], V3, cfg, np.random.default_rng(seed))
+            assert costs[0] == 2 ** (level + 1)
+            assert vals[0] == pytest.approx(expected, abs=1e-12)
+            seen.add(level)
+        assert len(seen) >= 3
 
     def test_coupling_even_odd_exchangeable(self):
         # means of sigma(even) and sigma(odd) agree over repetitions
         spec = TotalVariation(0.2)
         src = row_sampler(P3)
         rng = np.random.default_rng(4)
-        reps = 20_000
-        even_vals = np.empty(reps)
-        odd_vals = np.empty(reps)
-        for i in range(reps):
-            half = 4
-            first = int(src.draw(0, 0, 1, rng)[0])
-            odd = np.zeros(3)
-            odd[first] = 1.0
-            odd += src.draw_counts(0, 0, half - 1, rng)
-            even = src.draw_counts(0, 0, half, rng).astype(float)
-            even_vals[i] = spec.support(even / half, V3)
-            odd_vals[i] = spec.support(odd / half, V3)
+        reps, half = 20_000, 4
+        s_idx, a_idx = one_pair(reps)
+        odd = np.zeros((reps, 3))
+        odd[np.arange(reps), src.draw_one_each(s_idx, a_idx, rng)] = 1.0
+        odd += src.draw_counts_each(s_idx, a_idx, half - 1, rng)
+        even = src.draw_counts_each(s_idx, a_idx, half, rng).astype(float)
+        even_vals = spec.support_batch(even / half, V3)
+        odd_vals = spec.support_batch(odd / half, V3)
         gap = abs(even_vals.mean() - odd_vals.mean())
         se = np.sqrt(even_vals.var(ddof=1) / reps + odd_vals.var(ddof=1) / reps)
         assert gap <= 3 * se
@@ -150,59 +167,53 @@ class TestMlmcEstimate:
         rng = np.random.default_rng(5)
         buckets = []
         for scale in (1.0, 10.0, 100.0):
-            vals, _, _ = mlmc_estimate_batch(src, spec, 0, 0, scale * V3 / 2.0, MlmcConfig(0.25), rng, 30_000)
+            vals, _ = sigma_hat_for_pairs(src, spec, [(0, 0)] * 30_000, scale * V3 / 2.0, MlmcConfig(0.25), rng)
             buckets.append(vals.var(ddof=1) / (1.0 + (scale / 2.0 * V3.max()) ** 2))
         assert max(buckets) <= 10 * min(buckets)
 
 
 class TestOperatorEstimators:
+    """The sampled TD and Q operators, as the learners assemble them from sigma_hat_for_pairs."""
+
     def test_zero_probability_actions_draw_nothing(self):
         m = garnet(3, 2, seed=11)
-        src = KernelSampler.from_mdp(m)
         policy = Policy.deterministic([0, 0, 0], 2)
-        rng = np.random.default_rng(6)
-        _, cost = estimate_T(src, m, policy, Contamination(0.2), np.zeros(3), None, rng)
-        assert cost == 3  # one sample per state, none for the unused action
+        trace = robust_rvi_td(
+            KernelSampler.from_mdp(m), m, policy, Contamination(0.2), OffsetFn.mean(), Constant(0.01), 2, None,
+            np.random.default_rng(6),
+        )
+        # one sample per state and iteration, none for the unused action
+        np.testing.assert_array_equal(trace.costs, [3, 6])
 
     def test_delta_zero_reduces_to_td_target(self):
         m = garnet(4, 2, seed=12)
         src = KernelSampler.from_mdp(m)
         policy = Policy.deterministic([1, 0, 1, 0], 2)
         v = np.random.default_rng(13).normal(0, 1, 4)
-        rng_a = np.random.default_rng(14)
-        t_hat, _ = estimate_T(src, m, policy, Contamination(0.0), v, None, rng_a)
-        rng_b = np.random.default_rng(14)
         pairs = [(s, int(policy.actions()[s])) for s in range(4)]
+        sigma, _ = sigma_hat_for_pairs(src, Contamination(0.0), pairs, v, None, np.random.default_rng(14))
         nxt = src.draw_one_each(
-            np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), rng_b
+            np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), np.random.default_rng(14)
         )
-        expected = np.array([m.reward[s, a] + v[nxt[i]] for i, (s, a) in enumerate(pairs)])
-        np.testing.assert_allclose(t_hat, expected, atol=1e-12)
+        np.testing.assert_array_equal(sigma, v[nxt])
 
     def test_estimate_T_unbiased(self):
-        m = garnet(2, 2, seed=15)
+        # T_hat v(s) = sum_a pi(a|s) (r(s,a) + sigma_hat(s,a)) over every pair of a garnet
+        m = garnet(3, 2, seed=15)
         src = KernelSampler.from_mdp(m)
-        policy = Policy.uniform(2, 2)
-        v = np.array([0.5, -1.5])
-        spec = Contamination(0.3)
+        policy = Policy(np.array([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]]))
+        v = np.array([0.5, -1.5, 1.0])
+        pairs = [(s, a) for s in range(3) for a in range(2)]
+        reps = 20_000
         rng = np.random.default_rng(16)
-        reps = 40_000
-        acc = np.zeros(2)
-        for _ in range(reps):
-            t_hat, _ = estimate_T(src, m, policy, spec, v, None, rng)
-            acc += t_hat
-        mean = acc / reps
-        _, r_pi = induced_chain(m, policy)
-        exact = np.array(
-            [
-                sum(
-                    policy.probs[s, a] * (m.reward[s, a] + spec.support(m.kernel[s, a], v))
-                    for a in range(2)
-                )
-                for s in range(2)
-            ]
-        )
-        assert np.abs(mean - exact).max() < 0.02
+        for spec in (Contamination(0.3), TotalVariation(0.3), ChiSquare(0.3)):
+            sigma, _ = sigma_hat_for_pairs(src, spec, pairs * reps, v, None, rng)
+            t_hat = np.einsum("sa,ksa->ks", policy.probs, m.reward + sigma.reshape(reps, 3, 2))
+            exact = np.einsum(
+                "sa,sa->s", policy.probs, m.reward + spec.support_batch(m.kernel.reshape(6, 3), v).reshape(3, 2)
+            )
+            se = t_hat.std(axis=0, ddof=1) / np.sqrt(reps)
+            assert np.all(np.abs(t_hat.mean(axis=0) - exact) <= 4 * se + 1e-9), type(spec).__name__
 
     def test_constant_q_zero_variance(self):
         m = garnet(3, 2, seed=17)
@@ -210,22 +221,22 @@ class TestOperatorEstimators:
         q = np.full((3, 2), 4.0)
         rng = np.random.default_rng(18)
         spec = TotalVariation(0.3)
-        vals = [estimate_H(src, m, spec, q, 1, 0, MlmcConfig(0.25), rng) for _ in range(20)]
+        sigma, _ = sigma_hat_for_pairs(src, spec, [(1, 0)] * 20, q.max(axis=1), MlmcConfig(0.25), rng)
+        vals = m.reward[1, 0] + sigma
         assert np.ptp(vals) == pytest.approx(0.0, abs=1e-12)
         assert vals[0] == pytest.approx(m.reward[1, 0] + 4.0, abs=1e-12)
 
     def test_single_action_H_equals_T(self):
+        # with one action the Q update draws the same pairs as the TD update
         m = garnet(3, 1, seed=19)
         src = KernelSampler.from_mdp(m)
-        policy = Policy.deterministic([0, 0, 0], 1)
         v = np.array([1.0, 0.0, -1.0])
         spec = TotalVariation(0.2)
         cfg = MlmcConfig(0.25)
-        rng_a = np.random.default_rng(20)
-        t_hat, _ = estimate_T(src, m, policy, spec, v, cfg, rng_a)
-        rng_b = np.random.default_rng(20)
-        sigma, _ = sigma_hat_for_pairs(src, spec, [(s, 0) for s in range(3)], v, cfg, rng_b)
-        np.testing.assert_allclose(t_hat, m.reward[:, 0] + sigma, atol=1e-12)
+        args = (spec, OffsetFn.mean(), Constant(0.5), 1, cfg)
+        td = robust_rvi_td(src, m, Policy.deterministic([0, 0, 0], 1), *args, np.random.default_rng(20), v0=v)
+        q = robust_rvi_q(src, m, *args, np.random.default_rng(20), q0=v[:, None])
+        np.testing.assert_allclose(q.final[:, 0], td.final, rtol=0, atol=1e-12)
 
     def test_estimate_H_unbiased_three_state(self):
         m = garnet(3, 2, seed=21)
@@ -234,8 +245,8 @@ class TestOperatorEstimators:
         spec = TotalVariation(0.2)
         exact = m.reward[0, 1] + spec.support(m.kernel[0, 1], q.max(axis=1))
         rng = np.random.default_rng(23)
-        vals, _, _ = mlmc_estimate_batch(src, spec, 0, 1, q.max(axis=1), MlmcConfig(0.25), rng, 30_000)
-        vals = vals + m.reward[0, 1]
+        sigma, _ = sigma_hat_for_pairs(src, spec, [(0, 1)] * 30_000, q.max(axis=1), MlmcConfig(0.25), rng)
+        vals = sigma + m.reward[0, 1]
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
 
@@ -244,30 +255,28 @@ class TestSampleSource:
     def test_kernel_sampler_empirical_law(self):
         src = row_sampler(P3)
         rng = np.random.default_rng(24)
-        draws = src.draw(0, 0, 200_000, rng)
+        draws = src.draw_one_each(*one_pair(200_000), rng)
         freq = np.bincount(draws, minlength=3) / len(draws)
         np.testing.assert_allclose(freq, P3, atol=0.005)
-        counts = src.draw_counts(0, 0, 200_000, rng)
+        counts = src.draw_counts_each(*one_pair(1), 200_000, rng)[0]
         np.testing.assert_allclose(counts / counts.sum(), P3, atol=0.005)
 
-    def test_generic_fallback_paths(self):
-        class ListSource(KernelSampler):
-            # force the generic per-pair fallbacks from the base class
-            def draw_one_each(self, s_idx, a_idx, rng):
-                return super(KernelSampler, self).draw_one_each(s_idx, a_idx, rng)
-
-            def draw_counts_each(self, s_idx, a_idx, count, rng):
-                return super(KernelSampler, self).draw_counts_each(s_idx, a_idx, count, rng)
-
-        src = ListSource(row_sampler(P3).kernel)
+    def test_batched_draws_follow_each_pair(self):
+        kernel = np.array([[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]]])
+        src = KernelSampler(kernel)
         rng = np.random.default_rng(25)
-        ones = src.draw_one_each(np.array([0, 1]), np.array([0, 0]), rng)
-        assert ones.shape == (2,)
-        counts = src.draw_counts_each(np.array([0, 1]), np.array([0, 0]), 8, rng)
-        assert counts.shape == (2, 3) and counts.sum() == 16
+        s_idx, a_idx = np.array([2, 0, 1]), np.zeros(3, dtype=np.int64)
+        np.testing.assert_array_equal(src.draw_one_each(s_idx, a_idx, rng), [1, 0, 2])
+        counts = src.draw_counts_each(s_idx, a_idx, 8, rng)
+        np.testing.assert_array_equal(counts, [[0, 8, 0], [8, 0, 0], [0, 0, 8]])
+        assert src.draw_counts_each(s_idx, a_idx, 0, rng).shape == (3, 3)
 
     def test_deterministic_given_seed(self):
         src = row_sampler(P3)
-        a = src.draw(0, 0, 100, np.random.default_rng(42))
-        b = src.draw(0, 0, 100, np.random.default_rng(42))
+        s_idx, a_idx = one_pair(100)
+        a = src.draw_one_each(s_idx, a_idx, np.random.default_rng(42))
+        b = src.draw_one_each(s_idx, a_idx, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
+        a = src.draw_counts_each(s_idx, a_idx, 5, np.random.default_rng(42))
+        b = src.draw_counts_each(s_idx, a_idx, 5, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)

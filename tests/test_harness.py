@@ -48,6 +48,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             eval_config(n_seeds=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_iters", "100"),
+            ("n_iters", 100.0),
+            ("n_seeds", 2.5),
+            ("n_seeds", True),
+            ("base_seed", "0"),
+            ("base_seed", -1),
+            ("record_every", 0),
+            ("record_every", 1.5),
+            ("planner_tol", 0.0),
+            ("planner_tol", -1e-9),
+            ("planner_tol", float("inf")),
+            ("planner_tol", float("nan")),
+            ("planner_tol", "1e-9"),
+            ("tail_fraction", "0.1"),
+        ],
+    )
+    def test_rejects_bad_numeric_field(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            eval_config(**{name: value})
+
     def test_to_dict_round_trip(self):
         cfg = eval_config(policy=[[0.5, 0.5]] * 4, sweep={"family": "one_loop_mix"}, support_check={"instances": 2})
         doc = cfg.to_dict()
@@ -55,7 +78,7 @@ class TestConfig:
         assert ExperimentConfig.from_dict(json.loads(json.dumps(doc))) == cfg
         assert list(doc) == [
             "environment", "uncertainty", "algorithm", "offset", "schedule", "n_iters", "n_seeds", "base_seed",
-            "estimator", "policy", "record_every", "tail_fraction", "snapshot_every", "planner_tol", "sweep",
+            "estimator", "policy", "record_every", "tail_fraction", "planner_tol", "sweep",
             "support_check",
         ]
 
@@ -260,6 +283,17 @@ class TestCli:
         path = self.write_config(tmp_path, {"environment": {"id": "nope"}, "uncertainty": {}, "algorithm": "td"})
         assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("name, value", [("n_iters", "100"), ("record_every", 0)])
+    def test_exit_one_on_bad_numeric_field(self, tmp_path, capsys, name, value):
+        doc = {
+            "environment": {"id": "garnet", "params": {"n_states": 3, "n_actions": 2, "seed": 1}},
+            "uncertainty": {"kind": "contamination", "delta": 0.2},
+            "algorithm": "td",
+            name: value,
+        }
+        assert main(["eval", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {name}" in capsys.readouterr().err
+
     def test_exit_one_on_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -295,3 +329,13 @@ class TestCli:
         path2 = self.write_config(tmp_path, doc)
         assert main(["eval", "--config", path2, "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        doc = {
+            "environment": {"id": "garnet", "params": {"n_states": 3, "n_actions": 2, "seed": 1}},
+            "uncertainty": {"kind": "contamination", "delta": 0.2},
+            "algorithm": "td",
+        }
+        path = self.write_config(tmp_path, doc)
+        assert main(["eval", "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert "config error: base_seed" in capsys.readouterr().err

@@ -68,7 +68,10 @@ class TestRobustRviEval:
             rhs = np.zeros(m.n_states)
             for s in range(m.n_states):
                 for a in range(m.n_actions):
-                    sigma = uset.support_for(s, a, m.kernel[s, a], v)
+                    if isinstance(uset, FiniteKernelSet):
+                        sigma = uset.support_for(s, a, m.kernel[s, a], v)
+                    else:
+                        sigma = uset.support(m.kernel[s, a], v)
                     rhs[s] += policy.probs[s, a] * (m.reward[s, a] - gain + sigma)
             return rhs - v
 

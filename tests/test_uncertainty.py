@@ -12,10 +12,8 @@ from rarl.uncertainty import (
     TotalVariation,
     Wasserstein,
     line_metric,
-    support_exact,
     support_oracle_grid,
     uncertainty_from_json,
-    worst_case_row,
 )
 
 DELTAS = (0.1, 0.3, 0.6)
@@ -127,13 +125,13 @@ class TestDualCertificates:
         for _ in range(30):
             p, v = random_instance(rng)
             vmax = np.abs(v).max()
-            res_tv = support_exact(TotalVariation(0.3), p, v)
+            res_tv = TotalVariation(0.3).support_with_dual(p, v)
             assert np.all(res_tv.dual >= -1e-12) and np.all(res_tv.dual <= v + vmax + 1e-9)
-            res_chi = support_exact(ChiSquare(0.3), p, v)
+            res_chi = ChiSquare(0.3).support_with_dual(p, v)
             assert np.all(res_chi.dual >= -1e-12) and np.all(res_chi.dual <= v + vmax + 1e-9)
-            res_kl = support_exact(KLDivergence(0.3), p, v)
+            res_kl = KLDivergence(0.3).support_with_dual(p, v)
             assert res_kl.dual >= 0.0
-            res_w = support_exact(Wasserstein(0.3), p, v)
+            res_w = Wasserstein(0.3).support_with_dual(p, v)
             assert 0.0 <= res_w.dual <= 2.0 * vmax / 0.3 + 1e-6
 
     def test_optimal_value_bounds_from_duals(self):
@@ -147,7 +145,7 @@ class TestDualCertificates:
             assert abs(Wasserstein(delta).support(p, v)) <= vmax + 1e-9
 
     def test_support_exact_returns_result_type(self):
-        res = support_exact(Contamination(0.2), np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+        res = Contamination(0.2).support_with_dual(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
         assert isinstance(res, SupportResult)
         assert res.value == pytest.approx(0.4 + 0.0, abs=1e-12)
 
@@ -156,18 +154,18 @@ class TestWorstRows:
     def test_contamination_definitional(self):
         p = np.array([0.25, 0.75])
         v = np.array([3.0, -1.0])
-        q = worst_case_row(Contamination(0.4), p, v)
+        q = Contamination(0.4).worst_row(p, v)
         np.testing.assert_allclose(q, 0.6 * p + 0.4 * np.array([0.0, 1.0]), atol=1e-12)
 
     def test_tv_greedy_transfer(self):
-        q = worst_case_row(TotalVariation(0.2), np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+        q = TotalVariation(0.2).worst_row(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
         np.testing.assert_allclose(q, [0.7, 0.3], atol=1e-12)
 
     def test_zero_radius_returns_nominal(self):
         rng = np.random.default_rng(7)
         p, v = random_instance(rng)
         for spec in (Contamination(0.0), TotalVariation(0.0), ChiSquare(0.0), KLDivergence(0.0), Wasserstein(0.0)):
-            np.testing.assert_allclose(worst_case_row(spec, p, v), p, atol=1e-12)
+            np.testing.assert_allclose(spec.worst_row(p, v), p, atol=1e-12)
 
     def test_feasible_and_attains_value(self):
         rng = np.random.default_rng(8)
@@ -177,7 +175,7 @@ class TestWorstRows:
             exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8, "ChiSquare": 1e-8, "Wasserstein": 1e-9 * scale}
             for spec in families(DELTAS[trial % 3]):
                 name = type(spec).__name__
-                q = worst_case_row(spec, p, v)
+                q = spec.worst_row(p, v)
                 assert q.min() >= -1e-12 and q.sum() == pytest.approx(1.0, abs=1e-8)
                 value = float(q @ v)
                 target = spec.support(p, v)
@@ -402,7 +400,7 @@ class TestWassersteinSolve:
         # lambda* = 1 is where lines y = 0 and y = 3 of phi_1 cross; it is not of the
         # form (v_x - v_y) / d(x, y), and that set gives -0.833 instead of -0.5
         p, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 5.0, 5.0, -1.0])
-        res = support_exact(Wasserstein(1.5), p, v)
+        res = Wasserstein(1.5).support_with_dual(p, v)
         assert res.value == pytest.approx(-0.5, abs=1e-15)
         assert res.dual == pytest.approx(1.0, abs=1e-15)
 
