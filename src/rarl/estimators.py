@@ -124,19 +124,22 @@ def _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng):
 def sigma_hat_for_pairs(
     source: KernelSampler,
     spec: UncertaintySet,
-    pairs: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]] | np.ndarray,
     v: np.ndarray,
     cfg: MlmcConfig | None,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent support estimates for each pair; returns (values, sample costs)."""
+    """Independent support estimates for each pair; returns (values, sample costs).
+
+    ``pairs`` is a sequence of (s, a) or an int64 array of shape (n, 2); a
+    learner builds the array once and passes it every iteration.
+    """
     v = np.asarray(v, dtype=float)
-    s_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    a_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    s_idx, a_idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     if isinstance(spec, Contamination):
         nxt = source.draw_one_each(s_idx, a_idx, rng)
         values = (1.0 - spec.delta) * v[nxt] + spec.delta * v.min()
-        return values, np.ones(len(pairs), dtype=np.int64)
+        return values, np.ones(len(s_idx), dtype=np.int64)
     if cfg is None:
         cfg = default_mlmc_config(spec)
     sigma, levels = _mlmc_sigma_many(source, spec, s_idx, a_idx, v, cfg, rng)

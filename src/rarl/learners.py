@@ -106,10 +106,10 @@ def robust_rvi_td(
     if not is_unichain(p_pi):
         warnings.warn("policy induces a multichain on the nominal kernel", stacklevel=2)
     v = np.zeros(mdp.n_states) if v0 is None else np.array(v0, dtype=float)
-    pairs = [(s, a) for s in range(mdp.n_states) for a in range(mdp.n_actions) if policy.probs[s, a] > 0.0]
-    weights = np.array([policy.probs[s, a] for s, a in pairs])
-    rewards = np.array([mdp.reward[s, a] for s, a in pairs])
-    state_of = np.array([s for s, _ in pairs])
+    pairs = np.argwhere(policy.probs > 0.0)  # (n, 2) int64, row-major like the (s, a) loop
+    state_of, action_of = pairs.T
+    weights = policy.probs[state_of, action_of]
+    rewards = mdp.reward[state_of, action_of]
     iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):
@@ -145,7 +145,7 @@ def robust_rvi_q(
     all |S||A| entries).
     """
     q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
-    pairs = [(s, a) for s in range(mdp.n_states) for a in range(mdp.n_actions)]
+    pairs = np.argwhere(np.ones((mdp.n_states, mdp.n_actions), dtype=bool))
     iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):

@@ -49,15 +49,18 @@ class FiniteKernelSet:
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """Kernel assembled row-wise from worst-case rows for the given value vector."""
+    """Kernel assembled row-wise from worst-case rows for the given value vector.
+
+    A parametric family solves all rows in one batched ``worst_row`` call;
+    a ``FiniteKernelSet`` is asked pair by pair.
+    """
     v = np.asarray(v, dtype=float)
+    if isinstance(uset, UncertaintySet):
+        return uset.worst_row(mdp.kernel.reshape(-1, mdp.n_states), v).reshape(mdp.kernel.shape)
     kernel = np.empty_like(mdp.kernel)
     for s in range(mdp.n_states):
         for a in range(mdp.n_actions):
-            if isinstance(uset, UncertaintySet):
-                kernel[s, a] = uset.worst_row(mdp.kernel[s, a], v)
-            else:
-                kernel[s, a] = uset.worst_row_for(s, a, mdp.kernel[s, a], v)
+            kernel[s, a] = uset.worst_row_for(s, a, mdp.kernel[s, a], v)
     return kernel
 
 

@@ -5,9 +5,8 @@ row p: contamination mixtures, total-variation, chi-square and KL divergence
 balls, and Wasserstein balls over a state metric. The module provides:
 
 - Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows.
-- Dual variables and worst-case rows recovered from optimality conditions
-  (exact for contamination, TV, chi-square and Wasserstein, diagnostic
-  quality for KL).
+- Dual variables and worst-case rows recovered from optimality conditions,
+  exact for every family. ``worst_row`` takes one row or a batch of rows.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
   q.v over all simplex grid points satisfying the set constraint.
 
@@ -24,9 +23,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 SIMPLEX_TOL = 1e-9
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-SEARCH_TOL = 1e-10
-SEARCH_ITERS = 200
+NEWTON_TOL = 1e-12  # KL root search: |KL - delta| / delta, or relative bracket width, at which it stops
+NEWTON_ITERS = 100
 _BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
 
 
@@ -44,12 +42,15 @@ class SupportResult:
     worst_row: np.ndarray | None = None
 
 
-def _check_simplex(p: np.ndarray) -> np.ndarray:
+def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
+    """A probability row; with ``batch``, also a (B, S) stack of them."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
+    if p.ndim != 1 and not (batch and p.ndim == 2):
         raise ValueError(f"expected a probability row, got shape {p.shape}")
-    if np.any(p < -SIMPLEX_TOL) or abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError(f"not a probability row (sum={p.sum():.6g}, min={p.min():.6g})")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    if np.any(p < -SIMPLEX_TOL) or np.any(off > 1e-8):
+        raise ValueError(f"not a probability row (sum={sums.flat[np.argmax(off)]:.6g}, min={p.min():.6g})")
     return np.maximum(p, 0.0)
 
 
@@ -58,6 +59,11 @@ def _as_batch(rows: np.ndarray) -> np.ndarray:
     if rows.ndim == 1:
         rows = rows[None, :]
     return rows
+
+
+def _worst_row_inputs(p, v) -> tuple[np.ndarray, np.ndarray]:
+    """``worst_row``'s checked rows as a (B, S) batch, and v as floats."""
+    return _as_batch(_check_simplex(p, batch=True)), np.asarray(v, dtype=float)
 
 
 class UncertaintySet:
@@ -76,6 +82,7 @@ class UncertaintySet:
         return SupportResult(self.support(p, v))
 
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A minimizing row in the ball around p; a (B, S) batch gives one per row."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -100,11 +107,10 @@ class Contamination(UncertaintySet):
         return (1.0 - self.delta) * rows @ v + self.delta * v.min()
 
     def worst_row(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        q = (1.0 - self.delta) * p
-        q[int(np.argmin(v))] += self.delta
-        return q
+        rows, v = _worst_row_inputs(p, v)
+        q = (1.0 - self.delta) * rows
+        q[:, int(np.argmin(v))] += self.delta
+        return q.reshape(np.shape(p))
 
     def to_json_dict(self):
         return {"kind": self.kind, "delta": self.delta}
@@ -154,19 +160,16 @@ class TotalVariation(UncertaintySet):
         return SupportResult(self.support(p, v), dual=np.maximum(v - t_star, 0.0))
 
     def worst_row(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        q = p.copy()
-        target = int(np.argmin(v))
-        budget = self.delta
-        for i in np.argsort(-v, kind="stable"):
-            if budget <= 0.0 or v[i] <= v[target]:
-                break
-            step = min(q[i], budget)
-            q[i] -= step
-            q[target] += step
-            budget -= step
-        return q
+        """Greedy transfer: states above min v, highest first, give up to delta onto argmin v."""
+        rows, v = _worst_row_inputs(p, v)
+        order = np.argsort(-v, kind="stable")
+        avail = np.where(v[order] > v.min(), rows[:, order], 0.0)
+        before = np.cumsum(avail, axis=1) - avail  # mass of the higher-valued states
+        moved = np.minimum(avail, np.maximum(self.delta - before, 0.0))
+        q = rows.copy()
+        q[:, order] -= moved
+        q[:, int(np.argmin(v))] += moved.sum(axis=1)
+        return q.reshape(np.shape(p))
 
     def to_json_dict(self):
         return {"kind": self.kind, "delta": self.delta}
@@ -239,28 +242,25 @@ class ChiSquare(UncertaintySet):
         return SupportResult(float(values[0]), dual=np.maximum(v - thresholds[0], 0.0))
 
     def worst_row(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
+        rows, v = _worst_row_inputs(p, v)
         if self.delta == 0.0:
-            return p.copy()
-        support = p > 0.0
-        argmin = support & (v == v[support].min())
-        p_min = p[argmin].sum()
-        if 1.0 - p_min <= self.delta * p_min:
-            # the argmin vertex of supp(p) has divergence 1/p_min - 1 <= delta
-            return np.where(argmin, p, 0.0) / p_min
-        w = np.minimum(v, self.solve(p, v)[1][0])
-        mean = p @ w
-        var = p @ ((w - mean) ** 2)
-        q = p * (1.0 + np.sqrt(self.delta / var) * (mean - w))
-        q = np.maximum(q, 0.0)
-        q /= q.sum()
-        # project back toward p if clipping pushed the divergence past delta
-        dist = self.divergence(q, p)
-        if dist > self.delta:
-            scale = np.sqrt(self.delta / dist) * (1.0 - 1e-12)
-            q = p + scale * (q - p)
-        return q
+            return rows.reshape(np.shape(p)).copy()
+        support = rows > 0.0
+        argmin = support & (v == np.where(support, v, np.inf).min(axis=1, keepdims=True))
+        p_min = np.where(argmin, rows, 0.0).sum(axis=1, keepdims=True)
+        w = np.minimum(v, self.solve(rows, v)[1][:, None])
+        mean = (rows * w).sum(axis=1, keepdims=True)
+        var = (rows * (w - mean) ** 2).sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # var = 0 only on argmin-vertex rows
+            q = np.maximum(rows * (1.0 + np.sqrt(self.delta / var) * (mean - w)), 0.0)
+            q /= q.sum(axis=1, keepdims=True)
+            # project back toward p if clipping pushed the divergence past delta
+            dist = np.where(support, (q - rows) ** 2 / np.where(support, rows, 1.0), 0.0).sum(axis=1, keepdims=True)
+            shrink = np.sqrt(self.delta / dist) * (1.0 - 1e-12)
+            q = np.where(dist > self.delta, rows + shrink * (q - rows), q)
+        # the argmin vertex of supp(p) has divergence 1/p_min - 1; it wins when that is <= delta
+        q = np.where(1.0 - p_min <= self.delta * p_min, np.where(argmin, rows, 0.0) / p_min, q)
+        return q.reshape(np.shape(p))
 
     @staticmethod
     def divergence(q, p):
@@ -273,17 +273,61 @@ class ChiSquare(UncertaintySet):
         return {"kind": self.kind, "delta": self.delta}
 
 
+def _tilt_root(p, u, delta):
+    """Per row, the beta > 0 where KL(q_beta || p) = delta, with q_beta ~ p exp(-beta u) and u in [0, 1].
+
+    f(beta) = KL(q_beta || p) - delta rises from -delta with f'(beta) = beta Var_{q_beta}(u); the
+    caller ensures f(inf) = -log P_p(u = 0) - delta > 0. Safeguarded Newton (rtsafe): a step that
+    leaves the bracket [lo, hi], or is not half the step before last, becomes a bisection in log beta,
+    or a doubling while hi = inf. The first lo is delta / E_p u, since KL(q_beta || p) <= beta E_p u.
+    Returns beta, E_{q_beta} u and f(beta) at each row's last evaluated point.
+    """
+    n = p.shape[0]
+    mean_p = (p * u).sum(axis=1)
+    lo = delta / mean_p
+    hi = np.full(n, np.inf)
+    # KL(q_beta || p) ~ beta^2 Var_p(u) / 2 for small beta
+    beta = np.maximum(lo, np.sqrt(2.0 * delta / (p * (u - mean_p[:, None]) ** 2).sum(axis=1)))
+    step = step_old = np.full(n, np.inf)
+    live = np.arange(n)
+    out = np.empty((3, n))
+    for _ in range(NEWTON_ITERS):
+        e = p * np.exp(-beta[:, None] * u)
+        z = e.sum(axis=1)
+        mean = (e * u).sum(axis=1) / z
+        var = (e * (u - mean[:, None]) ** 2).sum(axis=1) / z
+        f = -beta * mean - np.log(z) - delta
+        out[:, live] = beta, mean, f
+        lo = np.where(f <= 0.0, beta, lo)
+        hi = np.where(f > 0.0, beta, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f / (beta * var)
+            nxt = beta - newton
+            take = np.isfinite(nxt) & (lo <= nxt) & (nxt <= hi) & (np.abs(newton) <= 0.5 * np.abs(step_old))
+            bisect = np.where(np.isinf(hi), 2.0 * lo, np.sqrt(lo * hi))
+        step_old, step = step, np.where(take, newton, beta - bisect)
+        # stop at |f| <= tol delta: the dual at beta then lies within about
+        # alpha |f| <= tol * span(v) of sigma, because every beta >= delta
+        live_next = (np.abs(f) > NEWTON_TOL * delta) & (hi - lo > NEWTON_TOL * lo)
+        if not live_next.any():
+            break
+        live, p, u, lo, hi = live[live_next], p[live_next], u[live_next], lo[live_next], hi[live_next]
+        beta = (beta - step)[live_next]
+        step, step_old = step[live_next], step_old[live_next]
+    return out
+
+
 @dataclass
 class KLDivergence(UncertaintySet):
     """Ball {q : KL(q || p) <= delta}.
 
-    Evaluated through the exponential-tilt dual: sigma = -min_{alpha >= 0}
-    (delta * alpha + alpha * log E_p[exp(-v/alpha)]), a convex 1-D problem
-    solved by golden section on [~0, max(1, span(v)/delta)]; the top is a
-    valid bracket because KL(q_alpha || p) <= span(v)/alpha. The alpha -> 0
-    limit equals min v over the support of p; states with p_i = 0 never
-    receive mass and are excluded from the log-sum. Log-sums are computed in
-    shifted form to avoid overflow.
+    Evaluated through the exponential-tilt dual sigma = max_{alpha >= 0} -(delta alpha + alpha log
+    E_p exp(-v/alpha)) (Iyengar 2005; Nilim & El Ghaoui 2005). States with p_i = 0 never receive mass.
+    With m = min v over supp(p), the alpha -> 0 limit is m, and it is the value when the argmin
+    states of supp(p) lie in the ball: -log P_p(v = m) <= delta. Otherwise the maximizer is the
+    alpha where the tilt q_alpha ~ p exp(-(v - m)/alpha) sits on the sphere KL(q_alpha || p) =
+    delta. ``solve`` finds it per row by safeguarded Newton in beta = 1/alpha on v - m rescaled
+    to [0, 1] (``_tilt_root``), and q_alpha is the worst row.
     """
 
     delta: float
@@ -294,41 +338,29 @@ class KLDivergence(UncertaintySet):
             raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
     def solve(self, rows, v):
-        """Support values and minimizing alphas, one per row (inf where sigma = p.v)."""
+        """Support values and minimizing alphas, one per row.
+
+        alpha is 0 where the boundary value m wins and inf where sigma = p.v (delta = 0 or v
+        constant).
+        """
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0 or v.max() == v.min():
             return rows @ v, np.full(rows.shape[0], np.inf)
-        m = np.where(rows > 0.0, v[None, :], np.inf).min(axis=1)
-        gap = np.where(rows > 0.0, m[:, None] - v[None, :], -np.inf)
-
-        def h(alpha):
-            # h(alpha) = delta*alpha - m + alpha*log sum_supp p * exp(-(v - m)/alpha)
-            lse = np.log(np.maximum(np.einsum("bs,bs->b", rows, np.exp(gap / alpha[:, None])), 1e-300))
-            return self.delta * alpha - m + alpha * lse
-
-        scale = max(1.0, float(np.abs(v).max()))
-        lo = np.full(rows.shape[0], 1e-9 * scale)
-        hi = np.full(rows.shape[0], max(1.0, (v.max() - v.min()) / self.delta))
-        top = hi
-        h_top = h(top)
-        for _ in range(SEARCH_ITERS):
-            if hi[0] - lo[0] < SEARCH_TOL * scale:
-                break
-            step = GOLDEN * (hi - lo)
-            x1 = hi - step
-            x2 = lo + step
-            f1 = h(x1)
-            f2 = h(x2)
-            shrink_hi = f1 <= f2  # minimizing a convex objective
-            hi = np.where(shrink_hi, x2, hi)
-            lo = np.where(shrink_hi, lo, x1)
-        mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-        h_star = np.minimum(h_top, h_mid)
-        alphas = np.where(h_mid < h_top, mid, top)
-        # the alpha -> 0 boundary value of -h is min v over the support
-        return np.maximum(-h_star, m), np.where(m > -h_star, 0.0, alphas)
+        support = rows > 0.0
+        values = np.where(support, v, np.inf).min(axis=1)
+        alphas = np.zeros(rows.shape[0])
+        p_min = np.where(support & (v == values[:, None]), rows, 0.0).sum(axis=1)
+        inner = np.flatnonzero(-np.log(p_min) > self.delta)
+        if inner.size:
+            m = values[inner]
+            width = np.where(support[inner], v, -np.inf).max(axis=1) - m
+            u = np.where(support[inner], (v - m[:, None]) / width[:, None], 0.0)
+            beta, mean, f = _tilt_root(rows[inner], u, self.delta)
+            # the dual at alpha = width / beta is E_q v + alpha (KL(q || p) - delta)
+            values[inner] = m + width * (mean + f / beta)
+            alphas[inner] = width / beta
+        return values, alphas
 
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
@@ -340,37 +372,16 @@ class KLDivergence(UncertaintySet):
         return SupportResult(float(values[0]), dual=float(alphas[0]))
 
     def worst_row(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        if self.delta == 0.0:
-            return p.copy()
-        alpha = self.solve(p, v)[1][0]
-        support = p > 0.0
-        if alpha <= 0.0 or not np.isfinite(alpha):
-            if np.isinf(alpha):
-                return p.copy()
-            q = np.zeros_like(p)
-            masked = np.where(support, v, np.inf)
-            q[int(np.argmin(masked))] = 1.0
-            return q
-        # exponential tilt; bisect the tilt strength onto the KL sphere
-        def tilt(c):
-            logits = np.where(support, -c * v / alpha, -np.inf)
-            logits -= logits.max()
-            w = np.where(support, p * np.exp(logits), 0.0)
-            return w / w.sum()
-
-        q = tilt(1.0)
-        if self.divergence(q, p) > self.delta:
-            lo_c, hi_c = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo_c + hi_c)
-                if self.divergence(tilt(mid), p) > self.delta:
-                    hi_c = mid
-                else:
-                    lo_c = mid
-            q = tilt(lo_c)
-        return q
+        """The tilt q_alpha at the optimal alpha; p on the argmin states of supp(p) at alpha = 0."""
+        rows, v = _worst_row_inputs(p, v)
+        alphas = self.solve(rows, v)[1][:, None]
+        support = rows > 0.0
+        m = np.where(support, v, np.inf).min(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.where(support & (v > m), (v - m) / alphas, 0.0)
+        q = rows * np.exp(-gap)
+        q /= q.sum(axis=1, keepdims=True)
+        return q.reshape(np.shape(p))
 
     @staticmethod
     def divergence(q, p):
@@ -487,22 +498,33 @@ class Wasserstein(UncertaintySet):
 
     def worst_row(self, p, v):
         """Each p_x split between the argmin lines of phi_x at the optimal lambda."""
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
+        rows, v = _worst_row_inputs(p, v)
         if self.delta == 0.0:
-            return p.copy()
-        n = v.shape[0]
+            return rows.reshape(np.shape(p)).copy()
+        b, n = rows.shape
         dl = self._dl(n)
         u = v - v.min()
-        lines = u + self.solve(p, v)[1][0] * dl
-        tied = lines <= lines.min(axis=1, keepdims=True) + 1e-12 * u.max()
-        y_lo = np.where(tied, dl, np.inf).argmin(axis=1)
-        y_hi = np.where(tied, dl, -np.inf).argmax(axis=1)
+        lams, which = np.unique(self.solve(rows, v)[1], return_inverse=True)
+        # the tied argmin lines of every phi_x, once per distinct optimal lambda
+        y_lo = np.empty((lams.shape[0], n), dtype=np.intp)
+        y_hi = np.empty_like(y_lo)
+        step = max(1, _BLOCK // (n * n))
+        for start in range(0, lams.shape[0], step):
+            lines = u + lams[start : start + step, None, None] * dl
+            tied = lines <= lines.min(axis=2, keepdims=True) + 1e-12 * u.max()
+            y_lo[start : start + step] = np.where(tied, dl, np.inf).argmin(axis=2)
+            y_hi[start : start + step] = np.where(tied, dl, -np.inf).argmax(axis=2)
+        y_lo, y_hi = y_lo[which], y_hi[which]
         x = np.arange(n)
-        c_lo, c_hi = p @ dl[x, y_lo], p @ dl[x, y_hi]
+        c_lo = (rows * dl[x, y_lo]).sum(axis=1)
+        c_hi = (rows * dl[x, y_hi]).sum(axis=1)
         # at an optimal lambda the one-sided slopes of g bracket 0: c_lo <= delta^l <= c_hi
-        theta = min(max((self.delta**self.order - c_lo) / (c_hi - c_lo), 0.0), 1.0) if c_hi > c_lo else 0.0
-        return np.bincount(y_lo, (1.0 - theta) * p, n) + np.bincount(y_hi, theta * p, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(c_hi > c_lo, np.clip((self.delta**self.order - c_lo) / (c_hi - c_lo), 0.0, 1.0), 0.0)
+        flat = np.arange(b)[:, None] * n
+        q = np.bincount((flat + y_lo).ravel(), ((1.0 - theta)[:, None] * rows).ravel(), b * n)
+        q += np.bincount((flat + y_hi).ravel(), (theta[:, None] * rows).ravel(), b * n)
+        return q.reshape(np.shape(p))
 
     def distance_pow(self, p, q):
         """W_l(p, q)^l via the transport LP (used by the oracle for general metrics)."""

@@ -1,4 +1,5 @@
-"""Package-level checks: the README example runs, imports are used, ``__all__`` resolves."""
+"""Package-level checks: the README example runs, imports and module-level names are used,
+``__all__`` resolves."""
 
 import ast
 import pathlib
@@ -39,6 +40,43 @@ def unused_imports(path: pathlib.Path) -> list[str]:
     ]
 
 
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE constants and ``_private`` names that no module of ``sources`` reads.
+
+    A read is a loaded name, an attribute of that name, or a ``from ... import`` of it.
+    """
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    problems = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for ident, line in defined:
+                dunder = ident.startswith("__") and ident.endswith("__")
+                flagged = re.fullmatch(r"[A-Z][A-Z0-9_]*", ident) or (ident.startswith("_") and not dunder)
+                if flagged and ident not in read:
+                    problems.append(f"{name}:{line} defines {ident!r} but no module reads it")
+    return problems
+
+
+def package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_readme_library_usage_runs(capsys):
     namespace = {"__name__": "readme_example"}
     exec(compile(library_usage_block(), "README.md", "exec"), namespace)
@@ -55,3 +93,16 @@ def test_all_names_resolve():
     missing = [name for name in rarl.__all__ if not hasattr(rarl, name)]
     assert not missing
     assert len(set(rarl.__all__)) == len(rarl.__all__)
+
+
+def test_no_unread_module_names():
+    problems = unread_module_names(package_sources())
+    assert not problems, "\n".join(problems)
+
+
+def test_unread_module_name_lint_catches_leftovers():
+    sources = package_sources()
+    sources["uncertainty.py"] += "\nGOLDEN = (np.sqrt(5.0) - 1.0) / 2.0\n\n\ndef _bracket_top(v):\n    return v.max()\n"
+    found = unread_module_names(sources)
+    assert len(found) == 2
+    assert "defines 'GOLDEN'" in found[0] and "defines '_bracket_top'" in found[1]

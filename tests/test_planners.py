@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rarl.environments import example_a, garnet, one_loop
+from rarl.environments import example_a, garnet, inventory, one_loop
 from rarl.mdp import (
     OffsetFn,
     Policy,
@@ -179,3 +179,34 @@ class TestSolutionStructure:
         row = ex.uset.worst_row_for(0, 0, None, v)
         np.testing.assert_allclose(row, [0.0, 1.0, 0.0])
         assert FiniteKernelSet.from_kernels(ex.kernels).rows_by_sa[(0, 0)].shape == (2, 3)
+
+
+class TestWorstCaseKernel:
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 2.0])
+    def test_batched_matches_per_row(self, delta):
+        m = inventory()
+        rng = np.random.default_rng(int(100 * delta))
+        specs = (
+            Contamination(min(delta, 0.9)),
+            TotalVariation(delta),
+            ChiSquare(delta),
+            KLDivergence(delta),
+            Wasserstein(delta),
+            Wasserstein(delta, order=2.0),
+        )
+        planned = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), KLDivergence(delta), tol=1e-6).value
+        for v in (planned, rng.normal(size=m.n_states)):
+            for spec in specs:
+                kernel = worst_case_kernel(m, spec, v)
+                for s in range(m.n_states):
+                    for a in range(m.n_actions):
+                        np.testing.assert_allclose(kernel[s, a], spec.worst_row(m.kernel[s, a], v), rtol=0, atol=1e-12)
+                assert np.abs(kernel.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_finite_kernel_set_per_pair(self):
+        ex = example_a(1.0, 2.0, 4.0)
+        v = np.array([-2.5, -0.5, 0.5])
+        kernel = worst_case_kernel(ex.mdp, ex.uset, v)
+        for s in range(ex.mdp.n_states):
+            for a in range(ex.mdp.n_actions):
+                np.testing.assert_allclose(kernel[s, a], ex.uset.worst_row_for(s, a, None, v), rtol=0, atol=1e-12)

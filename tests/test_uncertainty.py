@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq, linprog, minimize_scalar
+from scipy.special import logsumexp
 
 from rarl.uncertainty import (
     ChiSquare,
@@ -172,15 +173,20 @@ class TestWorstRows:
         for trial in range(40):
             p, v = random_instance(rng, n=5)
             scale = max(1.0, np.abs(v).max())
-            exact_tol = {"Contamination": 1e-8, "TotalVariation": 1e-8, "ChiSquare": 1e-8, "Wasserstein": 1e-9 * scale}
+            exact_tol = {
+                "Contamination": 1e-8,
+                "TotalVariation": 1e-8,
+                "ChiSquare": 1e-8,
+                "KLDivergence": 1e-9 * scale,
+                "Wasserstein": 1e-9 * scale,
+            }
             for spec in families(DELTAS[trial % 3]):
                 name = type(spec).__name__
                 q = spec.worst_row(p, v)
                 assert q.min() >= -1e-12 and q.sum() == pytest.approx(1.0, abs=1e-8)
                 value = float(q @ v)
                 target = spec.support(p, v)
-                # attains the support value (diagnostic 1e-4 for KL)
-                tol = exact_tol.get(name, 1e-4 * scale)
+                tol = exact_tol[name]  # attains the support value
                 assert value >= target - 1e-8
                 assert value - target <= tol
                 if isinstance(spec, Contamination):
@@ -346,6 +352,95 @@ def test_kl_solve_alpha_attains_value():
         else:
             dual = -spec.delta * alpha - alpha * np.log(p[supp] @ np.exp(-v[supp] / alpha))
             assert dual == pytest.approx(value, abs=1e-12 * np.abs(v).max())
+
+
+def _kl_reference(p, v, delta):
+    """Independent KL support: min v over supp(p) when its argmin states lie in the ball, else q.v
+    for the tilt q ~ p exp(-beta v) that brentq puts on the sphere KL(q || p) = delta."""
+    supp = p > 0.0
+    p, v = p[supp], v[supp]
+    if -np.log(p[v == v.min()].sum()) <= delta:
+        return v.min()
+    u = (v - v.min()) / (v.max() - v.min())
+
+    def tilt(log_beta):
+        logits = np.log(p) - np.exp(log_beta) * u
+        log_q = logits - logsumexp(logits)
+        return np.exp(log_q), log_q
+
+    def excess(log_beta):
+        q, log_q = tilt(log_beta)
+        return q @ (log_q - np.log(p)) - delta
+
+    lo, hi = -1.0, 1.0
+    while excess(lo) > 0.0:
+        lo -= 1.0
+    while excess(hi) < 0.0:
+        hi += 1.0
+    root = brentq(excess, lo, hi, xtol=1e-15, rtol=1e-15)
+    return v.min() + (v.max() - v.min()) * (tilt(root)[0] @ u)
+
+
+class TestKLSolve:
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.3, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 10.0])
+    def test_matches_scipy_primal(self, delta, scale, offset):
+        rng = np.random.default_rng(int(1000 * delta + scale + offset) + 1)
+        n = 6
+        rows = rng.dirichlet(np.full(n, 0.5), size=12)
+        rows[::2, 1] = 0.0  # rows with zero entries
+        rows[::3, 4] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        # sparse count rows, like the empirical rows of the MLMC estimator
+        counts = rng.multinomial(int(rng.integers(2, 40)), rng.dirichlet(np.ones(n)), size=6)
+        rows = np.concatenate([rows, counts / counts.sum(axis=1, keepdims=True)])
+        v = scale * (rng.normal(size=n) + offset)
+        v[3] = v[0]  # tied values
+        values, alphas = KLDivergence(delta).solve(rows, v)
+        span = v.max() - v.min()
+        for p, value in zip(rows, values):
+            assert abs(value - _kl_reference(p, v, delta)) <= 1e-9 * span
+        assert np.all(alphas >= 0.0)
+
+    def test_worst_row_on_tied_argmin(self):
+        # -log P(argmin) = -log 0.8 <= delta: the worst row is p on the tied argmin states
+        spec = KLDivergence(0.3)
+        p, v = np.array([0.4, 0.4, 0.2]), np.array([0.0, 0.0, 1.0])
+        q = spec.worst_row(p, v)
+        np.testing.assert_allclose(q, [0.5, 0.5, 0.0], atol=1e-15)
+        assert spec.divergence(q, p) <= spec.delta
+        assert spec.support(p, v) == 0.0
+
+    def test_worst_row_attains_support_in_ball(self):
+        rng = np.random.default_rng(15)
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            p = rng.dirichlet(np.full(n, 0.5))
+            if trial % 3 == 0:
+                p[rng.integers(n)] = 0.0
+                p /= p.sum()
+            v = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=n)
+            if trial % 4 == 0:
+                v[-1] = v[0]
+            if trial % 5 == 0:
+                v += 10.0 * np.abs(v).max()
+            spec = KLDivergence(float(10.0 ** rng.uniform(-3, 1)))
+            q = spec.worst_row(p, v)
+            assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(q @ v - spec.support(p, v)) <= 1e-9 * max(1.0, np.abs(v).max())
+            assert spec.divergence(q, p) <= spec.delta * (1.0 + 1e-9)
+
+    def test_near_boundary_radius(self):
+        # -log P(argmin) just above delta: the root beta is large and f is flat there
+        for delta in (1e-3, 1.0, 10.0):
+            for excess in (1e-3, 1e-9):
+                p_min = np.exp(-delta * (1.0 + excess))
+                p, v = np.array([p_min, 1e-9, 1.0 - p_min - 1e-9]), np.array([0.0, 1e-6, 1.0])
+                spec = KLDivergence(delta)
+                assert abs(spec.support(p, v) - _kl_reference(p, v, delta)) <= 1e-12
+                q = spec.worst_row(p, v)
+                assert spec.divergence(q, p) <= delta * (1.0 + 1e-9)
 
 
 def _transport_reference(p, v, dl, budget):
