@@ -19,6 +19,7 @@ Outputs per experiment directory:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -54,6 +55,18 @@ class RunFailure(RuntimeError):
     """Too many per-seed runs failed, or the planner failed."""
 
 
+def _integer(name: str, value, low: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _positive_number(name: str, value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ExperimentConfig:
     environment: dict
@@ -80,14 +93,13 @@ class ExperimentConfig:
             raise ConfigError(f"bad config fields: {exc}") from exc
         if cfg.algorithm not in ("td", "q", "planner", "support-check", "robustness-sweep"):
             raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
+        for name in ("environment", "uncertainty", "offset", "schedule", "estimator", "support_check"):
+            if not isinstance(getattr(cfg, name), dict):
+                raise ConfigError(f"{name} must be a JSON object, got {getattr(cfg, name)!r}")
         for name, low in (("n_iters", 1), ("n_seeds", 1), ("base_seed", 0), ("record_every", 1)):
-            value = getattr(cfg, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            _integer(name, getattr(cfg, name), low)
         for name in ("tail_fraction", "planner_tol"):
-            value = getattr(cfg, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+            _positive_number(name, getattr(cfg, name))
         if cfg.tail_fraction > 1.0:
             raise ConfigError("tail_fraction must lie in (0, 1]")
         return cfg
@@ -138,21 +150,25 @@ def build_uncertainty(doc: dict) -> UncertaintySet:
         raise ConfigError(f"bad uncertainty config: {exc}") from exc
 
 
-def build_offset(doc: dict) -> OffsetFn:
+def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
     kind = doc.get("kind", "mean")
     if kind == "mean":
         return OffsetFn.mean()
     if kind == "state":
-        return OffsetFn.reference_state(int(doc.get("state", 0)))
+        state = _integer("offset.state", doc.get("state", 0), 0)
+        if state >= mdp.n_states:
+            raise ConfigError(f"offset.state must be below n_states = {mdp.n_states}, got {state}")
+        return OffsetFn.reference_state(state)
     raise ConfigError(f"unknown offset kind {kind!r}")
 
 
 def build_schedule(doc: dict):
     kind = doc.get("kind", "constant")
     if kind == "constant":
-        return Constant(float(doc.get("alpha", 0.01)))
+        return Constant(_positive_number("schedule.alpha", doc.get("alpha", 0.01)))
     if kind == "robbins_monro":
-        return RobbinsMonro(float(doc.get("c", 1.0)), float(doc.get("offset", 1.0)))
+        c = _positive_number("schedule.c", doc.get("c", 1.0))
+        return RobbinsMonro(c, _positive_number("schedule.offset", doc.get("offset", 1.0)))
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
@@ -176,13 +192,14 @@ def build_policy(doc, mdp: TabularMDP) -> Policy:
 
 
 def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:
+    """The MLMC settings; fields are checked for every family, though contamination uses none."""
+    psi = doc.get("psi")
+    if psi is not None and _positive_number("estimator.psi", psi) >= 1.0:
+        raise ConfigError(f"estimator.psi must lie in (0, 1), got {psi!r}")
+    max_level = _integer("estimator.max_level", doc.get("max_level", 20), 0)
     if isinstance(spec, Contamination):
         return None
-    psi = doc.get("psi")
-    return MlmcConfig(
-        psi=float(psi) if psi is not None else default_psi(spec),
-        max_level=int(doc.get("max_level", 20)),
-    )
+    return MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
 
 
 def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
@@ -190,36 +207,38 @@ def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((base_seed, seed_index)))
 
 
-def _run_one_seed(config_doc: dict, seed_index: int) -> RunTrace:
-    cfg = ExperimentConfig.from_dict(config_doc)
-    mdp = build_environment(cfg.environment)
-    spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset)
+def _seed_learner(cfg: ExperimentConfig, mdp: TabularMDP, spec: UncertaintySet, offset: OffsetFn):
+    """The learner call of every seed, all but its RNG bound; its inputs are built and checked
+    here, once, so a bad config field fails before any seed runs."""
     schedule = build_schedule(cfg.schedule)
     mlmc = build_mlmc_config(cfg.estimator, spec)
     source = KernelSampler.from_mdp(mdp)
-    rng = seed_stream(cfg.base_seed, seed_index)
     if cfg.algorithm == "td":
         policy = build_policy(cfg.policy, mdp)
-        return robust_rvi_td(
-            source, mdp, policy, spec, offset, schedule, cfg.n_iters, mlmc, rng, record_every=cfg.record_every
+        return functools.partial(
+            robust_rvi_td, source, mdp, policy, spec, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every
         )
-    return robust_rvi_q(source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, rng, record_every=cfg.record_every)
+    return functools.partial(
+        robust_rvi_q, source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every
+    )
 
 
-def _run_seeds(cfg: ExperimentConfig, jobs: int) -> tuple[list[RunTrace | None], list[str]]:
-    doc = cfg.to_dict()
+def _run_one_seed(learner, base_seed: int, seed_index: int) -> RunTrace:
+    return learner(seed_stream(base_seed, seed_index))
+
+
+def _run_seeds(cfg: ExperimentConfig, learner, jobs: int) -> tuple[list[RunTrace | None], list[str]]:
     traces: list[RunTrace | None] = [None] * cfg.n_seeds
     errors: list[str] = []
     if jobs <= 1:
         for i in range(cfg.n_seeds):
             try:
-                traces[i] = _run_one_seed(doc, i)
+                traces[i] = _run_one_seed(learner, cfg.base_seed, i)
             except Exception as exc:  # per-seed failures are collected
                 errors.append(f"seed {i}: {exc}")
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_run_one_seed, doc, i) for i in range(cfg.n_seeds)}
+            futures = {i: pool.submit(_run_one_seed, learner, cfg.base_seed, i) for i in range(cfg.n_seeds)}
             for i in range(cfg.n_seeds):
                 try:
                     traces[i] = futures[i].result()
@@ -272,10 +291,11 @@ def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset)
+    offset = build_offset(cfg.offset, mdp)
     policy = build_policy(cfg.policy, mdp)
+    learner = _seed_learner(cfg, mdp, spec, offset)
     baseline = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol).gain
-    traces, errors = _run_seeds(cfg, jobs)
+    traces, errors = _run_seeds(cfg, learner, jobs)
     done = [t for t in traces if t is not None]
     mean, tails = _aggregate_and_emit(cfg, done, baseline, out_dir, "worst-case policy evaluation")
     summary = {
@@ -296,9 +316,10 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dic
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset)
+    offset = build_offset(cfg.offset, mdp)
+    learner = _seed_learner(cfg, mdp, spec, offset)
     plan = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
-    traces, errors = _run_seeds(cfg, jobs)
+    traces, errors = _run_seeds(cfg, learner, jobs)
     done = [t for t in traces if t is not None]
     mean, tails = _aggregate_and_emit(cfg, done, plan.gain, out_dir, "worst-case optimal control")
     per_seed_actions = [greedy_policy(t.final).actions().tolist() for t in done]
@@ -335,7 +356,7 @@ def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset)
+    offset = build_offset(cfg.offset, mdp)
     if cfg.policy != "optimal":
         policy = build_policy(cfg.policy, mdp)
         res = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
@@ -399,7 +420,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset)
+    offset = build_offset(cfg.offset, mdp)
     schedule = build_schedule(cfg.schedule)
     source = KernelSampler.from_mdp(mdp)
     mlmc = build_mlmc_config(cfg.estimator, spec)
@@ -511,7 +532,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
         spec = family(name, 0.2)
         exact = spec.support(p, v)
         mlmc = MlmcConfig(psi=default_psi(spec))
-        vals, _ = sigma_hat_for_pairs(source, spec, [(0, 0)] * mlmc_draws, v, mlmc, rng)
+        vals, _ = sigma_hat_for_pairs(source, spec, np.zeros((mlmc_draws, 2), dtype=np.int64), v, mlmc, rng)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         gap = abs(vals.mean() - exact)
         rows.append(

@@ -9,7 +9,8 @@ estimate the worst-case average reward. Setting the uncertainty radius to zero
 recovers the classical non-robust TD / Q-learning baselines.
 
 A single run is sequential; independent runs own independent seeded RNG
-streams and trace buffers.
+streams and trace buffers. A run draws its samples through one
+``EstimateStream``, which spawns its child streams from the run's RNG.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import KernelSampler, MlmcConfig, sigma_hat_for_pairs
+from .estimators import EstimateStream, KernelSampler, MlmcConfig, sigma_hat_for_pairs
 from .mdp import OffsetFn, Policy, TabularMDP, induced_chain, is_unichain
 from .uncertainty import UncertaintySet
 
@@ -110,12 +111,12 @@ def robust_rvi_td(
     state_of, action_of = pairs.T
     weights = policy.probs[state_of, action_of]
     rewards = mdp.reward[state_of, action_of]
+    draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
     iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):
-        sigma, cost = sigma_hat_for_pairs(source, spec, pairs, v, cfg, rng)
-        t_hat = np.zeros(mdp.n_states)
-        np.add.at(t_hat, state_of, weights * (rewards + sigma))
+        sigma, cost = sigma_hat_for_pairs(draws, spec, pairs, v, cfg, rng)
+        t_hat = np.bincount(state_of, weights * (rewards + sigma), minlength=mdp.n_states)
         v = v + schedule(n) * (t_hat - offset(v) - v)
         _check_iterate(v, n)
         total_cost += int(cost.sum())
@@ -146,11 +147,12 @@ def robust_rvi_q(
     """
     q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
     pairs = np.argwhere(np.ones((mdp.n_states, mdp.n_actions), dtype=bool))
+    draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
     iters, fvals, costs = [], [], []
     total_cost = 0
     for n in range(n_iters):
         v_q = q.max(axis=1)
-        sigma, cost = sigma_hat_for_pairs(source, spec, pairs, v_q, cfg, rng)
+        sigma, cost = sigma_hat_for_pairs(draws, spec, pairs, v_q, cfg, rng)
         h_hat = mdp.reward + sigma.reshape(mdp.n_states, mdp.n_actions)
         q = q + schedule(n) * (h_hat - offset(q) - q)
         _check_iterate(q, n)

@@ -25,6 +25,8 @@ from scipy.optimize import linprog
 SIMPLEX_TOL = 1e-9
 NEWTON_TOL = 1e-12  # KL root search: |KL - delta| / delta, or relative bracket width, at which it stops
 NEWTON_ITERS = 100
+# KL root search also stops at |f| <= 4 ulps of the terms of f, which sum to about 2 |log z| near the root
+ROUNDOFF = 8 * np.finfo(float).eps
 _BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
 
 
@@ -133,39 +135,44 @@ class TotalVariation(UncertaintySet):
         if self.delta < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
+    def _transfer(self, rows, v):
+        """Greedy transfer onto argmin v: the states above min v, highest v first, and the mass
+        the first i of them give, capped at delta in total; shapes (k,) and (B, k)."""
+        order = np.argsort(-v, kind="stable")
+        order = order[: np.count_nonzero(v > v.min())]
+        return order, np.minimum(np.cumsum(rows[:, order], axis=1), self.delta)
+
+    def _threshold_scan(self, p, v):
+        """The span-penalized dual max_t E_p min(v, t) - delta (t - min v) over t in v: (value, t)."""
+        t = np.unique(v)
+        vals = np.minimum(v[None, :], t[:, None]) @ p - self.delta * (t - v.min())
+        best = int(np.argmax(vals))
+        return float(vals[best]), t[best]
+
     def support_batch(self, rows, v):
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
-        order = np.argsort(-v, kind="stable")
-        v_desc = v[order]
-        avail = rows[:, order]
-        moved = np.minimum(np.cumsum(avail, axis=1), self.delta)
-        moved[:, 1:] = np.diff(moved, axis=1)
-        return rows @ v - moved @ (v_desc - v.min())
+        order, given = self._transfer(rows, v)
+        # sum_i (given_i - given_{i-1}) gap_i, summed by parts as sum_i given_i (gap_i - gap_{i+1})
+        gap = v[order] - v.min()
+        gap[:-1] -= gap[1:]
+        return rows @ v - given @ gap
 
     def dual_value(self, p, v):
         """Threshold scan of the span-penalized dual; equals the greedy primal."""
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        t = np.unique(v)
-        vals = np.minimum(v[None, :], t[:, None]) @ p - self.delta * (t - v.min())
-        return float(vals.max())
+        return self._threshold_scan(_check_simplex(p), np.asarray(v, dtype=float))[0]
 
     def support_with_dual(self, p, v):
         p = _check_simplex(p)
         v = np.asarray(v, dtype=float)
-        t = np.unique(v)
-        vals = np.minimum(v[None, :], t[:, None]) @ p - self.delta * (t - v.min())
-        t_star = t[int(np.argmax(vals))]
+        t_star = self._threshold_scan(p, v)[1]
         return SupportResult(self.support(p, v), dual=np.maximum(v - t_star, 0.0))
 
     def worst_row(self, p, v):
         """Greedy transfer: states above min v, highest first, give up to delta onto argmin v."""
         rows, v = _worst_row_inputs(p, v)
-        order = np.argsort(-v, kind="stable")
-        avail = np.where(v[order] > v.min(), rows[:, order], 0.0)
-        before = np.cumsum(avail, axis=1) - avail  # mass of the higher-valued states
-        moved = np.minimum(avail, np.maximum(self.delta - before, 0.0))
+        order, given = self._transfer(rows, v)
+        moved = np.diff(given, axis=1, prepend=0.0)
         q = rows.copy()
         q[:, order] -= moved
         q[:, int(np.argmin(v))] += moved.sum(axis=1)
@@ -279,7 +286,9 @@ def _tilt_root(p, u, delta):
     f(beta) = KL(q_beta || p) - delta rises from -delta with f'(beta) = beta Var_{q_beta}(u); the
     caller ensures f(inf) = -log P_p(u = 0) - delta > 0. Safeguarded Newton (rtsafe): a step that
     leaves the bracket [lo, hi], or is not half the step before last, becomes a bisection in log beta,
-    or a doubling while hi = inf. The first lo is delta / E_p u, since KL(q_beta || p) <= beta E_p u.
+    or while hi = inf a growth of lo by a factor that squares at each such step (2, 4, 16, ...): near
+    the boundary f stays flat up to beta ~ 1 / (smallest positive u). The first lo is
+    delta / E_p u, since KL(q_beta || p) <= beta E_p u.
     Returns beta, E_{q_beta} u and f(beta) at each row's last evaluated point.
     """
     n = p.shape[0]
@@ -289,6 +298,7 @@ def _tilt_root(p, u, delta):
     # KL(q_beta || p) ~ beta^2 Var_p(u) / 2 for small beta
     beta = np.maximum(lo, np.sqrt(2.0 * delta / (p * (u - mean_p[:, None]) ** 2).sum(axis=1)))
     step = step_old = np.full(n, np.inf)
+    grow = np.full(n, 2.0)
     live = np.arange(n)
     out = np.empty((3, n))
     for _ in range(NEWTON_ITERS):
@@ -296,7 +306,8 @@ def _tilt_root(p, u, delta):
         z = e.sum(axis=1)
         mean = (e * u).sum(axis=1) / z
         var = (e * (u - mean[:, None]) ** 2).sum(axis=1) / z
-        f = -beta * mean - np.log(z) - delta
+        log_z = np.log(z)
+        f = -beta * mean - log_z - delta
         out[:, live] = beta, mean, f
         lo = np.where(f <= 0.0, beta, lo)
         hi = np.where(f > 0.0, beta, hi)
@@ -304,16 +315,21 @@ def _tilt_root(p, u, delta):
             newton = f / (beta * var)
             nxt = beta - newton
             take = np.isfinite(nxt) & (lo <= nxt) & (nxt <= hi) & (np.abs(newton) <= 0.5 * np.abs(step_old))
-            bisect = np.where(np.isinf(hi), 2.0 * lo, np.sqrt(lo * hi))
+            bisect = np.where(np.isinf(hi), grow * lo, np.sqrt(lo * hi))
+            grow = np.where(take, grow, grow * grow)  # read only while hi = inf
         step_old, step = step, np.where(take, newton, beta - bisect)
         # stop at |f| <= tol delta: the dual at beta then lies within about
-        # alpha |f| <= tol * span(v) of sigma, because every beta >= delta
-        live_next = (np.abs(f) > NEWTON_TOL * delta) & (hi - lo > NEWTON_TOL * lo)
-        if not live_next.any():
-            break
-        live, p, u, lo, hi = live[live_next], p[live_next], u[live_next], lo[live_next], hi[live_next]
-        beta = (beta - step)[live_next]
-        step, step_old = step[live_next], step_old[live_next]
+        # alpha |f| <= tol * span(v) of sigma, because every beta >= delta. Where |log z|
+        # is far above delta (small delta, little mass at min v), |f| cannot get below
+        # the round-off of its own terms, so stop there too.
+        live_next = (np.abs(f) > np.maximum(NEWTON_TOL * delta, -ROUNDOFF * log_z)) & (hi - lo > NEWTON_TOL * lo)
+        beta = beta - step
+        if not live_next.all():
+            if not live_next.any():
+                break
+            live, p, u, lo, hi, grow, beta, step, step_old = (
+                x[live_next] for x in (live, p, u, lo, hi, grow, beta, step, step_old)
+            )
     return out
 
 

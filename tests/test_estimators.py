@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rarl.estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
-from rarl.environments import garnet
+from rarl.estimators import EstimateStream, KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
+from rarl.environments import garnet, inventory
 from rarl.learners import Constant, robust_rvi_q, robust_rvi_td
 from rarl.mdp import OffsetFn, Policy
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
@@ -117,23 +117,21 @@ class TestMlmcEstimate:
         assert abs(vals.mean() - spec.support(P3, V3)) <= 4 * se
 
     def test_batch_law_matches_scalar_path(self):
-        # one estimate per seed, rebuilt draw for draw from the telescope formula
-        # with scalar support calls: identical level and value
+        # one estimate per seed, rebuilt draw for draw from the three child streams (levels,
+        # first draws, counts) with the telescope formula and scalar support calls
         spec = TotalVariation(0.3)
         src = row_sampler(P3)
         cfg = MlmcConfig(0.25, max_level=4)
         s_idx, a_idx = one_pair(1)
         seen = set()
         for seed in range(40):
-            rng = np.random.default_rng(seed)
-            level = min(int(rng.geometric(cfg.psi, size=1)[0]) - 1, cfg.max_level)
+            levels_rng, firsts_rng, counts_rng = np.random.default_rng(seed).spawn(3)
+            level = min(int(levels_rng.geometric(cfg.psi)) - 1, cfg.max_level)
             half = 2**level
-            odd = np.zeros(3)
-            odd[src.draw_one_each(s_idx, a_idx, rng)[0]] = 1.0
-            first = odd.copy()
-            if half > 1:
-                odd += src.draw_counts_each(s_idx, a_idx, half - 1, rng)[0]
-            even = src.draw_counts_each(s_idx, a_idx, half, rng)[0].astype(float)
+            first = np.zeros(3)
+            first[src.draw_one_each(s_idx, a_idx, firsts_rng)[0]] = 1.0
+            odd_counts, even = src.draw_counts_each(s_idx, a_idx, np.array([half - 1, half]), counts_rng)
+            odd = first + odd_counts
             sig_all = spec.support((odd + even) / (2 * half), V3)
             sig_halves = 0.5 * (spec.support(even / half, V3) + spec.support(odd / half, V3))
             expected = spec.support(first, V3) + (sig_all - sig_halves) / (cfg.psi * (1 - cfg.psi) ** level)
@@ -192,9 +190,8 @@ class TestOperatorEstimators:
         v = np.random.default_rng(13).normal(0, 1, 4)
         pairs = [(s, int(policy.actions()[s])) for s in range(4)]
         sigma, _ = sigma_hat_for_pairs(src, Contamination(0.0), pairs, v, None, np.random.default_rng(14))
-        nxt = src.draw_one_each(
-            np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), np.random.default_rng(14)
-        )
+        firsts_rng = np.random.default_rng(14).spawn(3)[1]  # the first-draw stream
+        nxt = src.draw_one_each(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]), firsts_rng)
         np.testing.assert_array_equal(sigma, v[nxt])
 
     def test_estimate_T_unbiased(self):
@@ -249,6 +246,19 @@ class TestOperatorEstimators:
         vals = sigma + m.reward[0, 1]
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) <= 4 * se
+
+
+class TestEstimateStream:
+    def test_row_buffer_at_most_one_mebibyte(self):
+        # inventory: 153 pairs of 17 states, so a block holds 12 iterations of 4 * 153 rows
+        m = inventory()
+        pairs = np.argwhere(np.ones((m.n_states, m.n_actions), dtype=bool))
+        spec, rng = TotalVariation(0.2), np.random.default_rng(0)
+        stream = EstimateStream(KernelSampler.from_mdp(m), spec, pairs, None, rng, 100)
+        values, costs = sigma_hat_for_pairs(stream, spec, pairs, m.reward.max(axis=1), None, rng)
+        assert values.shape == costs.shape == (153,)
+        assert stream.rows.shape == (12, 4 * 153, 17)
+        assert stream.rows.nbytes <= 2**20
 
 
 class TestSampleSource:

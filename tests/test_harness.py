@@ -294,6 +294,30 @@ class TestCli:
         assert main(["eval", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("estimator", "abc", "estimator must be a JSON object"),
+            ("estimator", {"psi": "abc"}, "estimator.psi"),
+            ("estimator", {"max_level": -1}, "estimator.max_level"),
+            ("schedule", {"alpha": "x"}, "schedule.alpha"),
+            ("schedule", {"alpha": -1}, "schedule.alpha"),
+            ("offset", {"kind": "state", "state": 99}, "offset.state"),
+        ],
+    )
+    def test_exit_one_on_bad_run_field(self, tmp_path, capsys, field, value, message):
+        # checked once before any seed runs, not reported as per-seed failures
+        doc = {
+            "environment": {"id": "garnet", "params": {"n_states": 3, "n_actions": 2, "seed": 1}},
+            "uncertainty": {"kind": "tv", "delta": 0.2},
+            "algorithm": "td",
+            "n_iters": 20,
+            "n_seeds": 2,
+            field: value,
+        }
+        assert main(["eval", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_exit_one_on_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from rarl import estimators
 from rarl.environments import garnet, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig
 from rarl.learners import Constant, RobbinsMonro, greedy_policy, robust_rvi_q, robust_rvi_td
 from rarl.mdp import OffsetFn, Policy, gain_and_bias
 from rarl.planners import robust_rvi_control, robust_rvi_eval
-from rarl.uncertainty import Contamination, TotalVariation
+from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 
 
 def stream(*key):
@@ -191,3 +192,26 @@ class TestRobustRviQ:
         ]
         np.testing.assert_array_equal(runs[0].f_values, runs[1].f_values)
         np.testing.assert_array_equal(runs[0].final, runs[1].final)
+
+
+class TestBlockDraws:
+    """A run draws its samples in blocks of iterations; its trace must not depend on the block size."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Contamination(0.3), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_trace_independent_of_block_size(self, spec, monkeypatch):
+        m = garnet(4, 2, seed=7)
+        src = KernelSampler.from_mdp(m)
+        floats_per_iter = 4 * 8 * 4  # 4n rows of S states, n = 8 pairs for both learners
+        runs = []
+        for block_floats in (1, 7 * floats_per_iter, estimators._BLOCK_FLOATS):  # K = 1, 7 and 30 (all)
+            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", block_floats)
+            td = robust_rvi_td(
+                src, m, Policy.uniform(4, 2), spec, OffsetFn.mean(), Constant(0.05), 30, None, stream(30, 1)
+            )
+            q = robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.05), 30, None, stream(30, 2))
+            runs.append([x.tobytes() for trace in (td, q) for x in (trace.f_values, trace.costs, trace.final)])
+        assert runs[0] == runs[1] == runs[2]

@@ -1,0 +1,43 @@
+"""The benchmark's traced run wraps rarl entry points by name; these must stay hookable.
+
+``perfbench/tracer.py`` counts estimates and samples from the costs that
+``learners.sigma_hat_for_pairs`` returns and times ``KernelSampler`` draws. A refactor that
+bypasses one of those names would only break ``perfbench/run.py --trace 1``; this test
+catches it in the main suite.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+
+from rarl import learners
+from rarl.environments import garnet
+from rarl.estimators import KernelSampler
+from rarl.learners import Constant
+from rarl.mdp import OffsetFn, Policy
+from rarl.uncertainty import TotalVariation
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+
+from tracer import Tracer, installed  # noqa: E402
+
+
+def test_traced_learners_count_every_estimate_and_sample():
+    m = garnet(5, 3, seed=254)
+    src = KernelSampler.from_mdp(m)
+    spec = TotalVariation(0.2)
+    tracer = Tracer()
+    with installed(tracer):
+        td = learners.robust_rvi_td(
+            src, m, Policy.uniform(5, 3), spec, OffsetFn.mean(), Constant(0.01), 20, None, np.random.default_rng(1)
+        )
+        q = learners.robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.01), 20, None, np.random.default_rng(2))
+    assert tracer.counts[("iters",)] == 40
+    assert tracer.counts[("estimates",)] == 20 * 15 + 20 * 15
+    assert tracer.counts[("samples",)] == td.costs[-1] + q.costs[-1]
+    assert sum(n for key, n in tracer.counts.items() if key[0] == "level") == 600
+    # each run draws its 20 iterations in one block: one first-draw and one count call
+    assert tracer.total(2, "estimators.sample") == 4
+    assert tracer.total(2, "estimators", "sigma_hat_for_pairs") == 40
+    assert tracer.total(2, "uncertainty", "support_batch", "tv") == 40

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import logsumexp
 
+from rarl import uncertainty
 from rarl.uncertainty import (
     ChiSquare,
     Contamination,
@@ -441,6 +442,29 @@ class TestKLSolve:
                 assert abs(spec.support(p, v) - _kl_reference(p, v, delta)) <= 1e-12
                 q = spec.worst_row(p, v)
                 assert spec.divergence(q, p) <= delta * (1.0 + 1e-9)
+
+    def test_near_boundary_iteration_count(self, monkeypatch):
+        # f stays flat up to beta ~ 1 / 1e-6 here; doubling beta from its first bracket took 26-27
+        # Newton iterations, a squaring growth factor takes at most 13. Each iteration calls exp once.
+        class CountingNumpy:
+            exp_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                self.exp_calls += 1
+                return np.exp(x)
+
+        for delta in (1e-3, 0.3, 1.0, 10.0):
+            p_min = np.exp(-delta * (1.0 + 1e-12))
+            p, v = np.array([p_min, 1e-9, 1.0 - p_min - 1e-9]), np.array([0.0, 1e-6, 1.0])
+            counting = CountingNumpy()
+            monkeypatch.setattr(uncertainty, "np", counting)
+            value = KLDivergence(delta).support(p, v)
+            monkeypatch.setattr(uncertainty, "np", np)
+            assert 1 <= counting.exp_calls <= 14, delta
+            assert abs(value - _kl_reference(p, v, delta)) <= 1e-12
 
 
 def _transport_reference(p, v, dl, budget):
