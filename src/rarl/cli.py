@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Usage: rarl {eval|control|plan|sweep|support-check} --config FILE --out DIR
-            [--jobs N] [--seed U64]
+Usage: rarl {eval|control} --config FILE --out DIR [--jobs N] [--seed U64]
+       rarl {plan|sweep|support-check} --config FILE --out DIR [--seed U64]
 
 Exit codes: 0 success, 1 configuration error, 2 run failure, 3 support-check
 acceptance failure.
@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        if name in ("eval", "control"):
+            cmd.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
         cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
     return parser
 
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
             doc = run_planner(cfg, args.out)
             print(f"gain={doc['gain']:.6g}")
         elif args.command == "sweep":
-            run_robustness_sweep(cfg, args.out, jobs=args.jobs)
+            run_robustness_sweep(cfg, args.out)
             print("sweep written")
         else:
             report, ok = run_support_check(cfg, args.out)

@@ -87,8 +87,8 @@ def default_psi(spec: UncertaintySet) -> float:
     return 0.2 if isinstance(spec, ChiSquare) else 0.25
 
 
-def default_mlmc_config(spec: UncertaintySet, max_level: int = 20) -> MlmcConfig:
-    return MlmcConfig(psi=default_psi(spec), max_level=max_level)
+def default_mlmc_config(spec: UncertaintySet) -> MlmcConfig:
+    return MlmcConfig(psi=default_psi(spec))
 
 
 

@@ -35,12 +35,10 @@ from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rv
 from .mdp import OffsetFn, Policy, TabularMDP, validate, validate_policy
 from .planners import robust_rvi_control, robust_rvi_eval
 from .uncertainty import (
-    ChiSquare,
+    FAMILIES,
     Contamination,
-    KLDivergence,
     TotalVariation,
     UncertaintySet,
-    Wasserstein,
     support_oracle_grid,
     uncertainty_from_json,
 )
@@ -93,9 +91,11 @@ class ExperimentConfig:
             raise ConfigError(f"bad config fields: {exc}") from exc
         if cfg.algorithm not in ("td", "q", "planner", "support-check", "robustness-sweep"):
             raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-        for name in ("environment", "uncertainty", "offset", "schedule", "estimator", "support_check"):
-            if not isinstance(getattr(cfg, name), dict):
-                raise ConfigError(f"{name} must be a JSON object, got {getattr(cfg, name)!r}")
+        for name in ("environment", "uncertainty", "offset", "schedule", "estimator", "support_check", "sweep"):
+            value = getattr(cfg, name)
+            if not isinstance(value, dict) and not (name == "sweep" and value is None):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        _support_check_options(cfg.support_check)
         for name, low in (("n_iters", 1), ("n_seeds", 1), ("base_seed", 0), ("record_every", 1)):
             _integer(name, getattr(cfg, name), low)
         for name in ("tail_fraction", "planner_tol"):
@@ -146,7 +146,7 @@ def build_environment(doc: dict) -> TabularMDP:
 def build_uncertainty(doc: dict) -> UncertaintySet:
     try:
         return uncertainty_from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad uncertainty config: {exc}") from exc
 
 
@@ -411,7 +411,7 @@ def _perturbation_grid(cfg: ExperimentConfig):
         raise ConfigError(f"unknown sweep family {family!r}")
 
 
-def run_robustness_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
+def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Train robust and non-robust policies, evaluate both on perturbed MDPs.
 
     The non-robust learner is the same control loop with a zero-radius
@@ -465,31 +465,28 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     return doc
 
 
+def _support_check_options(opts: dict) -> tuple[int, int, list[float], int]:
+    """The support check's instances, grid resolution, radii and MLMC draws (the SE needs 2)."""
+    deltas = opts.get("deltas", [0.1, 0.3, 0.6])
+    if not isinstance(deltas, list) or not deltas:
+        raise ConfigError(f"support_check.deltas must be a non-empty list, got {deltas!r}")
+    return (
+        _integer("support_check.instances", opts.get("instances", 20), 1),
+        _integer("support_check.resolution", opts.get("resolution", 200), 1),
+        [_positive_number("support_check.deltas", delta) for delta in deltas],
+        _integer("support_check.mlmc_draws", opts.get("mlmc_draws", 20_000), 2),
+    )
+
+
 def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
-    opts = cfg.support_check or {}
-    n_instances = int(opts.get("instances", 20))
-    resolution = int(opts.get("resolution", 200))
-    deltas = list(opts.get("deltas", [0.1, 0.3, 0.6]))
-    mlmc_draws = int(opts.get("mlmc_draws", 20_000))
+    n_instances, resolution, deltas, mlmc_draws = _support_check_options(cfg.support_check)
     rng = seed_stream(cfg.base_seed, 9000)
     rows = []
-
-    def family(name, delta):
-        if name == "contamination":
-            return Contamination(min(delta, 0.99))
-        if name == "tv":
-            return TotalVariation(delta)
-        if name == "chi2":
-            return ChiSquare(delta)
-        if name == "kl":
-            return KLDivergence(delta)
-        return Wasserstein(delta)
-
     # contamination is checked against its closed form; the others against the
     # grid oracle, whose spacing error scales like 1/resolution (0.02 ||V|| at 200)
     worst_closed = 0.0
     for i in range(n_instances):
-        spec = family("contamination", deltas[i % len(deltas)])
+        spec = Contamination(min(deltas[i % len(deltas)], 0.99))
         p = rng.dirichlet(np.ones(4))
         v = rng.normal(0.0, 1.0, size=4)
         closed = (1 - spec.delta) * p @ v + spec.delta * v.min()
@@ -506,8 +503,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
     for name in ("tv", "chi2", "kl", "wasserstein"):
         worst = 0.0
         for i in range(n_instances):
-            delta = deltas[i % len(deltas)]
-            spec = family(name, delta)
+            spec = FAMILIES[name](deltas[i % len(deltas)])
             p = rng.dirichlet(np.ones(4))
             v = rng.normal(0.0, 1.0, size=4)
             exact = spec.support(p, v)
@@ -529,7 +525,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
     kernel[:, 0, :] = p
     source = KernelSampler(kernel)
     for name in ("tv", "chi2", "kl", "wasserstein"):
-        spec = family(name, 0.2)
+        spec = FAMILIES[name](0.2)
         exact = spec.support(p, v)
         mlmc = MlmcConfig(psi=default_psi(spec))
         vals, _ = sigma_hat_for_pairs(source, spec, np.zeros((mlmc_draws, 2), dtype=np.int64), v, mlmc, rng)

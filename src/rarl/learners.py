@@ -114,16 +114,18 @@ def robust_rvi_td(
     draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
     iters, fvals, costs = [], [], []
     total_cost = 0
+    f = offset(v)  # of the current iterate: the next update's offset and its record
     for n in range(n_iters):
         sigma, cost = sigma_hat_for_pairs(draws, spec, pairs, v, cfg, rng)
         t_hat = np.bincount(state_of, weights * (rewards + sigma), minlength=mdp.n_states)
-        v = v + schedule(n) * (t_hat - offset(v) - v)
+        v = v + schedule(n) * (t_hat - f - v)
         _check_iterate(v, n)
+        f = offset(v)
         total_cost += int(cost.sum())
         step = n + 1
         if step % record_every == 0 or step == n_iters:
             iters.append(step)
-            fvals.append(offset(v))
+            fvals.append(f)
             costs.append(total_cost)
     return RunTrace(np.array(iters), np.array(fvals), np.array(costs), v)
 
@@ -150,17 +152,19 @@ def robust_rvi_q(
     draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
     iters, fvals, costs = [], [], []
     total_cost = 0
+    f = offset(q)
     for n in range(n_iters):
         v_q = q.max(axis=1)
         sigma, cost = sigma_hat_for_pairs(draws, spec, pairs, v_q, cfg, rng)
         h_hat = mdp.reward + sigma.reshape(mdp.n_states, mdp.n_actions)
-        q = q + schedule(n) * (h_hat - offset(q) - q)
+        q = q + schedule(n) * (h_hat - f - q)
         _check_iterate(q, n)
+        f = offset(q)
         total_cost += int(cost.sum())
         step = n + 1
         if step % record_every == 0 or step == n_iters:
             iters.append(step)
-            fvals.append(offset(q))
+            fvals.append(f)
             costs.append(total_cost)
     return RunTrace(np.array(iters), np.array(fvals), np.array(costs), q)
 

@@ -4,9 +4,10 @@ Each family is an (s,a)-rectangular ball of probability rows around a nominal
 row p: contamination mixtures, total-variation, chi-square and KL divergence
 balls, and Wasserstein balls over a state metric. The module provides:
 
-- Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows.
-- Dual variables and worst-case rows recovered from optimality conditions,
-  exact for every family. ``worst_row`` takes one row or a batch of rows.
+- Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows;
+  ``solve`` also returns the chi-square, KL and Wasserstein duals.
+- Worst-case rows recovered from optimality conditions, exact for every
+  family. ``worst_row`` takes one row or a batch of rows.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
   q.v over all simplex grid points satisfying the set constraint.
 
@@ -17,7 +18,6 @@ paths share one implementation, so repeated evaluation is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,20 +28,6 @@ NEWTON_ITERS = 100
 # KL root search also stops at |f| <= 4 ulps of the terms of f, which sum to about 2 |log z| near the root
 ROUNDOFF = 8 * np.finfo(float).eps
 _BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
-
-
-@dataclass
-class SupportResult:
-    """Value of the inner minimization plus optional certificates.
-
-    ``dual`` is the family's dual variable (vector mu for TV / chi-square,
-    scalar alpha for KL, scalar lambda for Wasserstein); ``worst_row`` is a
-    minimizing row when requested.
-    """
-
-    value: float
-    dual: Any = None
-    worst_row: np.ndarray | None = None
 
 
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -68,10 +54,16 @@ def _worst_row_inputs(p, v) -> tuple[np.ndarray, np.ndarray]:
     return _as_batch(_check_simplex(p, batch=True)), np.asarray(v, dtype=float)
 
 
+@dataclass
 class UncertaintySet:
-    """Shared interface: ``support``, ``support_batch``, ``worst_row``."""
+    """Shared interface: ``support``, ``support_batch``, ``worst_row``; a ball of radius delta."""
 
+    delta: float
     kind = "abstract"
+
+    def __post_init__(self):
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError(f"radius must be a finite number >= 0, got {self.delta}")
 
     def support(self, p: np.ndarray, v: np.ndarray) -> float:
         p = _check_simplex(p)
@@ -80,22 +72,17 @@ class UncertaintySet:
     def support_batch(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def support_with_dual(self, p: np.ndarray, v: np.ndarray) -> SupportResult:
-        return SupportResult(self.support(p, v))
-
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A minimizing row in the ball around p; a (B, S) batch gives one per row."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, "delta": self.delta}
 
 
-@dataclass
 class Contamination(UncertaintySet):
     """Mixture ball {(1-delta) p + delta q : q in simplex}."""
 
-    delta: float
     kind = "contamination"
 
     def __post_init__(self):
@@ -114,26 +101,15 @@ class Contamination(UncertaintySet):
         q[:, int(np.argmin(v))] += self.delta
         return q.reshape(np.shape(p))
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "delta": self.delta}
 
-
-@dataclass
 class TotalVariation(UncertaintySet):
     """Ball {q : 0.5 * ||q - p||_1 <= delta}.
 
     The primal is solved exactly by greedy mass transfer: up to delta total
-    mass moves from the highest-value states onto an argmin-value state. The
-    dual (threshold form of the span-penalized objective) is kept as a
-    cross-check and as the source of the dual vector mu.
+    mass moves from the highest-value states onto an argmin-value state.
     """
 
-    delta: float
     kind = "tv"
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
     def _transfer(self, rows, v):
         """Greedy transfer onto argmin v: the states above min v, highest v first, and the mass
@@ -141,13 +117,6 @@ class TotalVariation(UncertaintySet):
         order = np.argsort(-v, kind="stable")
         order = order[: np.count_nonzero(v > v.min())]
         return order, np.minimum(np.cumsum(rows[:, order], axis=1), self.delta)
-
-    def _threshold_scan(self, p, v):
-        """The span-penalized dual max_t E_p min(v, t) - delta (t - min v) over t in v: (value, t)."""
-        t = np.unique(v)
-        vals = np.minimum(v[None, :], t[:, None]) @ p - self.delta * (t - v.min())
-        best = int(np.argmax(vals))
-        return float(vals[best]), t[best]
 
     def support_batch(self, rows, v):
         rows = _as_batch(rows)
@@ -157,16 +126,6 @@ class TotalVariation(UncertaintySet):
         gap = v[order] - v.min()
         gap[:-1] -= gap[1:]
         return rows @ v - given @ gap
-
-    def dual_value(self, p, v):
-        """Threshold scan of the span-penalized dual; equals the greedy primal."""
-        return self._threshold_scan(_check_simplex(p), np.asarray(v, dtype=float))[0]
-
-    def support_with_dual(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        t_star = self._threshold_scan(p, v)[1]
-        return SupportResult(self.support(p, v), dual=np.maximum(v - t_star, 0.0))
 
     def worst_row(self, p, v):
         """Greedy transfer: states above min v, highest first, give up to delta onto argmin v."""
@@ -178,11 +137,7 @@ class TotalVariation(UncertaintySet):
         q[:, int(np.argmin(v))] += moved.sum(axis=1)
         return q.reshape(np.shape(p))
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "delta": self.delta}
 
-
-@dataclass
 class ChiSquare(UncertaintySet):
     """Ball {q : sum_i (q_i - p_i)^2 / p_i <= delta} (q_i = 0 wherever p_i = 0).
 
@@ -195,12 +150,7 @@ class ChiSquare(UncertaintySet):
     segment per row; it sorts v once and is vectorized over rows.
     """
 
-    delta: float
     kind = "chi2"
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
     def solve(self, rows, v):
         """Support values and maximizing thresholds t, one per row."""
@@ -242,12 +192,6 @@ class ChiSquare(UncertaintySet):
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
 
-    def support_with_dual(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        values, thresholds = self.solve(p, v)
-        return SupportResult(float(values[0]), dual=np.maximum(v - thresholds[0], 0.0))
-
     def worst_row(self, p, v):
         rows, v = _worst_row_inputs(p, v)
         if self.delta == 0.0:
@@ -275,9 +219,6 @@ class ChiSquare(UncertaintySet):
         if np.any(q[~mask] > 1e-15):
             return np.inf
         return float(np.sum((q[mask] - p[mask]) ** 2 / p[mask]))
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "delta": self.delta}
 
 
 def _tilt_root(p, u, delta):
@@ -333,7 +274,6 @@ def _tilt_root(p, u, delta):
     return out
 
 
-@dataclass
 class KLDivergence(UncertaintySet):
     """Ball {q : KL(q || p) <= delta}.
 
@@ -346,12 +286,7 @@ class KLDivergence(UncertaintySet):
     to [0, 1] (``_tilt_root``), and q_alpha is the worst row.
     """
 
-    delta: float
     kind = "kl"
-
-    def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.delta}")
 
     def solve(self, rows, v):
         """Support values and minimizing alphas, one per row.
@@ -381,12 +316,6 @@ class KLDivergence(UncertaintySet):
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
 
-    def support_with_dual(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        values, alphas = self.solve(p, v)
-        return SupportResult(float(values[0]), dual=float(alphas[0]))
-
     def worst_row(self, p, v):
         """The tilt q_alpha at the optimal alpha; p on the argmin states of supp(p) at alpha = 0."""
         rows, v = _worst_row_inputs(p, v)
@@ -405,9 +334,6 @@ class KLDivergence(UncertaintySet):
         if np.any(p[mask] <= 0):
             return np.inf
         return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "delta": self.delta}
 
 
 def line_metric(n: int) -> np.ndarray:
@@ -431,18 +357,17 @@ class Wasserstein(UncertaintySet):
     of phi_x at the optimal lambda.
     """
 
-    delta: float
     order: float = 1.0
     metric: np.ndarray | None = None
     _pow_cache: dict = field(default_factory=dict, repr=False)
 
     kind = "wasserstein"
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity: metric is an array
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.delta}")
-        if self.order < 1.0:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        super().__post_init__()
+        if not 1.0 <= self.order < np.inf:
+            raise ValueError(f"order must be a finite number >= 1, got {self.order}")
         if self.metric is not None:
             d = np.asarray(self.metric, dtype=float)
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -506,12 +431,6 @@ class Wasserstein(UncertaintySet):
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
 
-    def support_with_dual(self, p, v):
-        p = _check_simplex(p)
-        v = np.asarray(v, dtype=float)
-        values, lambdas = self.solve(p, v)
-        return SupportResult(float(values[0]), dual=float(lambdas[0]))
-
     def worst_row(self, p, v):
         """Each p_x split between the argmin lines of phi_x at the optimal lambda."""
         rows, v = _worst_row_inputs(p, v)
@@ -558,31 +477,21 @@ class Wasserstein(UncertaintySet):
         return float(res.fun)
 
     def to_json_dict(self):
-        doc = {"kind": self.kind, "delta": self.delta, "l": self.order}
+        doc = {**super().to_json_dict(), "l": self.order}
         if self.metric is not None:
             doc["metric"] = np.asarray(self.metric).tolist()
         return doc
 
 
+FAMILIES = {cls.kind: cls for cls in (Contamination, TotalVariation, ChiSquare, KLDivergence, Wasserstein)}
+
+
 def uncertainty_from_json(doc: dict) -> UncertaintySet:
     kind = doc["kind"]
-    delta = float(doc["delta"])
-    if kind == "contamination":
-        return Contamination(delta)
-    if kind == "tv":
-        return TotalVariation(delta)
-    if kind == "chi2":
-        return ChiSquare(delta)
-    if kind == "kl":
-        return KLDivergence(delta)
-    if kind == "wasserstein":
-        metric = doc.get("metric")
-        return Wasserstein(
-            delta,
-            order=float(doc.get("l", 1.0)),
-            metric=None if metric is None else np.asarray(metric, dtype=float),
-        )
-    raise ValueError(f"unknown uncertainty set kind {kind!r}")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown uncertainty set kind {kind!r}")
+    extra = {"order": float(doc.get("l", 1.0)), "metric": doc.get("metric")} if kind == "wasserstein" else {}
+    return FAMILIES[kind](float(doc["delta"]), **extra)
 
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -27,6 +27,7 @@ from rarl.uncertainty import (
     Wasserstein,
     support_oracle_grid,
 )
+from test_uncertainty import tv_threshold_scan
 
 GARNET_SEED = 254  # fixed desk-scale instance for criteria 4 and 5
 MLMC_ROW = np.array([0.2, 0.3, 0.5])
@@ -67,7 +68,7 @@ def test_criterion_1_support_oracle_equivalence():
         contam = fams["contamination"]
         closed = (1 - contam.delta) * p @ v + contam.delta * v.min()
         assert abs(contam.support(p, v) - closed) <= 1e-9
-        assert abs(fams["tv"].support(p, v) - fams["tv"].dual_value(p, v)) <= 1e-9
+        assert abs(fams["tv"].support(p, v) - tv_threshold_scan(p, v, fams["tv"].delta)) <= 1e-9
     elapsed = time.time() - start
     ok = max(worst.values()) <= 1.0 and elapsed < 120.0
     _report(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rarl.cli import main
+from rarl.cli import build_parser, main
 from rarl.harness import (
     ConfigError,
     ExperimentConfig,
@@ -317,6 +317,50 @@ class TestCli:
         }
         assert main(["eval", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["contamination", "tv", "chi2", "kl", "wasserstein"])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_exit_one_on_non_finite_radius(self, tmp_path, capsys, kind, delta):
+        doc = {
+            "environment": {"id": "garnet", "params": {"n_states": 5, "n_actions": 3, "seed": 1}},
+            "uncertainty": {"kind": kind, "delta": delta},
+            "algorithm": "planner",
+        }
+        assert main(["plan", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: bad uncertainty config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            ("sweep", "sweep", "abc", "sweep must be a JSON object"),
+            ("support-check", "support_check", {"instances": "x"}, "support_check.instances"),
+            ("support-check", "support_check", {"instances": 0}, "support_check.instances"),
+            ("support-check", "support_check", {"resolution": 0}, "support_check.resolution"),
+            ("support-check", "support_check", {"mlmc_draws": 1}, "support_check.mlmc_draws"),
+            ("support-check", "support_check", {"deltas": []}, "support_check.deltas"),
+            ("support-check", "support_check", {"deltas": "abc"}, "support_check.deltas"),
+            ("support-check", "support_check", {"deltas": [0.1, 0.0]}, "support_check.deltas"),
+            ("support-check", "support_check", {"deltas": [0.1, float("nan")]}, "support_check.deltas"),
+        ],
+    )
+    def test_exit_one_on_bad_section(self, tmp_path, capsys, command, field, value, message):
+        doc = {
+            "environment": {"id": "one_loop"},
+            "uncertainty": {"kind": "contamination", "delta": 0.4},
+            "algorithm": "robustness-sweep" if command == "sweep" else "support-check",
+            "n_iters": 20,
+            field: value,
+        }
+        assert main([command, "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_jobs_only_on_seed_commands(self):
+        args = ["--config", "c.json", "--out", "o", "--jobs", "2"]
+        for command in ("eval", "control"):
+            assert build_parser().parse_args([command, *args]).jobs == 2
+        for command in ("plan", "sweep", "support-check"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *args])
 
     def test_exit_one_on_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

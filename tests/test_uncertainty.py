@@ -10,7 +10,6 @@ from rarl.uncertainty import (
     ChiSquare,
     Contamination,
     KLDivergence,
-    SupportResult,
     TotalVariation,
     Wasserstein,
     line_metric,
@@ -33,6 +32,13 @@ def families(delta):
 
 def random_instance(rng, n=4):
     return rng.dirichlet(np.ones(n)), rng.normal(0.0, 1.5, size=n)
+
+
+def tv_threshold_scan(p, v, delta):
+    """Independent TV support: the span-penalized dual max_t E_p min(v, t) - delta (t - min v), scanned
+    over t in v."""
+    t = np.unique(v)
+    return float((np.minimum(v[None, :], t[:, None]) @ p - delta * (t - v.min())).max())
 
 
 class TestClosedFormExamples:
@@ -78,6 +84,13 @@ class TestClosedFormExamples:
             TotalVariation(-0.1)
         with pytest.raises(ValueError):
             Wasserstein(0.1, order=0.5)
+        for cls in (Contamination, TotalVariation, ChiSquare, KLDivergence, Wasserstein):
+            for delta in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="radius"):
+                    cls(delta)
+        for order in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="order"):
+                Wasserstein(0.1, order=order)
 
 
 class TestAxioms:
@@ -120,21 +133,17 @@ class TestDualCertificates:
         for _ in range(100):
             p, v = random_instance(rng, n=5)
             spec = TotalVariation(float(rng.uniform(0.05, 0.8)))
-            assert spec.support(p, v) == pytest.approx(spec.dual_value(p, v), abs=1e-9)
+            assert spec.support(p, v) == pytest.approx(tv_threshold_scan(p, v, spec.delta), abs=1e-9)
 
     def test_dual_variables_within_brackets(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             p, v = random_instance(rng)
             vmax = np.abs(v).max()
-            res_tv = TotalVariation(0.3).support_with_dual(p, v)
-            assert np.all(res_tv.dual >= -1e-12) and np.all(res_tv.dual <= v + vmax + 1e-9)
-            res_chi = ChiSquare(0.3).support_with_dual(p, v)
-            assert np.all(res_chi.dual >= -1e-12) and np.all(res_chi.dual <= v + vmax + 1e-9)
-            res_kl = KLDivergence(0.3).support_with_dual(p, v)
-            assert res_kl.dual >= 0.0
-            res_w = Wasserstein(0.3).support_with_dual(p, v)
-            assert 0.0 <= res_w.dual <= 2.0 * vmax / 0.3 + 1e-6
+            mu = np.maximum(v - ChiSquare(0.3).solve(p, v)[1][0], 0.0)
+            assert np.all(mu >= -1e-12) and np.all(mu <= v + vmax + 1e-9)
+            assert KLDivergence(0.3).solve(p, v)[1][0] >= 0.0
+            assert 0.0 <= Wasserstein(0.3).solve(p, v)[1][0] <= 2.0 * vmax / 0.3 + 1e-6
 
     def test_optimal_value_bounds_from_duals(self):
         rng = np.random.default_rng(6)
@@ -145,11 +154,6 @@ class TestDualCertificates:
             assert abs(TotalVariation(delta).support(p, v)) <= 3 * (1 + 2 * delta) * vmax + 1e-9
             assert abs(ChiSquare(delta).support(p, v)) <= 3 * (1 + np.sqrt(2 * delta)) * vmax + 1e-9
             assert abs(Wasserstein(delta).support(p, v)) <= vmax + 1e-9
-
-    def test_support_exact_returns_result_type(self):
-        res = Contamination(0.2).support_with_dual(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-        assert isinstance(res, SupportResult)
-        assert res.value == pytest.approx(0.4 + 0.0, abs=1e-12)
 
 
 class TestWorstRows:
@@ -519,9 +523,9 @@ class TestWassersteinSolve:
         # lambda* = 1 is where lines y = 0 and y = 3 of phi_1 cross; it is not of the
         # form (v_x - v_y) / d(x, y), and that set gives -0.833 instead of -0.5
         p, v = np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 5.0, 5.0, -1.0])
-        res = Wasserstein(1.5).support_with_dual(p, v)
-        assert res.value == pytest.approx(-0.5, abs=1e-15)
-        assert res.dual == pytest.approx(1.0, abs=1e-15)
+        values, lambdas = Wasserstein(1.5).solve(p, v)
+        assert values[0] == pytest.approx(-0.5, abs=1e-15)
+        assert lambdas[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_worst_row_attains_support_in_ball(self):
         rng = np.random.default_rng(13)
