@@ -9,7 +9,8 @@ can run in a process pool; results are merged in seed order.
 Outputs per experiment directory:
 - ``trace.csv`` with header ``iter,mean,p95,p05,baseline`` (nearest-rank
   percentiles across seeds) and a matching ``plot.svg``;
-- ``summary.json`` with per-seed tail estimates and the planner baseline;
+- ``summary.json`` with per-seed tail estimates and the planner baseline,
+  with the planner's method, iterations and residual under ``planner``;
 - control runs add ``policy.json`` (per-seed and modal greedy policies);
 - sweeps write ``sweep.csv`` with header
   ``perturbation,robust_gain,nonrobust_gain`` and ``sweep.svg``;
@@ -286,6 +287,11 @@ def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline:
     return mean, tails
 
 
+def _planner_stats(plan) -> dict:
+    """How the planner certified its baseline: method, iterations and final residual."""
+    return {"method": plan.method, "iterations": plan.iterations, "residual": plan.residual}
+
+
 def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Multi-seed policy-evaluation experiment with a planner baseline."""
     os.makedirs(out_dir, exist_ok=True)
@@ -294,7 +300,8 @@ def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     offset = build_offset(cfg.offset, mdp)
     policy = build_policy(cfg.policy, mdp)
     learner = _seed_learner(cfg, mdp, spec, offset)
-    baseline = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol).gain
+    plan = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
+    baseline = plan.gain
     traces, errors = _run_seeds(cfg, learner, jobs)
     done = [t for t in traces if t is not None]
     mean, tails = _aggregate_and_emit(cfg, done, baseline, out_dir, "worst-case policy evaluation")
@@ -305,6 +312,7 @@ def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         "per_seed_tail": tails,
         "seed_errors": errors,
         "n_seeds_done": len(done),
+        "planner": _planner_stats(plan),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -345,6 +353,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dic
         "modal_matches_planner": list(modal) == plan.policy.actions().tolist(),
         "seed_errors": errors,
         "n_seeds_done": len(done),
+        "planner": _planner_stats(plan),
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -352,7 +361,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dic
 
 
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
-    """Model-based baseline only; writes baseline.json."""
+    """Model-based baseline only; writes baseline.json with the planner's method, iterations and residual."""
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
@@ -360,15 +369,15 @@ def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     if cfg.policy != "optimal":
         policy = build_policy(cfg.policy, mdp)
         res = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
-        doc = {"gain": res.gain, "value": res.value.tolist(), "residual": res.residual}
+        doc = {"gain": res.gain, "value": res.value.tolist()}
     else:
         res = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
         doc = {
             "gain": res.gain,
             "q": res.q.tolist(),
             "policy": res.policy.actions().tolist(),
-            "residual": res.residual,
         }
+    doc.update(_planner_stats(res))
     with open(os.path.join(out_dir, "baseline.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     return doc
@@ -382,7 +391,7 @@ def _perturbation_grid(cfg: ExperimentConfig):
         params = dict(cfg.environment.get("params", {}))
         nominal_alpha = params.pop("alpha", 0.5)
         nominal_beta = params.pop("beta", 0.5)
-        k = int(sweep.get("points_per_axis", 3))
+        k = _integer("sweep.points_per_axis", sweep.get("points_per_axis", 3), 1)
         for x in sweep.get("x_grid", [0.0, 0.1, 0.2, 0.3, 0.4]):
             alphas = np.clip(np.linspace(nominal_alpha - x, nominal_alpha + x, k), 0.0, 1.0)
             betas = np.clip(np.linspace(nominal_beta - x, nominal_beta + x, k), 0.0, 1.0)
@@ -391,7 +400,7 @@ def _perturbation_grid(cfg: ExperimentConfig):
     elif family == "inventory_b":
         params = dict(cfg.environment.get("params", {}))
         capacity = int(params.get("capacity", 16))
-        m = int(sweep.get("m", 0))
+        m = _integer("sweep.m", sweep.get("m", 0), 0)
         for b in sweep.get("b_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
             demand = envs.inventory_perturbed_demand(m, float(b), capacity + 1)
             yield float(b), [envs.inventory(**{**params, "demand": demand})]
@@ -400,11 +409,13 @@ def _perturbation_grid(cfg: ExperimentConfig):
         capacity = int(params.get("capacity", 16))
         b = float(sweep.get("b", 0.25))
         for m in sweep.get("m_grid", list(range(capacity))):
-            demand = envs.inventory_perturbed_demand(int(m), b, capacity + 1)
+            demand = envs.inventory_perturbed_demand(_integer("sweep.m_grid", m, 0), b, capacity + 1)
             yield float(m), [envs.inventory(**{**params, "demand": demand})]
     elif family == "one_loop_mix":
         nominal, perturbed = envs.one_loop()
         for x in sweep.get("x_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
+            if not 0.0 <= float(x) <= 1.0:
+                raise ValueError(f"x_grid entries must lie in [0, 1], got {x!r}")
             kernel = (1.0 - float(x)) * nominal.kernel + float(x) * perturbed.kernel
             yield float(x), [nominal.with_kernel(kernel)]
     else:
@@ -422,6 +433,16 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     spec = build_uncertainty(cfg.uncertainty)
     offset = build_offset(cfg.offset, mdp)
     schedule = build_schedule(cfg.schedule)
+    # the whole grid is built before any training, so a bad sweep section fails at once
+    try:
+        grid = list(_perturbation_grid(cfg))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep config: {exc}") from exc
+    if not grid:
+        raise ConfigError("bad sweep config: empty grid")
+    start_state = (cfg.sweep or {}).get("start_state")
+    if start_state is not None and _integer("sweep.start_state", start_state, 0) >= mdp.n_states:
+        raise ConfigError(f"sweep.start_state must be below n_states = {mdp.n_states}, got {start_state}")
     source = KernelSampler.from_mdp(mdp)
     mlmc = build_mlmc_config(cfg.estimator, spec)
     robust_trace = robust_rvi_q(
@@ -432,9 +453,8 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     )
     robust_pi = greedy_policy(robust_trace.final)
     vanilla_pi = greedy_policy(vanilla_trace.final)
-    start_state = (cfg.sweep or {}).get("start_state")
     rows = []
-    for label, mdps in _perturbation_grid(cfg):
+    for label, mdps in grid:
         rows.append(
             (
                 label,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rarl import harness
 from rarl.cli import build_parser, main
 from rarl.harness import (
     ConfigError,
@@ -154,6 +155,9 @@ class TestEvalExperiment:
         assert summary_a["final_mean"] == summary_b["final_mean"]
         header = trace_a.decode().splitlines()[0]
         assert header == "iter,mean,p95,p05,baseline"
+        planner = json.loads((out_a / "summary.json").read_text())["planner"]
+        assert planner["method"] == "policy-iteration"
+        assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
         assert (out_a / "plot.svg").read_text().startswith("<svg")
 
     def test_single_seed_band_degenerates(self, tmp_path):
@@ -191,6 +195,9 @@ class TestControlExperiment:
         assert len(doc["modal_policy"]) == 4
         assert len(doc["per_seed_policies"]) == 3
         assert "baseline_gain" in summary
+        planner = json.loads((tmp_path / "summary.json").read_text())["planner"]
+        assert planner["method"] == "policy-iteration"
+        assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
 
 
 class TestPlannerCommand:
@@ -201,6 +208,10 @@ class TestPlannerCommand:
         cfg2 = eval_config(algorithm="planner", policy="optimal")
         doc2 = run_planner(cfg2, tmp_path / "c")
         assert "policy" in doc2 and len(doc2["policy"]) == 4
+        for folder in ("e", "c"):
+            written = json.loads((tmp_path / folder / "baseline.json").read_text())
+            assert written["method"] == "policy-iteration"
+            assert written["iterations"] >= 1 and written["residual"] <= cfg.planner_tol
 
 
 class TestSweep:
@@ -244,6 +255,37 @@ class TestSweep:
         cfg = eval_config(algorithm="robustness-sweep", sweep={"family": "volcano"})
         with pytest.raises(ConfigError):
             run_robustness_sweep(cfg, tmp_path)
+
+    @pytest.mark.parametrize(
+        "environment, sweep",
+        [
+            ("one_loop", {"family": "volcano"}),
+            ("one_loop", {"family": "one_loop_mix", "x_grid": ["a"]}),
+            ("one_loop", {"family": "one_loop_mix", "x_grid": 0.5}),
+            ("one_loop", {"family": "one_loop_mix", "x_grid": [1.5]}),
+            ("one_loop", {"family": "one_loop_mix", "x_grid": []}),
+            ("one_loop", {"family": "one_loop_mix", "start_state": 2}),
+            ("recycling_robot", {"family": "recycling_robot", "x_grid": ["a"]}),
+            ("recycling_robot", {"family": "recycling_robot", "x_grid": [float("nan")]}),
+            ("recycling_robot", {"family": "recycling_robot", "points_per_axis": 0}),
+            ("recycling_robot", {"family": "recycling_robot", "points_per_axis": "3"}),
+            ("inventory", {"family": "inventory_b", "b_grid": ["a"]}),
+            ("inventory", {"family": "inventory_b", "b_grid": [1.5]}),
+            ("inventory", {"family": "inventory_b", "m": 99}),
+            ("inventory", {"family": "inventory_b", "m": 2.5}),
+            ("inventory", {"family": "inventory_m", "m_grid": ["a"]}),
+            ("inventory", {"family": "inventory_m", "m_grid": [-1]}),
+            ("inventory", {"family": "inventory_m", "b": "a"}),
+            ("inventory", {"family": "inventory_m", "b": 2.0}),
+        ],
+    )
+    def test_bad_section_fails_before_any_learner_runs(self, tmp_path, monkeypatch, environment, sweep):
+        calls = []
+        monkeypatch.setattr(harness, "robust_rvi_q", lambda *args, **kwargs: calls.append(args))
+        cfg = eval_config(environment={"id": environment}, algorithm="robustness-sweep", sweep=sweep)
+        with pytest.raises(ConfigError):
+            run_robustness_sweep(cfg, tmp_path)
+        assert calls == []
 
 
 class TestSupportCheck:
@@ -341,6 +383,8 @@ class TestCli:
             ("support-check", "support_check", {"deltas": "abc"}, "support_check.deltas"),
             ("support-check", "support_check", {"deltas": [0.1, 0.0]}, "support_check.deltas"),
             ("support-check", "support_check", {"deltas": [0.1, float("nan")]}, "support_check.deltas"),
+            ("sweep", "sweep", {"family": "volcano"}, "bad sweep config: unknown sweep family"),
+            ("sweep", "sweep", {"family": "one_loop_mix", "x_grid": ["a"]}, "bad sweep config"),
         ],
     )
     def test_exit_one_on_bad_section(self, tmp_path, capsys, command, field, value, message):

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from rarl import planners
 from rarl.environments import example_a, garnet, inventory, one_loop
 from rarl.mdp import (
+    MultichainError,
     OffsetFn,
     Policy,
     gain_and_bias,
     robust_bellman_residual,
     span,
+    support_table,
 )
 from rarl.planners import (
     FiniteKernelSet,
+    _rvi_control,
+    _rvi_eval,
     finite_set_enumeration,
     robust_rvi_control,
     robust_rvi_eval,
@@ -210,3 +215,69 @@ class TestWorstCaseKernel:
         for s in range(ex.mdp.n_states):
             for a in range(ex.mdp.n_actions):
                 np.testing.assert_allclose(kernel[s, a], ex.uset.worst_row_for(s, a, None, v), rtol=0, atol=1e-12)
+
+
+FAMILIES = (Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3))
+RVI_ITERS, RVI_DAMPING = 10**6, 0.5
+
+
+class TestPolicyIterationAgainstRvi:
+    """Policy iteration against the damped RVI loops it falls back to."""
+
+    @pytest.mark.parametrize("offset", [OffsetFn.mean(), OffsetFn.reference_state(3)], ids=["mean", "state3"])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("env", ["garnet", "inventory"])
+    def test_gains_policies_and_residuals(self, env, spec, offset):
+        m = garnet(5, 3, seed=254) if env == "garnet" else inventory()
+        policy = Policy.uniform(m.n_states, m.n_actions)
+        tol = 1e-9
+        pi = robust_rvi_eval(m, policy, spec, offset, tol=tol)
+        rvi = _rvi_eval(m, policy, spec, offset, tol, RVI_ITERS, RVI_DAMPING)
+        assert (pi.method, rvi.method) == ("policy-iteration", "rvi")
+        assert abs(pi.gain - rvi.gain) <= 1e-8
+        assert pi.residual <= tol
+        assert np.abs(robust_bellman_residual(m, policy, spec, pi.gain, pi.value)).max() <= tol
+        assert offset(pi.value) == pytest.approx(0.0, abs=1e-12)
+
+        pi_c = robust_rvi_control(m, spec, offset, tol=tol)
+        rvi_c = _rvi_control(m, spec, offset, tol, RVI_ITERS, RVI_DAMPING)
+        assert (pi_c.method, rvi_c.method) == ("policy-iteration", "rvi")
+        assert abs(pi_c.gain - rvi_c.gain) <= 1e-8
+        np.testing.assert_array_equal(pi_c.policy.actions(), rvi_c.policy.actions())
+        assert offset(pi_c.q) == pytest.approx(0.0, abs=1e-12)
+        hq = m.reward + support_table(m, spec, pi_c.q.max(axis=1))
+        assert pi_c.residual == np.abs(hq - pi_c.gain - pi_c.q).max() <= tol
+
+    @pytest.mark.parametrize("spec", [ChiSquare(5.0), KLDivergence(3.0)], ids=lambda spec: spec.kind)
+    def test_multichain_worst_kernel_falls_back_to_rvi(self, spec):
+        m = garnet(4, 2, seed=39)
+        policy = Policy.uniform(4, 2)
+        offset = OffsetFn.mean()
+        tol = 1e-9
+        # the second step's worst kernel has more than one recurrent class
+        v = gain_and_bias(m.with_kernel(worst_case_kernel(m, spec, np.zeros(4))), policy, offset).bias
+        with pytest.raises(MultichainError):
+            gain_and_bias(m.with_kernel(worst_case_kernel(m, spec, v)), policy, offset)
+        plan = robust_rvi_eval(m, policy, spec, tol=tol)
+        assert plan.method == "rvi"
+        assert plan.iterations == _rvi_eval(m, policy, spec, offset, tol, RVI_ITERS, RVI_DAMPING).iterations
+        assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= 10 * tol
+
+    def test_step_cap_falls_back_to_rvi(self, monkeypatch):
+        # chi2 on inventory needs 4 steps for evaluation and 8 for control
+        m = inventory()
+        policy = Policy.uniform(m.n_states, m.n_actions)
+        spec = ChiSquare(0.3)
+        monkeypatch.setattr(planners, "_PI_MAX_STEPS", 3)
+        plan = robust_rvi_eval(m, policy, spec, tol=1e-9)
+        ctrl = robust_rvi_control(m, spec, tol=1e-9)
+        assert (plan.method, ctrl.method) == ("rvi", "rvi")
+        assert plan.residual <= 1e-9 and ctrl.residual <= 1e-9
+
+    def test_finite_kernel_set_without_fallback(self):
+        ex = example_a(1.0, 2.0, 4.0)
+        plan = robust_rvi_eval(ex.mdp, ex.policy, ex.uset, tol=1e-10)
+        ctrl = robust_rvi_control(ex.mdp, ex.uset, tol=1e-10)
+        assert (plan.method, ctrl.method) == ("policy-iteration", "policy-iteration")
+        assert plan.gain == pytest.approx(3.0, abs=1e-12)
+        assert ctrl.gain == pytest.approx(3.0, abs=1e-12)

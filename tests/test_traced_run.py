@@ -1,9 +1,11 @@
 """The benchmark's traced run wraps rarl entry points by name; these must stay hookable.
 
 ``perfbench/tracer.py`` counts estimates and samples from the costs that
-``learners.sigma_hat_for_pairs`` returns and times ``KernelSampler`` draws. A refactor that
-bypasses one of those names would only break ``perfbench/run.py --trace 1``; this test
-catches it in the main suite.
+``learners.sigma_hat_for_pairs`` returns and times ``KernelSampler`` draws. It counts
+planner iterations from the results of ``planners.robust_rvi_eval`` and
+``robust_rvi_control`` and times the ``planners.worst_case_kernel`` calls inside them. A
+refactor that bypasses one of those names would only break ``perfbench/run.py --trace 1``;
+these tests catch it in the main suite.
 """
 
 import pathlib
@@ -11,12 +13,12 @@ import sys
 
 import numpy as np
 
-from rarl import learners
+from rarl import learners, planners
 from rarl.environments import garnet
 from rarl.estimators import KernelSampler
 from rarl.learners import Constant
 from rarl.mdp import OffsetFn, Policy
-from rarl.uncertainty import TotalVariation
+from rarl.uncertainty import ChiSquare, TotalVariation
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -41,3 +43,19 @@ def test_traced_learners_count_every_estimate_and_sample():
     assert tracer.total(2, "estimators.sample") == 4
     assert tracer.total(2, "estimators", "sigma_hat_for_pairs") == 40
     assert tracer.total(2, "uncertainty", "support_batch", "tv") == 40
+
+
+def test_traced_planners_count_every_iteration_and_worst_kernel():
+    m = garnet(5, 3, seed=254)
+    spec = ChiSquare(0.3)
+    tracer = Tracer()
+    with installed(tracer):
+        ev = planners.robust_rvi_eval(m, Policy.uniform(5, 3), spec)
+        ct = planners.robust_rvi_control(m, spec)
+    assert ev.method == ct.method == "policy-iteration"
+    assert tracer.counts[("sweeps", "chi2", "eval")] == ev.iterations
+    assert tracer.counts[("sweeps", "chi2", "control")] == ct.iterations
+    # one worst kernel per policy-iteration step, each inside a planner span
+    assert tracer.total(2, "planners", "worst_case_kernel", "chi2") == ev.iterations + ct.iterations
+    assert tracer.total(2, "planners", "robust_rvi_eval", "chi2") == 1
+    assert tracer.total(2, "planners", "robust_rvi_control", "chi2") == 1
