@@ -1,7 +1,6 @@
 """Command-line entry point.
 
-Usage: rarl {eval|control} --config FILE --out DIR [--jobs N] [--seed U64]
-       rarl {plan|sweep|support-check} --config FILE --out DIR [--seed U64]
+Usage: rarl {eval|control|plan|sweep|support-check} --config FILE --out DIR [--seed U64]
 
 Exit codes: 0 success, 1 configuration error, 2 run failure, 3 support-check
 acceptance failure.
@@ -30,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON experiment config")
         cmd.add_argument("--out", required=True, help="output directory")
-        if name in ("eval", "control"):
-            cmd.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
         cmd.add_argument("--seed", type=int, default=None, help="override base_seed")
     return parser
 
@@ -47,10 +44,10 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "eval":
-            summary = run_eval_experiment(cfg, args.out, jobs=args.jobs)
+            summary = run_eval_experiment(cfg, args.out)
             print(f"baseline={summary['baseline_gain']:.6g} final={summary['final_mean']:.6g}")
         elif args.command == "control":
-            summary = run_control_experiment(cfg, args.out, jobs=args.jobs)
+            summary = run_control_experiment(cfg, args.out)
             print(f"baseline={summary['baseline_gain']:.6g} final={summary['final_mean']:.6g}")
         elif args.command == "plan":
             doc = run_planner(cfg, args.out)

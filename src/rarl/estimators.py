@@ -94,15 +94,17 @@ def default_mlmc_config(spec: UncertaintySet) -> MlmcConfig:
 
 
 class EstimateStream:
-    """The support estimates of one run: one estimate per pair of a fixed list, per iteration.
+    """The support estimates of one run, or of a batch of seeded runs: one estimate per pair of
+    a fixed list, per seed and iteration.
 
-    The sampling inputs of an estimate (its level, its first draw and its multinomial counts)
-    depend on the pair and the RNG only; only the support solve reads v. So they are drawn a
-    block of iterations at a time, each kind from its own child stream of ``rng`` (levels,
-    first draws, counts), spawned once. Each stream is read in iteration order, so the values
-    do not depend on the block size. A block holds the 4n empirical rows of each of its
-    iterations in one buffer of at most ``_BLOCK_FLOATS`` floats, or of one iteration's rows
-    where those alone exceed it.
+    ``rng`` is one ``Generator`` or a sequence of them, one per seed. The sampling inputs of an
+    estimate (its level, its first draw and its multinomial counts) depend on the pair and the
+    seed's RNG only; only the support solve reads v. So they are drawn a block of iterations at
+    a time, each kind from its own child stream of the seed's RNG (levels, first draws,
+    counts), spawned once. Each stream is read in iteration order, so a seed's values depend
+    neither on the block size nor on the other seeds in the batch. A block holds the 4n
+    empirical rows of each seed and iteration in one buffer of at most ``_BLOCK_FLOATS``
+    floats, or of one iteration's rows where those alone exceed it.
     """
 
     def __init__(self, sampler, spec, pairs, cfg, rng, n_iters):
@@ -111,56 +113,102 @@ class EstimateStream:
         self.s_idx, self.a_idx = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
         self.linear = isinstance(spec, Contamination)
         self.cfg = None if self.linear else cfg or default_mlmc_config(spec)
-        self._levels, self._firsts, self._counts = rng.spawn(3)
+        rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+        self._streams = [seed_rng.spawn(3) for seed_rng in rngs]  # per seed: levels, firsts, counts
         self._left = n_iters  # iterations not yet drawn
         self._at = 0  # the block's next iteration
-        # per iteration of the current block: sample costs (block, n), next states (linear
-        # family) or empirical rows (block, 4n, S) and level probabilities p_N (block, n)
-        self.costs = np.zeros((0, len(self.s_idx)), dtype=np.int64)
+        # per iteration of the current block, seed-major over the live seeds: sample costs
+        # (block, seeds * n), and either next states as indices into the raveled (seeds, S)
+        # iterate (block, seeds, n; linear family) or empirical rows (block, seeds * 4n, S)
+        # with level probabilities p_N (block, seeds, n)
+        self.costs = np.zeros((0, len(rngs) * len(self.s_idx)), dtype=np.int64)
         self.next_states = self.rows = self.p_level = None
+        # each seed's samples after the first j iterations of the block, (block + 1, seeds)
+        self._spent = np.zeros((1, len(rngs)), dtype=np.int64)
 
     def _draw_block(self):
-        n, n_states = len(self.s_idx), self.sampler.n_states
-        block = max(1, min(self._left, _BLOCK_FLOATS // max(4 * n * n_states, 1)))
+        n, n_seeds = len(self.s_idx), len(self._streams)
+        block = max(1, min(self._left, _BLOCK_FLOATS // max(n_seeds * 4 * n * self.sampler.n_states, 1)))
         self._left -= block
         self._at = 0
-        firsts = self.sampler.draw_one_each(np.tile(self.s_idx, block), np.tile(self.a_idx, block), self._firsts)
-        firsts = firsts.reshape(block, n)
+        s_rep, a_rep = np.tile(self.s_idx, block), np.tile(self.a_idx, block)
+        firsts = np.empty((block, n_seeds, n), dtype=np.int64)
+        for i, (_, first_rng, _) in enumerate(self._streams):
+            firsts[:, i] = self.sampler.draw_one_each(s_rep, a_rep, first_rng).reshape(block, n)
         if self.linear:
-            self.next_states = firsts
-            self.costs = np.ones((block, n), dtype=np.int64)
-            return
-        psi = self.cfg.psi
-        levels = np.minimum(self._levels.geometric(psi, size=(block, n)) - 1, self.cfg.max_level)
+            self.next_states = firsts + self.sampler.n_states * np.arange(n_seeds)[:, None]
+            costs = np.ones((block, n_seeds, n), dtype=np.int64)
+        else:
+            costs = self._draw_rows(firsts)
+        self.costs = costs.reshape(block, -1)
+        spent = np.cumsum(costs.sum(axis=2), axis=0)
+        self._spent = self._spent[-1] + np.concatenate([np.zeros((1, n_seeds), dtype=np.int64), spent])
+
+    def _draw_rows(self, firsts):
+        """The MLMC rows and level probabilities of a block with these first draws; returns the
+        sample costs 2^(N+1)."""
+        block, n_seeds, n = firsts.shape
+        n_states, psi = self.sampler.n_states, self.cfg.psi
+        levels = np.empty((block, n_seeds, n), dtype=np.int64)
+        counts = np.empty((block, n_seeds, n, 2, n_states), dtype=np.int64)
+        for i, (level_rng, _, count_rng) in enumerate(self._streams):
+            levels[:, i] = np.minimum(level_rng.geometric(psi, size=(block, n)) - 1, self.cfg.max_level)
+            half = 2 ** levels[:, i]
+            counts[:, i] = self.sampler.draw_counts_each(
+                self.s_idx[:, None], self.a_idx[:, None], np.stack([half - 1, half], axis=2), count_rng
+            )
         half = 2**levels
-        counts = self.sampler.draw_counts_each(
-            self.s_idx[:, None], self.a_idx[:, None], np.stack([half - 1, half], axis=2), self._counts
-        )
-        rows = np.zeros((block, 4, n, n_states))  # first, pooled, even, odd
-        one_hot = rows[:, 0]
-        one_hot[np.arange(block)[:, None], np.arange(n), firsts] = 1.0
-        odd = one_hot + counts[:, :, 0]
-        even = counts[:, :, 1]
-        half_rows = half[:, :, None]
-        rows[:, 1] = (odd + even) / (2 * half_rows)
-        rows[:, 2] = even / half_rows
-        rows[:, 3] = odd / half_rows
-        self.rows = rows.reshape(block, 4 * n, n_states)
+        rows = np.zeros((block, n_seeds, 4, n, n_states))  # first, pooled, even, odd
+        one_hot = rows[:, :, 0]
+        one_hot[np.arange(block)[:, None, None], np.arange(n_seeds)[:, None], np.arange(n), firsts] = 1.0
+        odd = one_hot + counts[:, :, :, 0]
+        even = counts[:, :, :, 1]
+        half_rows = half[..., None]
+        rows[:, :, 1] = (odd + even) / (2 * half_rows)
+        rows[:, :, 2] = even / half_rows
+        rows[:, :, 3] = odd / half_rows
+        self.rows = rows.reshape(block, n_seeds * 4 * n, n_states)
         self.p_level = psi * (1.0 - psi) ** levels
-        self.costs = 2 * half
+        return 2 * half
+
+    def samples(self) -> np.ndarray:
+        """Samples behind the estimates returned so far, per live seed."""
+        return self._spent[self._at]
+
+    def drop(self, keep: np.ndarray) -> None:
+        """Stop estimating for the live seeds where the boolean mask ``keep`` is False."""
+        self._streams = [streams for streams, kept in zip(self._streams, keep) if kept]
+        n_seeds, n, n_states = len(keep), len(self.s_idx), self.sampler.n_states
+        block = len(self.costs)
+        self.costs = self.costs.reshape(block, n_seeds, n)[:, keep].reshape(block, -1)
+        self._spent = self._spent[:, keep]
+        if self.linear:
+            self.next_states = self.next_states[:, keep] % n_states + n_states * np.arange(len(self._streams))[:, None]
+        else:
+            self.rows = self.rows.reshape(block, n_seeds, 4 * n, n_states)[:, keep].reshape(block, -1, n_states)
+            self.p_level = self.p_level[:, keep]
 
     def next(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The next iteration's estimates at ``v`` and their sample costs."""
+        """The next iteration's estimates at ``v`` and their sample costs.
+
+        ``v`` is one value vector (S,), or (seeds, S) with a row per live seed; both results
+        are flat and seed-major, (seeds * n,).
+        """
         if self._at == len(self.costs):
             self._draw_block()
         k = self._at
         self._at += 1
+        v = v.reshape(len(self._streams), -1)
         if self.linear:
-            return (1.0 - self.spec.delta) * v[self.next_states[k]] + self.spec.delta * v.min(), self.costs[k]
-        n = self.costs.shape[1]
-        sig = self.spec.support_batch(self.rows[k], v)
-        sigma = sig[:n] + (sig[n : 2 * n] - 0.5 * (sig[2 * n : 3 * n] + sig[3 * n :])) / self.p_level[k]
-        return sigma, self.costs[k]
+            sigma = (1.0 - self.spec.delta) * v.ravel()[self.next_states[k]] + self.spec.delta * v.min(axis=1)[:, None]
+            return sigma.ravel(), self.costs[k]
+        n = len(self.s_idx)
+        rows = self.rows[k].reshape(len(v), 4 * n, -1)
+        sig = np.empty((len(v), 4 * n))
+        for i in range(len(v)):  # one solve per seed, at that seed's v
+            sig[i] = self.spec.support_batch(rows[i], v[i])
+        sigma = sig[:, :n] + (sig[:, n : 2 * n] - 0.5 * (sig[:, 2 * n : 3 * n] + sig[:, 3 * n :])) / self.p_level[k]
+        return sigma.ravel(), self.costs[k]
 
 
 def sigma_hat_for_pairs(
@@ -169,14 +217,15 @@ def sigma_hat_for_pairs(
     pairs: Sequence[tuple[int, int]] | np.ndarray,
     v: np.ndarray,
     cfg: MlmcConfig | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Independent support estimates for each pair; returns (values, sample costs).
 
     ``pairs`` is a sequence of (s, a) or an int64 array of shape (n, 2). With a
     ``KernelSampler`` the call draws from three child streams of ``rng``; a learner instead
     passes its run's ``EstimateStream``, built from the same arguments, and gets the next
-    iteration's estimates from the block drawn in advance.
+    iteration's estimates from the block drawn in advance. With a sequence of B generators,
+    ``v`` is (B, S) and both results are flat and seed-major, (B * n,).
     """
     if not isinstance(source, EstimateStream):
         source = EstimateStream(source, spec, pairs, cfg, rng, n_iters=1)

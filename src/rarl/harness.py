@@ -3,8 +3,9 @@
 Runs are driven by a JSON config (environment id + params, uncertainty set,
 algorithm, offset, step schedule, horizons, seed counts). Per-seed RNG streams
 are derived as ``SeedSequence((base_seed, seed_index))``, so traces are
-reproducible byte-for-byte and adding seeds never changes earlier ones. Seeds
-can run in a process pool; results are merged in seed order.
+reproducible byte-for-byte and adding seeds never changes earlier ones. All
+seeds run in one batched learner call; each seed's trace is the same as when
+it runs alone.
 
 Outputs per experiment directory:
 - ``trace.csv`` with header ``iter,mean,p95,p05,baseline`` (nearest-rank
@@ -24,7 +25,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -209,7 +209,7 @@ def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
 
 
 def _seed_learner(cfg: ExperimentConfig, mdp: TabularMDP, spec: UncertaintySet, offset: OffsetFn):
-    """The learner call of every seed, all but its RNG bound; its inputs are built and checked
+    """The learner call of the seeds, all but their RNGs bound; its inputs are built and checked
     here, once, so a bad config field fails before any seed runs."""
     schedule = build_schedule(cfg.schedule)
     mlmc = build_mlmc_config(cfg.estimator, spec)
@@ -224,31 +224,14 @@ def _seed_learner(cfg: ExperimentConfig, mdp: TabularMDP, spec: UncertaintySet, 
     )
 
 
-def _run_one_seed(learner, base_seed: int, seed_index: int) -> RunTrace:
-    return learner(seed_stream(base_seed, seed_index))
-
-
-def _run_seeds(cfg: ExperimentConfig, learner, jobs: int) -> tuple[list[RunTrace | None], list[str]]:
-    traces: list[RunTrace | None] = [None] * cfg.n_seeds
-    errors: list[str] = []
-    if jobs <= 1:
-        for i in range(cfg.n_seeds):
-            try:
-                traces[i] = _run_one_seed(learner, cfg.base_seed, i)
-            except Exception as exc:  # per-seed failures are collected
-                errors.append(f"seed {i}: {exc}")
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(_run_one_seed, learner, cfg.base_seed, i) for i in range(cfg.n_seeds)}
-            for i in range(cfg.n_seeds):
-                try:
-                    traces[i] = futures[i].result()
-                except Exception as exc:
-                    errors.append(f"seed {i}: {exc}")
-    failed = sum(t is None for t in traces)
-    if failed > 0.1 * cfg.n_seeds:
-        raise RunFailure(f"{failed}/{cfg.n_seeds} seeds failed: {errors[:3]}")
-    return traces, errors
+def _run_seeds(cfg: ExperimentConfig, learner) -> tuple[list[RunTrace], list[str]]:
+    """Every seed in one batched learner call; returns the finished seeds' traces in seed order
+    and the errors of the seeds that diverged."""
+    batch = learner([seed_stream(cfg.base_seed, i) for i in range(cfg.n_seeds)])
+    errors = [f"seed {i}: {message}" for i, message in batch.errors.items()]
+    if len(errors) > 0.1 * cfg.n_seeds:
+        raise RunFailure(f"{len(errors)}/{cfg.n_seeds} seeds failed: {errors[:3]}")
+    return batch.runs(), errors
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> np.ndarray:
@@ -292,7 +275,7 @@ def _planner_stats(plan) -> dict:
     return {"method": plan.method, "iterations": plan.iterations, "residual": plan.residual}
 
 
-def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
+def run_eval_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Multi-seed policy-evaluation experiment with a planner baseline."""
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
@@ -302,8 +285,7 @@ def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     learner = _seed_learner(cfg, mdp, spec, offset)
     plan = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
     baseline = plan.gain
-    traces, errors = _run_seeds(cfg, learner, jobs)
-    done = [t for t in traces if t is not None]
+    done, errors = _run_seeds(cfg, learner)
     mean, tails = _aggregate_and_emit(cfg, done, baseline, out_dir, "worst-case policy evaluation")
     summary = {
         "baseline_gain": baseline,
@@ -319,7 +301,7 @@ def run_eval_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     return summary
 
 
-def run_control_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
+def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Multi-seed control experiment; also records final greedy policies."""
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
@@ -327,8 +309,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dic
     offset = build_offset(cfg.offset, mdp)
     learner = _seed_learner(cfg, mdp, spec, offset)
     plan = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
-    traces, errors = _run_seeds(cfg, learner, jobs)
-    done = [t for t in traces if t is not None]
+    done, errors = _run_seeds(cfg, learner)
     mean, tails = _aggregate_and_emit(cfg, done, plan.gain, out_dir, "worst-case optimal control")
     per_seed_actions = [greedy_policy(t.final).actions().tolist() for t in done]
     counts: dict[tuple, int] = {}

@@ -148,6 +148,13 @@ class OffsetFn:
             return float(flat.mean())
         return float(flat[self.state])
 
+    def batch(self, x: np.ndarray) -> np.ndarray:
+        """The offset of each x[i] of a stacked batch, shape (B,); each equals ``self(x[i])``."""
+        flat = np.asarray(x, dtype=float).reshape(len(x), -1)
+        if self.kind == "mean":
+            return np.add.reduce(flat, axis=1) / flat.shape[1]  # the sum and divide of ndarray.mean
+        return flat[:, self.state]
+
     def __repr__(self):
         return f"OffsetFn({self.kind!r}, state={self.state})" if self.kind == "state" else "OffsetFn('mean')"
 

@@ -121,11 +121,25 @@ def _pi_eval(mdp, policy, uset, offset, tol, v, max_steps):
     return None
 
 
+def _stalled(k: int, residual: float, marks: dict) -> bool:
+    """Whether sweep k = 2^j, j >= 6, leaves a residual no lower than sweep 2^(j-1) did.
+
+    A damped RVI loop that stops making progress for that long will not converge, e.g. on a
+    multichain robust problem, so the caller stops instead of running out its sweeps.
+    """
+    if k < 32 or k & (k - 1):
+        return False
+    half = marks.get(k // 2)
+    marks[k] = residual
+    return half is not None and residual >= half
+
+
 def _rvi_eval(mdp, policy, uset, offset, tol, max_iters, damping) -> PlannerResult:
     """Damped relative value iteration for a fixed policy: the fallback and test reference."""
     v = np.zeros(mdp.n_states)
     probs = policy.probs
     residual_norm = np.inf
+    marks: dict[int, float] = {}
     for k in range(max_iters):
         sigma = support_table(mdp, uset, v)
         tv = np.einsum("sa,sa->s", probs, mdp.reward + sigma)
@@ -134,6 +148,8 @@ def _rvi_eval(mdp, policy, uset, offset, tol, max_iters, damping) -> PlannerResu
         residual_norm = float(np.abs(residual).max())
         if residual_norm <= tol:
             return PlannerResult(float(g), v, k, residual_norm, "rvi")
+        if _stalled(k, residual_norm, marks):
+            raise ConvergenceError(f"robust value iteration stalled at sweep {k}", residual_norm)
         nxt = (1.0 - damping) * v + damping * tv
         v = nxt - offset(nxt)
     raise ConvergenceError("robust value iteration did not converge", residual_norm)
@@ -155,7 +171,8 @@ def robust_rvi_eval(
     policy iteration does not certify within a fixed number of steps, the call
     runs damped relative value iteration instead (at most ``max_iters``
     sweeps of step ``damping``), which raises ``ConvergenceError`` if it too
-    fails.
+    fails, or as soon as its residual after sweep 2^j (j >= 6) is no lower
+    than after sweep 2^(j-1).
     """
     offset = offset or OffsetFn.mean()
     solved = _pi_eval(mdp, policy, uset, offset, tol, np.zeros(mdp.n_states), _PI_MAX_STEPS)
@@ -214,6 +231,7 @@ def _rvi_control(mdp, uset, offset, tol, max_iters, damping) -> ControlResult:
     """Damped relative value iteration on Q: the fallback and test reference."""
     q = np.zeros((mdp.n_states, mdp.n_actions))
     residual_norm = np.inf
+    marks: dict[int, float] = {}
     for k in range(max_iters):
         sigma = support_table(mdp, uset, q.max(axis=1))
         hq = mdp.reward + sigma
@@ -222,6 +240,8 @@ def _rvi_control(mdp, uset, offset, tol, max_iters, damping) -> ControlResult:
         residual_norm = float(np.abs(residual).max())
         if residual_norm <= tol:
             return ControlResult(float(g), q, greedy_policy(q), k, residual_norm, "rvi")
+        if _stalled(k, residual_norm, marks):
+            raise ConvergenceError(f"robust Q value iteration stalled at sweep {k}", residual_norm)
         nxt = (1.0 - damping) * q + damping * hq
         q = nxt - offset(nxt)
     raise ConvergenceError("robust Q value iteration did not converge", residual_norm)

@@ -195,15 +195,12 @@ def test_criterion_5_q_learning_convergence(tmp_path):
 def _one_loop_policy_counts(delta, n_seeds=30, n_iters=20_000):
     nominal, _ = one_loop()
     source = KernelSampler.from_mdp(nominal)
-    spec = Contamination(delta)
-    first_actions = []
-    for i in range(n_seeds):
-        rng = np.random.default_rng(np.random.SeedSequence((int(round(delta * 100)), i)))
-        trace = robust_rvi_q(
-            source, nominal, spec, OffsetFn.mean(), Constant(0.01), n_iters, None, rng, record_every=500
-        )
-        first_actions.append(int(greedy_policy(trace.final).actions()[0]))
-    acts = np.array(first_actions)
+    rngs = [np.random.default_rng(np.random.SeedSequence((int(round(delta * 100)), i))) for i in range(n_seeds)]
+    batch = robust_rvi_q(
+        source, nominal, Contamination(delta), OffsetFn.mean(), Constant(0.01), n_iters, None, rngs, record_every=500
+    )
+    assert not batch.errors
+    acts = np.array([greedy_policy(q).actions()[0] for q in batch.final])
     return int((acts == 0).sum()), int((acts == 1).sum())
 
 

@@ -1,5 +1,7 @@
 """Tests for the stochastic-approximation learners and step schedules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -194,24 +196,126 @@ class TestRobustRviQ:
         np.testing.assert_array_equal(runs[0].final, runs[1].final)
 
 
-class TestBlockDraws:
-    """A run draws its samples in blocks of iterations; its trace must not depend on the block size."""
+SPECS = [Contamination(0.3), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)]
 
-    @pytest.mark.parametrize(
-        "spec",
-        [Contamination(0.3), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)],
-        ids=lambda spec: spec.kind,
-    )
+
+def trace_bytes(trace):
+    return [x.tobytes() for x in (trace.f_values, trace.costs, trace.final)]
+
+
+class TestBlockDraws:
+    """A run draws its samples in blocks of iterations, and a sequence of RNGs runs one seed per
+    RNG in one loop: seed i's trace must depend on neither the block size nor the batch."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
     def test_trace_independent_of_block_size(self, spec, monkeypatch):
         m = garnet(4, 2, seed=7)
         src = KernelSampler.from_mdp(m)
-        floats_per_iter = 4 * 8 * 4  # 4n rows of S states, n = 8 pairs for both learners
-        runs = []
-        for block_floats in (1, 7 * floats_per_iter, estimators._BLOCK_FLOATS):  # K = 1, 7 and 30 (all)
-            monkeypatch.setattr(estimators, "_BLOCK_FLOATS", block_floats)
-            td = robust_rvi_td(
-                src, m, Policy.uniform(4, 2), spec, OffsetFn.mean(), Constant(0.05), 30, None, stream(30, 1)
+        floats_per_iter = 4 * 8 * 4  # 4n rows of S states per seed, n = 8 pairs for both learners
+        for offset in (OffsetFn.mean(), OffsetFn.reference_state(2)):
+
+            def runs(rng):
+                td = robust_rvi_td(
+                    src, m, Policy.uniform(4, 2), spec, offset, Constant(0.05), 30, None, rng(), record_every=7
+                )
+                return td, robust_rvi_q(src, m, spec, offset, Constant(0.05), 30, None, rng(), record_every=7)
+
+            solo = [[trace_bytes(t) for t in runs(lambda: stream(30, i))] for i in range(3)]
+            for block in (1, 7, None):  # iterations per block; None: the default, all 30
+                for n_seeds in (None, 1, 3):  # None: one Generator rather than a sequence
+                    with monkeypatch.context() as patch:
+                        if block:
+                            patch.setattr(estimators, "_BLOCK_FLOATS", block * (n_seeds or 1) * floats_per_iter)
+                        if n_seeds is None:
+                            got = [[trace_bytes(t) for t in runs(lambda: stream(30, 0))]]
+                        else:
+                            batch = runs(lambda: [stream(30, i) for i in range(n_seeds)])
+                            assert all(t.f_values.shape == (n_seeds, 5) and not t.errors for t in batch)
+                            assert [r.tail_mean(0.4) for r in batch[1].runs()] == list(batch[1].tail_mean(0.4))
+                            got = [[trace_bytes(t.runs()[i]) for t in batch] for i in range(n_seeds)]
+                    assert got == solo[: len(got)]
+
+
+class TestSeedBatch:
+    """A seed that diverges is dropped from its batch; the others run on as if alone."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the poisoned seed
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, 1e12], ids=["nan", "inf", "huge"])
+    @pytest.mark.parametrize("algorithm", ["td", "q"])
+    def test_failed_seed_is_dropped_and_the_others_run_on(self, algorithm, poison, monkeypatch):
+        m = garnet(4, 2, seed=7)
+        src = KernelSampler.from_mdp(m)
+        spec = TotalVariation(0.2)
+
+        def learner(rng):
+            if algorithm == "td":
+                return robust_rvi_td(src, m, Policy.uniform(4, 2), spec, OffsetFn.mean(), Constant(0.05), 30, None, rng)
+            return robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.05), 30, None, rng)
+
+        def poison_call(at):
+            """Make the at-th support solve (1-based) return ``poison`` on every row."""
+            calls, solve = [], TotalVariation.support_batch
+
+            def support_batch(self, rows, v):
+                calls.append(None)
+                out = solve(self, rows, v)
+                return np.full_like(out, poison) if len(calls) == at else out
+
+            monkeypatch.setattr(TotalVariation, "support_batch", support_batch)
+
+        solo = [trace_bytes(learner(stream(32, i))) for i in range(3)]
+        poison_call(at=3 * 10 + 2)  # iteration 10, seed 1 of 3: one solve per live seed and iteration
+        batch = learner([stream(32, i) for i in range(3)])
+        poison_call(at=10 + 1)
+        with pytest.raises(FloatingPointError) as alone:
+            learner(stream(32, 1))
+        assert "at step 10" in str(alone.value)
+        assert batch.errors == {1: str(alone.value)}
+        assert [trace_bytes(t) for t in batch.runs()] == [solo[0], solo[2]]
+
+    def test_every_seed_failing_leaves_an_empty_batch(self):
+        m = garnet(3, 2, seed=6)
+        batch = robust_rvi_td(
+            KernelSampler.from_mdp(m), m, Policy.uniform(3, 2), Contamination(0.2), OffsetFn.mean(),
+            Constant(2.5), 5_000, None, [stream(5), stream(33)],  # absurd step size: every seed diverges
+        )
+        assert batch.f_values.shape[0] == batch.final.shape[0] == 0
+        assert sorted(batch.errors) == [0, 1]
+        with pytest.raises(FloatingPointError) as alone:
+            robust_rvi_td(
+                KernelSampler.from_mdp(m), m, Policy.uniform(3, 2), Contamination(0.2), OffsetFn.mean(),
+                Constant(2.5), 5_000, None, stream(5),
             )
-            q = robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.05), 30, None, stream(30, 2))
-            runs.append([x.tobytes() for trace in (td, q) for x in (trace.f_values, trace.costs, trace.final)])
-        assert runs[0] == runs[1] == runs[2]
+        assert batch.errors[0] == str(alone.value)
+
+    def test_empty_rng_sequence_rejected(self):
+        m = garnet(3, 2, seed=6)
+        with pytest.raises(ValueError):
+            robust_rvi_q(KernelSampler.from_mdp(m), m, Contamination(0.2), OffsetFn.mean(), Constant(0.1), 5, None, [])
+
+
+class TestStreamConsumption:
+    """SHA-256 prefixes of 200-iteration TD and Q traces per family on garnet(5, 3, seed=254):
+    uniform policy for TD, Constant(0.01), mean offset, default MLMC config, RNG
+    SeedSequence((0, i)) with i the family's index below, hashing f_values, costs and final.
+    A change to how a run consumes its RNG stream changes them; such a change must say so."""
+
+    PINNED = [
+        (Contamination(0.4), "0311413664c52ac32901fba5", "eab6d9589cfcae6db404edb8"),
+        (TotalVariation(0.2), "a5b97d9b1760934e4cf9c435", "62f9d02c77eef1989b4d4a52"),
+        (ChiSquare(0.3), "ddbbcdea67d6f9137d416f41", "13bc5c28f3fcbb2dcd97b2dd"),
+        (KLDivergence(0.3), "d46a3ae1f5ef37b04b110805", "92a9f0a52b4c9bd32b322787"),
+        (Wasserstein(0.3), "972ad269267d6fd0f14fa763", "3236fa6fd6a598eedda95979"),
+    ]
+
+    @pytest.mark.parametrize("index", range(5), ids=[spec.kind for spec, _, _ in PINNED])
+    def test_trace_hashes(self, index):
+        spec, td_hash, q_hash = self.PINNED[index]
+        m = garnet(5, 3, seed=254)
+        src = KernelSampler.from_mdp(m)
+        td = robust_rvi_td(
+            src, m, Policy.uniform(5, 3), spec, OffsetFn.mean(), Constant(0.01), 200, None, stream(0, index)
+        )
+        q = robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.01), 200, None, stream(0, index))
+        digests = [hashlib.sha256(b"".join(trace_bytes(t))).hexdigest()[:24] for t in (td, q)]
+        assert digests == [td_hash, q_hash]

@@ -6,7 +6,9 @@ import pytest
 from rarl import planners
 from rarl.environments import example_a, garnet, inventory, one_loop
 from rarl.mdp import (
+    ConvergenceError,
     MultichainError,
+    TabularMDP,
     OffsetFn,
     Policy,
     gain_and_bias,
@@ -262,6 +264,27 @@ class TestPolicyIterationAgainstRvi:
         assert plan.method == "rvi"
         assert plan.iterations == _rvi_eval(m, policy, spec, offset, tol, RVI_ITERS, RVI_DAMPING).iterations
         assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= 10 * tol
+
+    @pytest.mark.parametrize("spec", [ChiSquare(5.0), KLDivergence(3.0)], ids=lambda spec: spec.kind)
+    def test_stalled_control_fallback_fails_fast(self, spec, monkeypatch):
+        # the robust control problem is multichain: the Q residual sits at 2.806 from sweep 64 on,
+        # so the fallback stops at sweep 128 instead of running its 10^6 sweeps
+        m = garnet(4, 2, seed=39)
+        calls = []
+        support = planners.support_table
+        monkeypatch.setattr(planners, "support_table", lambda *args: calls.append(None) or support(*args))
+        with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
+            _rvi_control(m, spec, OffsetFn.mean(), 1e-9, RVI_ITERS, RVI_DAMPING)
+        assert len(calls) <= 129  # the residual after sweep k reads the (k + 1)-th support table
+        with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
+            robust_rvi_control(m, spec, tol=1e-9)
+
+    def test_stalled_eval_fallback_fails_fast(self):
+        # two absorbing states with rewards 0 and 1: no single gain fits, the residual stays at 1/2
+        m = TabularMDP(2, 1, np.eye(2)[:, None, :], np.array([[0.0], [1.0]]))
+        with pytest.raises(ConvergenceError, match="stalled at sweep 64") as failure:
+            robust_rvi_eval(m, Policy.uniform(2, 1), Contamination(0.0), tol=1e-9)
+        assert failure.value.residual == 0.5
 
     def test_step_cap_falls_back_to_rvi(self, monkeypatch):
         # chi2 on inventory needs 4 steps for evaluation and 8 for control
