@@ -58,7 +58,7 @@ def example_a(r1: float, r2: float, r3: float) -> ExampleA:
     k2 = k1.copy()
     k2[0, 0] = [0.0, 0.0, 1.0]
     mdp = TabularMDP(3, 1, k1, rewards)
-    uset = FiniteKernelSet.from_kernels([k1, k2])
+    uset = FiniteKernelSet([k1, k2])
     return ExampleA(mdp, [k1, k2], uset, Policy.deterministic([0, 0, 0], 1))
 
 

@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -61,9 +62,21 @@ def _integer(name: str, value, low: int) -> int:
 
 
 def _positive_number(name: str, value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value) or value <= 0:
+    if not _is_number(value) or not math.isfinite(value) or value <= 0:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
     return float(value)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _known_fields(section: str, doc: dict, fields) -> None:
+    """Reject a section's fields that nothing reads, so a typo cannot fall back to a default."""
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ConfigError(f"{section} has unknown field(s) {unknown}; expected some of {sorted(fields)}")
 
 
 @dataclass
@@ -119,8 +132,11 @@ class ExperimentConfig:
 
 
 def build_environment(doc: dict) -> TabularMDP:
+    _known_fields("environment", doc, ("id", "params"))
     env_id = doc.get("id")
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"environment.params must be a JSON object, got {params!r}")
     try:
         if env_id == "garnet":
             mdp = envs.garnet(**params)
@@ -131,7 +147,7 @@ def build_environment(doc: dict) -> TabularMDP:
         elif env_id == "inventory":
             mdp = envs.inventory(**params)
         elif env_id == "one_loop":
-            mdp = envs.one_loop()[0]
+            mdp = envs.one_loop(**params)[0]
         elif env_id == "frozen_lake":
             mdp = envs.frozen_lake_4x4(**params)
         else:
@@ -145,6 +161,11 @@ def build_environment(doc: dict) -> TabularMDP:
 
 
 def build_uncertainty(doc: dict) -> UncertaintySet:
+    wasserstein = doc.get("kind") == "wasserstein"
+    _known_fields("uncertainty", doc, ("kind", "delta", "l", "metric") if wasserstein else ("kind", "delta"))
+    for name in ("delta", "l"):
+        if name in doc and not _is_number(doc[name]):
+            raise ConfigError(f"uncertainty.{name} must be a JSON number, got {doc[name]!r}")
     try:
         return uncertainty_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -154,8 +175,10 @@ def build_uncertainty(doc: dict) -> UncertaintySet:
 def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
     kind = doc.get("kind", "mean")
     if kind == "mean":
+        _known_fields("offset", doc, ("kind",))
         return OffsetFn.mean()
     if kind == "state":
+        _known_fields("offset", doc, ("kind", "state"))
         state = _integer("offset.state", doc.get("state", 0), 0)
         if state >= mdp.n_states:
             raise ConfigError(f"offset.state must be below n_states = {mdp.n_states}, got {state}")
@@ -166,8 +189,10 @@ def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
 def build_schedule(doc: dict):
     kind = doc.get("kind", "constant")
     if kind == "constant":
+        _known_fields("schedule", doc, ("kind", "alpha"))
         return Constant(_positive_number("schedule.alpha", doc.get("alpha", 0.01)))
     if kind == "robbins_monro":
+        _known_fields("schedule", doc, ("kind", "c", "offset"))
         c = _positive_number("schedule.c", doc.get("c", 1.0))
         return RobbinsMonro(c, _positive_number("schedule.offset", doc.get("offset", 1.0)))
     raise ConfigError(f"unknown schedule kind {kind!r}")
@@ -176,7 +201,7 @@ def build_schedule(doc: dict):
 def build_policy(doc, mdp: TabularMDP) -> Policy:
     if doc == "uniform":
         return Policy.uniform(mdp.n_states, mdp.n_actions)
-    deterministic = isinstance(doc, dict) and "deterministic" in doc
+    deterministic = isinstance(doc, dict) and list(doc) == ["deterministic"]
     if not (deterministic or isinstance(doc, list)):
         raise ConfigError(f"unsupported policy spec {doc!r}")
     try:
@@ -194,6 +219,7 @@ def build_policy(doc, mdp: TabularMDP) -> Policy:
 
 def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:
     """The MLMC settings; fields are checked for every family, though contamination uses none."""
+    _known_fields("estimator", doc, ("psi", "max_level"))
     psi = doc.get("psi")
     if psi is not None and _positive_number("estimator.psi", psi) >= 1.0:
         raise ConfigError(f"estimator.psi must lie in (0, 1), got {psi!r}")
@@ -206,22 +232,6 @@ def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:
 def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
     """Documented split: stream i is PCG64 seeded by SeedSequence((base, i))."""
     return np.random.default_rng(np.random.SeedSequence((base_seed, seed_index)))
-
-
-def _seed_learner(cfg: ExperimentConfig, mdp: TabularMDP, spec: UncertaintySet, offset: OffsetFn):
-    """The learner call of the seeds, all but their RNGs bound; its inputs are built and checked
-    here, once, so a bad config field fails before any seed runs."""
-    schedule = build_schedule(cfg.schedule)
-    mlmc = build_mlmc_config(cfg.estimator, spec)
-    source = KernelSampler.from_mdp(mdp)
-    if cfg.algorithm == "td":
-        policy = build_policy(cfg.policy, mdp)
-        return functools.partial(
-            robust_rvi_td, source, mdp, policy, spec, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every
-        )
-    return functools.partial(
-        robust_rvi_q, source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every
-    )
 
 
 def _run_seeds(cfg: ExperimentConfig, learner) -> tuple[list[RunTrace], list[str]]:
@@ -250,6 +260,7 @@ def _write_trace_csv(path, iters, mean, p95, p05, baseline) -> None:
 
 
 def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline: float, out_dir, title: str):
+    """Write ``trace.csv`` and ``plot.svg`` across seeds; returns each seed's tail mean."""
     iters = traces[0].iters
     stack = np.stack([t.f_values for t in traces])
     mean = stack.mean(axis=0)
@@ -266,8 +277,7 @@ def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline:
         xlabel="iteration",
         ylabel="offset value",
     )
-    tails = [t.tail_mean(cfg.tail_fraction) for t in traces]
-    return mean, tails
+    return [t.tail_mean(cfg.tail_fraction) for t in traces]
 
 
 def _planner_stats(plan) -> dict:
@@ -275,70 +285,68 @@ def _planner_stats(plan) -> dict:
     return {"method": plan.method, "iterations": plan.iterations, "residual": plan.residual}
 
 
-def run_eval_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Multi-seed policy-evaluation experiment with a planner baseline."""
+def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
+    """Multi-seed TD (``rarl eval``) or Q-learning (``rarl control``) run against its planner baseline.
+
+    Every input is built and checked before the planner or any seed runs, so a bad config field
+    fails at once. Learners and planners are looked up as module names at call time.
+    """
+    command, algorithm = ("control", "q") if control else ("eval", "td")
+    if cfg.algorithm != algorithm:
+        raise ConfigError(f"algorithm must be {algorithm!r} for {command}, got {cfg.algorithm!r}")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
     offset = build_offset(cfg.offset, mdp)
-    policy = build_policy(cfg.policy, mdp)
-    learner = _seed_learner(cfg, mdp, spec, offset)
-    plan = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
-    baseline = plan.gain
+    policy = None if control else build_policy(cfg.policy, mdp)
+    schedule = build_schedule(cfg.schedule)
+    mlmc = build_mlmc_config(cfg.estimator, spec)
+    source = KernelSampler.from_mdp(mdp)
+    if control:
+        learner = functools.partial(robust_rvi_q, source, mdp, spec)
+        plan = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
+    else:
+        learner = functools.partial(robust_rvi_td, source, mdp, policy, spec)
+        plan = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
+    learner = functools.partial(learner, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every)
     done, errors = _run_seeds(cfg, learner)
-    mean, tails = _aggregate_and_emit(cfg, done, baseline, out_dir, "worst-case policy evaluation")
-    summary = {
-        "baseline_gain": baseline,
-        "final_mean": float(np.mean(tails)),
-        "abs_error": abs(float(np.mean(tails)) - baseline),
-        "per_seed_tail": tails,
-        "seed_errors": errors,
-        "n_seeds_done": len(done),
-        "planner": _planner_stats(plan),
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
-
-
-def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Multi-seed control experiment; also records final greedy policies."""
-    os.makedirs(out_dir, exist_ok=True)
-    mdp = build_environment(cfg.environment)
-    spec = build_uncertainty(cfg.uncertainty)
-    offset = build_offset(cfg.offset, mdp)
-    learner = _seed_learner(cfg, mdp, spec, offset)
-    plan = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
-    done, errors = _run_seeds(cfg, learner)
-    mean, tails = _aggregate_and_emit(cfg, done, plan.gain, out_dir, "worst-case optimal control")
-    per_seed_actions = [greedy_policy(t.final).actions().tolist() for t in done]
-    counts: dict[tuple, int] = {}
-    for acts in per_seed_actions:
-        counts[tuple(acts)] = counts.get(tuple(acts), 0) + 1
-    modal = max(counts.items(), key=lambda kv: kv[1])[0]
-    policy_doc = {
-        "planner_policy": plan.policy.actions().tolist(),
-        "modal_policy": list(modal),
-        "modal_count": counts[modal],
-        "per_seed_policies": per_seed_actions,
-    }
-    with open(os.path.join(out_dir, "policy.json"), "w") as fh:
-        json.dump(policy_doc, fh, indent=2)
+    title = "worst-case optimal control" if control else "worst-case policy evaluation"
+    tails = _aggregate_and_emit(cfg, done, plan.gain, out_dir, title)
     summary = {
         "baseline_gain": plan.gain,
         "final_mean": float(np.mean(tails)),
         "abs_error": abs(float(np.mean(tails)) - plan.gain),
         "per_seed_tail": tails,
-        "modal_policy": list(modal),
-        "planner_policy": plan.policy.actions().tolist(),
-        "modal_matches_planner": list(modal) == plan.policy.actions().tolist(),
-        "seed_errors": errors,
-        "n_seeds_done": len(done),
-        "planner": _planner_stats(plan),
     }
+    if control:
+        per_seed_actions = [greedy_policy(t.final).actions().tolist() for t in done]
+        modal, modal_count = Counter(map(tuple, per_seed_actions)).most_common(1)[0]  # first seen wins a tie
+        planner_policy = plan.policy.actions().tolist()
+        policy_doc = {
+            "planner_policy": planner_policy,
+            "modal_policy": list(modal),
+            "modal_count": modal_count,
+            "per_seed_policies": per_seed_actions,
+        }
+        with open(os.path.join(out_dir, "policy.json"), "w") as fh:
+            json.dump(policy_doc, fh, indent=2)
+        summary.update(
+            modal_policy=list(modal), planner_policy=planner_policy, modal_matches_planner=list(modal) == planner_policy
+        )
+    summary.update(seed_errors=errors, n_seeds_done=len(done), planner=_planner_stats(plan))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
+
+
+def run_eval_experiment(cfg: ExperimentConfig, out_dir) -> dict:
+    """Multi-seed policy-evaluation experiment (algorithm "td") with a planner baseline."""
+    return _run_experiment(cfg, out_dir, control=False)
+
+
+def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
+    """Multi-seed control experiment (algorithm "q"); also records final greedy policies."""
+    return _run_experiment(cfg, out_dir, control=True)
 
 
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
@@ -364,10 +372,22 @@ def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     return doc
 
 
+# each sweep family's own fields, next to "family" and "start_state"
+_SWEEP_FIELDS = {
+    "recycling_robot": ("points_per_axis", "x_grid"),
+    "inventory_b": ("m", "b_grid"),
+    "inventory_m": ("b", "m_grid"),
+    "one_loop_mix": ("x_grid",),
+}
+
+
 def _perturbation_grid(cfg: ExperimentConfig):
     """Yield (label, [perturbed MDPs]) per grid point of the sweep family."""
     sweep = cfg.sweep or {}
     family = sweep.get("family")
+    if family not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep family {family!r}")
+    _known_fields("sweep", sweep, ("family", "start_state", *_SWEEP_FIELDS[family]))
     if family == "recycling_robot":
         params = dict(cfg.environment.get("params", {}))
         nominal_alpha = params.pop("alpha", 0.5)
@@ -392,15 +412,13 @@ def _perturbation_grid(cfg: ExperimentConfig):
         for m in sweep.get("m_grid", list(range(capacity))):
             demand = envs.inventory_perturbed_demand(_integer("sweep.m_grid", m, 0), b, capacity + 1)
             yield float(m), [envs.inventory(**{**params, "demand": demand})]
-    elif family == "one_loop_mix":
+    else:
         nominal, perturbed = envs.one_loop()
         for x in sweep.get("x_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
             if not 0.0 <= float(x) <= 1.0:
                 raise ValueError(f"x_grid entries must lie in [0, 1], got {x!r}")
             kernel = (1.0 - float(x)) * nominal.kernel + float(x) * perturbed.kernel
             yield float(x), [nominal.with_kernel(kernel)]
-    else:
-        raise ConfigError(f"unknown sweep family {family!r}")
 
 
 def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
@@ -468,6 +486,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _support_check_options(opts: dict) -> tuple[int, int, list[float], int]:
     """The support check's instances, grid resolution, radii and MLMC draws (the SE needs 2)."""
+    _known_fields("support_check", opts, ("instances", "resolution", "deltas", "mlmc_draws"))
     deltas = opts.get("deltas", [0.1, 0.3, 0.6])
     if not isinstance(deltas, list) or not deltas:
         raise ConfigError(f"support_check.deltas must be a non-empty list, got {deltas!r}")

@@ -24,8 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .uncertainty import UncertaintySet
-
 ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
 
@@ -326,21 +324,9 @@ def span(v: np.ndarray) -> float:
 
 
 def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """sigma(s, a, v) for every pair, batched for the parametric families.
-
-    Other sets (``rarl.planners.FiniteKernelSet``) provide
-    ``support_for(s, a, nominal_row, v)`` and are evaluated pair by pair.
-    """
-    v = np.asarray(v, dtype=float)
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    if isinstance(uset, UncertaintySet):
-        rows = mdp.kernel.reshape(n_s * n_a, n_s)
-        return uset.support_batch(rows, v).reshape(n_s, n_a)
-    table = np.empty((n_s, n_a))
-    for s in range(n_s):
-        for a in range(n_a):
-            table[s, a] = uset.support_for(s, a, mdp.kernel[s, a], v)
-    return table
+    """sigma(s, a, v) for every pair: one ``support_batch`` call over the S*A nominal rows, s-major."""
+    n_s = mdp.n_states
+    return uset.support_batch(mdp.kernel.reshape(-1, n_s), np.asarray(v, dtype=float)).reshape(n_s, mdp.n_actions)
 
 
 def robust_bellman_residual(

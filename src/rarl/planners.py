@@ -8,12 +8,14 @@ Wiesemann 2021). Control improves the policy greedily around that inner loop.
 Runs terminate on the sup-norm robust Bellman residual, so every returned
 solution carries its own certificate. When a worst kernel is multichain or
 policy iteration does not certify within a fixed number of steps, the call
-runs damped relative value iteration instead: iterates are damped with a
+runs one damped relative value iteration loop instead, on the value vector for
+evaluation and on the Q table for control: iterates are damped with a
 half-step (the aperiodicity transformation, which leaves fixed points and
 gains unchanged), re-centered by the offset each sweep, and stopped on the
-same residual. ``FiniteKernelSet`` supports uncertainty sets given as an
-explicit finite collection of kernels, which only exists to reproduce the
-two-kernel counterexample instance; ``finite_set_enumeration`` evaluates each
+same residual. ``FiniteKernelSet`` is an uncertainty set given as an explicit
+finite collection of kernels, answering the same batched ``support_batch`` /
+``worst_row`` calls as the parametric families; it exists to reproduce the
+two-kernel counterexample instance. ``finite_set_enumeration`` evaluates each
 kernel exactly and returns the worst gain with all minimizers.
 """
 
@@ -34,53 +36,46 @@ from .mdp import (
     gain_and_bias,
     support_table,
 )
-from .uncertainty import UncertaintySet
 
 
 class FiniteKernelSet:
-    """Per-(s,a) finite row collections; support is a minimum over the rows."""
+    """An explicit finite collection of kernels, (s,a)-rectangular: the support of a pair is the
+    minimum of q.v over the pair's rows in the collection.
+
+    Like the parametric families it answers ``support_batch`` and ``worst_row``, but only for the
+    batch it is built around, the MDP's S*A nominal rows in s-major order. Each pair keeps its rows
+    in lexicographic order, so a tie goes to the smallest row.
+    """
 
     kind = "finite"
 
-    def __init__(self, rows_by_sa: dict[tuple[int, int], np.ndarray]):
-        self.rows_by_sa = {k: np.atleast_2d(np.asarray(v, dtype=float)) for k, v in rows_by_sa.items()}
+    def __init__(self, kernels):
+        pairs = np.stack([np.asarray(k, dtype=float).reshape(-1, np.shape(k)[-1]) for k in kernels], axis=1)
+        self.rows = np.stack([rows[np.lexsort(rows.T[::-1])] for rows in pairs])
 
-    @staticmethod
-    def from_kernels(kernels) -> "FiniteKernelSet":
-        kernels = [np.asarray(k, dtype=float) for k in kernels]
-        n_s, n_a, _ = kernels[0].shape
-        rows = {}
-        for s in range(n_s):
-            for a in range(n_a):
-                rows[(s, a)] = np.unique(np.stack([k[s, a] for k in kernels]), axis=0)
-        return FiniteKernelSet(rows)
+    def _values(self, rows, v):
+        """q.v for every row q of every pair, shape (S*A, kernels)."""
+        n_pairs, _, n_states = self.rows.shape
+        if np.shape(rows) != (n_pairs, n_states):
+            raise ValueError(f"a finite kernel set answers its ({n_pairs}, {n_states}) rows, got {np.shape(rows)}")
+        return self.rows @ np.asarray(v, dtype=float)
 
-    def support_for(self, s, a, nominal_row, v):
-        return float((self.rows_by_sa[(s, a)] @ np.asarray(v, dtype=float)).min())
+    def support_batch(self, rows, v):
+        return self._values(rows, v).min(axis=1)
 
-    def worst_row_for(self, s, a, nominal_row, v):
-        rows = self.rows_by_sa[(s, a)]
-        return rows[int(np.argmin(rows @ np.asarray(v, dtype=float)))].copy()
+    def worst_row(self, rows, v):
+        return self.rows[np.arange(len(self.rows)), self._values(rows, v).argmin(axis=1)]
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """Kernel assembled row-wise from worst-case rows for the given value vector.
-
-    A parametric family solves all rows in one batched ``worst_row`` call;
-    a ``FiniteKernelSet`` is asked pair by pair.
-    """
-    v = np.asarray(v, dtype=float)
-    if isinstance(uset, UncertaintySet):
-        return uset.worst_row(mdp.kernel.reshape(-1, mdp.n_states), v).reshape(mdp.kernel.shape)
-    kernel = np.empty_like(mdp.kernel)
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            kernel[s, a] = uset.worst_row_for(s, a, mdp.kernel[s, a], v)
-    return kernel
+    """Kernel assembled from worst-case rows for the given value vector, in one ``worst_row`` call."""
+    return uset.worst_row(mdp.kernel.reshape(-1, mdp.n_states), np.asarray(v, dtype=float)).reshape(mdp.kernel.shape)
 
 
-# Exact solves a planner call may spend in policy iteration before it falls back to RVI.
+# Exact solves a planner call may spend in policy iteration before it falls back to RVI, and the
+# sweeps the fallback may spend.
 _PI_MAX_STEPS = 50
+_RVI_MAX_SWEEPS = 10**6
 
 
 @dataclass
@@ -99,6 +94,22 @@ class PlannerResult:
     method: str
 
 
+def _gain_and_residual(tx, x, offset) -> tuple[float, float]:
+    """The gain g = offset(Tx) - offset(x) and the sup-norm residual of Tx - g - x."""
+    g = offset(tx) - offset(x)
+    return g, float(np.abs(tx - g - x).max())
+
+
+def _eval_operator(mdp, policy, uset):
+    """The policy's robust Bellman operator, T v = sum_a pi(a|s) (r(s, a) + sigma(s, a, v))."""
+    return lambda v: np.einsum("sa,sa->s", policy.probs, mdp.reward + support_table(mdp, uset, v))
+
+
+def _control_operator(mdp, uset):
+    """The optimal robust Bellman operator on Q tables, H q = r + sigma(max_a q)."""
+    return lambda q: mdp.reward + support_table(mdp, uset, q.max(axis=1))
+
+
 def _pi_eval(mdp, policy, uset, offset, tol, v, max_steps):
     """Robust policy iteration for a fixed policy, warm-started at ``v``.
 
@@ -113,46 +124,36 @@ def _pi_eval(mdp, policy, uset, offset, tol, v, max_steps):
         except (MultichainError, np.linalg.LinAlgError, ConvergenceError):
             return None
         sigma = support_table(mdp, uset, v)
-        tv = np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma)
-        g = offset(tv) - offset(v)
-        residual = float(np.abs(tv - g - v).max())
+        g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
         if residual <= tol:
             return PlannerResult(float(g), v, step, residual, "policy-iteration"), sigma
     return None
 
 
-def _stalled(k: int, residual: float, marks: dict) -> bool:
-    """Whether sweep k = 2^j, j >= 6, leaves a residual no lower than sweep 2^(j-1) did.
+def _rvi(bellman, shape, offset, tol) -> tuple[float, np.ndarray, int, float]:
+    """Damped relative value iteration from x = 0, x <- y - offset(y) with y = (x + Tx) / 2, on a
+    value vector or a Q table alike: the fallback and test reference.
 
-    A damped RVI loop that stops making progress for that long will not converge, e.g. on a
-    multichain robust problem, so the caller stops instead of running out its sweeps.
+    Returns (gain, x, sweeps, residual) once the residual is <= tol. Raises ``ConvergenceError``
+    after ``_RVI_MAX_SWEEPS`` sweeps, or as soon as the residual after sweep 2^j (j >= 6) is no
+    lower than after sweep 2^(j-1): a loop that makes no progress for that long will not
+    converge, e.g. on a multichain robust problem.
     """
-    if k < 32 or k & (k - 1):
-        return False
-    half = marks.get(k // 2)
-    marks[k] = residual
-    return half is not None and residual >= half
-
-
-def _rvi_eval(mdp, policy, uset, offset, tol, max_iters, damping) -> PlannerResult:
-    """Damped relative value iteration for a fixed policy: the fallback and test reference."""
-    v = np.zeros(mdp.n_states)
-    probs = policy.probs
-    residual_norm = np.inf
-    marks: dict[int, float] = {}
-    for k in range(max_iters):
-        sigma = support_table(mdp, uset, v)
-        tv = np.einsum("sa,sa->s", probs, mdp.reward + sigma)
-        g = offset(tv) - offset(v)
-        residual = tv - g - v
-        residual_norm = float(np.abs(residual).max())
-        if residual_norm <= tol:
-            return PlannerResult(float(g), v, k, residual_norm, "rvi")
-        if _stalled(k, residual_norm, marks):
-            raise ConvergenceError(f"robust value iteration stalled at sweep {k}", residual_norm)
-        nxt = (1.0 - damping) * v + damping * tv
-        v = nxt - offset(nxt)
-    raise ConvergenceError("robust value iteration did not converge", residual_norm)
+    x = np.zeros(shape)
+    residual = np.inf
+    mark = None  # the residual after the last sweep 2^j, j >= 5
+    for k in range(_RVI_MAX_SWEEPS):
+        tx = bellman(x)
+        g, residual = _gain_and_residual(tx, x, offset)
+        if residual <= tol:
+            return float(g), x, k, residual
+        if k >= 32 and not k & (k - 1):
+            if mark is not None and residual >= mark:
+                raise ConvergenceError(f"robust value iteration stalled at sweep {k}", residual)
+            mark = residual
+        nxt = 0.5 * x + 0.5 * tx
+        x = nxt - offset(nxt)
+    raise ConvergenceError("robust value iteration did not converge", residual)
 
 
 def robust_rvi_eval(
@@ -161,22 +162,21 @@ def robust_rvi_eval(
     uset,
     offset: OffsetFn | None = None,
     tol: float = 1e-9,
-    max_iters: int = 10**6,
-    damping: float = 0.5,
 ) -> PlannerResult:
     """Worst-case gain and value of a fixed policy by robust policy iteration.
 
     Stops on the sup-norm robust Bellman residual <= tol, with the value
     pinned by offset(v) = 0. If a worst kernel is multichain or singular, or
     policy iteration does not certify within a fixed number of steps, the call
-    runs damped relative value iteration instead (at most ``max_iters``
-    sweeps of step ``damping``), which raises ``ConvergenceError`` if it too
-    fails, or as soon as its residual after sweep 2^j (j >= 6) is no lower
-    than after sweep 2^(j-1).
+    runs damped relative value iteration instead, which raises
+    ``ConvergenceError`` if it too fails, or as soon as its residual after
+    sweep 2^j (j >= 6) is no lower than after sweep 2^(j-1).
     """
     offset = offset or OffsetFn.mean()
     solved = _pi_eval(mdp, policy, uset, offset, tol, np.zeros(mdp.n_states), _PI_MAX_STEPS)
-    return solved[0] if solved else _rvi_eval(mdp, policy, uset, offset, tol, max_iters, damping)
+    if solved:
+        return solved[0]
+    return PlannerResult(*_rvi(_eval_operator(mdp, policy, uset), mdp.n_states, offset, tol), "rvi")
 
 
 @dataclass
@@ -217,9 +217,7 @@ def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
         greedy = np.where(q[rows, actions] >= best - tol / 4, actions, q.argmax(axis=1))
         if np.array_equal(greedy, actions):
             q = q - offset(q)
-            hq = mdp.reward + support_table(mdp, uset, q.max(axis=1))
-            g = offset(hq) - offset(q)
-            residual = float(np.abs(hq - g - q).max())
+            g, residual = _gain_and_residual(_control_operator(mdp, uset)(q), q, offset)
             if residual > tol:
                 return None
             return ControlResult(float(g), q, greedy_policy(q), steps, residual, "policy-iteration")
@@ -227,33 +225,11 @@ def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
     return None
 
 
-def _rvi_control(mdp, uset, offset, tol, max_iters, damping) -> ControlResult:
-    """Damped relative value iteration on Q: the fallback and test reference."""
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    residual_norm = np.inf
-    marks: dict[int, float] = {}
-    for k in range(max_iters):
-        sigma = support_table(mdp, uset, q.max(axis=1))
-        hq = mdp.reward + sigma
-        g = offset(hq) - offset(q)
-        residual = hq - g - q
-        residual_norm = float(np.abs(residual).max())
-        if residual_norm <= tol:
-            return ControlResult(float(g), q, greedy_policy(q), k, residual_norm, "rvi")
-        if _stalled(k, residual_norm, marks):
-            raise ConvergenceError(f"robust Q value iteration stalled at sweep {k}", residual_norm)
-        nxt = (1.0 - damping) * q + damping * hq
-        q = nxt - offset(nxt)
-    raise ConvergenceError("robust Q value iteration did not converge", residual_norm)
-
-
 def robust_rvi_control(
     mdp: TabularMDP,
     uset,
     offset: OffsetFn | None = None,
     tol: float = 1e-9,
-    max_iters: int = 10**6,
-    damping: float = 0.5,
 ) -> ControlResult:
     """Optimal worst-case gain, Q table and greedy policy by robust policy iteration.
 
@@ -265,7 +241,10 @@ def robust_rvi_control(
     """
     offset = offset or OffsetFn.mean()
     solved = _pi_control(mdp, uset, offset, tol)
-    return solved or _rvi_control(mdp, uset, offset, tol, max_iters, damping)
+    if solved:
+        return solved
+    g, q, sweeps, residual = _rvi(_control_operator(mdp, uset), (mdp.n_states, mdp.n_actions), offset, tol)
+    return ControlResult(g, q, greedy_policy(q), sweeps, residual, "rvi")
 
 
 @dataclass

@@ -368,10 +368,29 @@ class TestCli:
             ("schedule", {"alpha": "x"}, "schedule.alpha"),
             ("schedule", {"alpha": -1}, "schedule.alpha"),
             ("offset", {"kind": "state", "state": 99}, "offset.state"),
+            ("schedule", {"kind": "constant", "alpah": 5.0}, "schedule has unknown field(s) ['alpah']"),
+            ("offset", {"kind": "state", "stat": 2}, "offset has unknown field(s) ['stat']"),
+            ("offset", {"kind": "ref", "state": 2}, "unknown offset kind 'ref'"),
+            ("schedule", {"kind": "linear", "c": 1.0}, "unknown schedule kind 'linear'"),
+            ("estimator", {"psy": 0.9}, "estimator has unknown field(s) ['psy']"),
+            ("uncertainty", {"kind": "tv", "delta": 0.2, "l": 3}, "uncertainty has unknown field(s) ['l']"),
+            ("uncertainty", {"kind": "tv", "delta": True}, "uncertainty.delta must be a JSON number"),
+            ("uncertainty", {"kind": "tv", "delta": "0.2"}, "uncertainty.delta must be a JSON number"),
+            ("uncertainty", {"kind": "wasserstein", "delta": 0.2, "l": "2"}, "uncertainty.l must be a JSON number"),
+            ("environment", {"id": "garnet", "params": [1, 2]}, "environment.params must be a JSON object"),
+            ("environment", {"id": "garnet", "params": "abc"}, "environment.params must be a JSON object"),
+            ("environment", {"id": "garnet", "parms": {}}, "environment has unknown field(s) ['parms']"),
+            ("environment", {"id": "one_loop", "params": {"n": 2}}, "bad environment config"),
+            ("policy", {"deterministic": [0, 1, 0], "stochastic": 1}, "unsupported policy spec"),
+            ("algorithm", "q", "algorithm must be 'td' for eval"),
+            ("algorithm", "planner", "algorithm must be 'td' for eval"),
         ],
     )
-    def test_exit_one_on_bad_run_field(self, tmp_path, capsys, field, value, message):
-        # checked once before any seed runs, not reported as per-seed failures
+    def test_exit_one_on_bad_run_field(self, tmp_path, capsys, monkeypatch, field, value, message):
+        # checked once before the planner or any seed runs, not reported as per-seed failures
+        calls = []
+        for name in ("robust_rvi_eval", "robust_rvi_control", "robust_rvi_td", "robust_rvi_q"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args))
         doc = {
             "environment": {"id": "garnet", "params": {"n_states": 3, "n_actions": 2, "seed": 1}},
             "uncertainty": {"kind": "tv", "delta": 0.2},
@@ -382,6 +401,7 @@ class TestCli:
         }
         assert main(["eval", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["contamination", "tv", "chi2", "kl", "wasserstein"])
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
@@ -408,6 +428,9 @@ class TestCli:
             ("support-check", "support_check", {"deltas": [0.1, float("nan")]}, "support_check.deltas"),
             ("sweep", "sweep", {"family": "volcano"}, "bad sweep config: unknown sweep family"),
             ("sweep", "sweep", {"family": "one_loop_mix", "x_grid": ["a"]}, "bad sweep config"),
+            ("sweep", "sweep", {"family": "one_loop_mix", "b_grid": [0.5]}, "bad sweep config: sweep has unknown"),
+            ("support-check", "support_check", {"instance": 2}, "support_check has unknown field(s) ['instance']"),
+            ("control", "algorithm", "td", "algorithm must be 'q' for control"),
         ],
     )
     def test_exit_one_on_bad_section(self, tmp_path, capsys, command, field, value, message):

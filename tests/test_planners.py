@@ -5,6 +5,7 @@ import pytest
 
 from rarl import planners
 from rarl.environments import example_a, garnet, inventory, one_loop
+from rarl.learners import greedy_policy
 from rarl.mdp import (
     ConvergenceError,
     MultichainError,
@@ -17,9 +18,9 @@ from rarl.mdp import (
     support_table,
 )
 from rarl.planners import (
-    FiniteKernelSet,
-    _rvi_control,
-    _rvi_eval,
+    _control_operator,
+    _eval_operator,
+    _rvi,
     finite_set_enumeration,
     robust_rvi_control,
     robust_rvi_eval,
@@ -71,15 +72,11 @@ class TestRobustRviEval:
 
 
     def test_batched_residual_matches_per_pair_loop(self):
-        def per_pair(m, policy, uset, gain, v):
+        def per_pair(m, policy, support, gain, v):
             rhs = np.zeros(m.n_states)
             for s in range(m.n_states):
                 for a in range(m.n_actions):
-                    if isinstance(uset, FiniteKernelSet):
-                        sigma = uset.support_for(s, a, m.kernel[s, a], v)
-                    else:
-                        sigma = uset.support(m.kernel[s, a], v)
-                    rhs[s] += policy.probs[s, a] * (m.reward[s, a] - gain + sigma)
+                    rhs[s] += policy.probs[s, a] * (m.reward[s, a] - gain + support(s, a))
             return rhs - v
 
         rng = np.random.default_rng(12)
@@ -88,13 +85,16 @@ class TestRobustRviEval:
         v = rng.normal(size=5)
         for spec in (Contamination(0.3), TotalVariation(0.3), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)):
             np.testing.assert_allclose(
-                robust_bellman_residual(m, policy, spec, 0.7, v), per_pair(m, policy, spec, 0.7, v), rtol=0, atol=1e-12
+                robust_bellman_residual(m, policy, spec, 0.7, v),
+                per_pair(m, policy, lambda s, a: spec.support(m.kernel[s, a], v), 0.7, v),
+                rtol=0,
+                atol=1e-12,
             )
         ex = example_a(1.0, 2.0, 4.0)
         v = np.array([-2.5, -0.5, 0.5])
         np.testing.assert_allclose(
             robust_bellman_residual(ex.mdp, ex.policy, ex.uset, 3.0, v),
-            per_pair(ex.mdp, ex.policy, ex.uset, 3.0, v),
+            per_pair(ex.mdp, ex.policy, lambda s, a: min(k[s, a] @ v for k in ex.kernels), 3.0, v),
             rtol=0,
             atol=1e-12,
         )
@@ -181,11 +181,20 @@ class TestSolutionStructure:
     def test_finite_kernel_set_interface(self):
         ex = example_a(1.0, 2.0, 4.0)
         v = np.array([-2.5, -0.5, 0.5])
+        rows = ex.mdp.kernel.reshape(3, 3)
         # state 0 chooses between jumping to state 1 or state 2
-        assert ex.uset.support_for(0, 0, None, v) == pytest.approx(-0.5)
-        row = ex.uset.worst_row_for(0, 0, None, v)
-        np.testing.assert_allclose(row, [0.0, 1.0, 0.0])
-        assert FiniteKernelSet.from_kernels(ex.kernels).rows_by_sa[(0, 0)].shape == (2, 3)
+        assert ex.uset.support_batch(rows, v)[0] == pytest.approx(-0.5)
+        np.testing.assert_allclose(ex.uset.worst_row(rows, v)[0], [0.0, 1.0, 0.0])
+        assert ex.uset.rows.shape == (3, 2, 3)  # (s, a) pairs, kernels, next states
+
+    def test_finite_kernel_set_rejects_other_batches(self):
+        ex = example_a(1.0, 2.0, 4.0)
+        v = np.zeros(3)
+        for rows in (ex.mdp.kernel[0, 0], ex.mdp.kernel.reshape(3, 3)[:2], np.eye(4)):
+            with pytest.raises(ValueError, match="finite kernel set"):
+                ex.uset.support_batch(rows, v)
+            with pytest.raises(ValueError, match="finite kernel set"):
+                ex.uset.worst_row(rows, v)
 
 
 class TestWorstCaseKernel:
@@ -216,11 +225,21 @@ class TestWorstCaseKernel:
         kernel = worst_case_kernel(ex.mdp, ex.uset, v)
         for s in range(ex.mdp.n_states):
             for a in range(ex.mdp.n_actions):
-                np.testing.assert_allclose(kernel[s, a], ex.uset.worst_row_for(s, a, None, v), rtol=0, atol=1e-12)
+                candidates = np.stack([k[s, a] for k in ex.kernels])
+                np.testing.assert_allclose(kernel[s, a], candidates[np.argmin(candidates @ v)], rtol=0, atol=1e-12)
 
 
 FAMILIES = (Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3))
-RVI_ITERS, RVI_DAMPING = 10**6, 0.5
+
+
+def rvi_eval(m, policy, spec, offset, tol):
+    """The damped RVI reference for a fixed policy: (gain, value, sweeps, residual)."""
+    return _rvi(_eval_operator(m, policy, spec), m.n_states, offset, tol)
+
+
+def rvi_control(m, spec, offset, tol):
+    """The damped RVI reference on Q tables: (gain, q, sweeps, residual)."""
+    return _rvi(_control_operator(m, spec), (m.n_states, m.n_actions), offset, tol)
 
 
 class TestPolicyIterationAgainstRvi:
@@ -234,18 +253,18 @@ class TestPolicyIterationAgainstRvi:
         policy = Policy.uniform(m.n_states, m.n_actions)
         tol = 1e-9
         pi = robust_rvi_eval(m, policy, spec, offset, tol=tol)
-        rvi = _rvi_eval(m, policy, spec, offset, tol, RVI_ITERS, RVI_DAMPING)
-        assert (pi.method, rvi.method) == ("policy-iteration", "rvi")
-        assert abs(pi.gain - rvi.gain) <= 1e-8
+        rvi_gain = rvi_eval(m, policy, spec, offset, tol)[0]
+        assert pi.method == "policy-iteration"
+        assert abs(pi.gain - rvi_gain) <= 1e-8
         assert pi.residual <= tol
         assert np.abs(robust_bellman_residual(m, policy, spec, pi.gain, pi.value)).max() <= tol
         assert offset(pi.value) == pytest.approx(0.0, abs=1e-12)
 
         pi_c = robust_rvi_control(m, spec, offset, tol=tol)
-        rvi_c = _rvi_control(m, spec, offset, tol, RVI_ITERS, RVI_DAMPING)
-        assert (pi_c.method, rvi_c.method) == ("policy-iteration", "rvi")
-        assert abs(pi_c.gain - rvi_c.gain) <= 1e-8
-        np.testing.assert_array_equal(pi_c.policy.actions(), rvi_c.policy.actions())
+        rvi_gain, rvi_q = rvi_control(m, spec, offset, tol)[:2]
+        assert pi_c.method == "policy-iteration"
+        assert abs(pi_c.gain - rvi_gain) <= 1e-8
+        np.testing.assert_array_equal(pi_c.policy.actions(), greedy_policy(rvi_q).actions())
         assert offset(pi_c.q) == pytest.approx(0.0, abs=1e-12)
         hq = m.reward + support_table(m, spec, pi_c.q.max(axis=1))
         assert pi_c.residual == np.abs(hq - pi_c.gain - pi_c.q).max() <= tol
@@ -262,7 +281,7 @@ class TestPolicyIterationAgainstRvi:
             gain_and_bias(m.with_kernel(worst_case_kernel(m, spec, v)), policy, offset)
         plan = robust_rvi_eval(m, policy, spec, tol=tol)
         assert plan.method == "rvi"
-        assert plan.iterations == _rvi_eval(m, policy, spec, offset, tol, RVI_ITERS, RVI_DAMPING).iterations
+        assert plan.iterations == rvi_eval(m, policy, spec, offset, tol)[2]
         assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= 10 * tol
 
     @pytest.mark.parametrize("spec", [ChiSquare(5.0), KLDivergence(3.0)], ids=lambda spec: spec.kind)
@@ -274,7 +293,7 @@ class TestPolicyIterationAgainstRvi:
         support = planners.support_table
         monkeypatch.setattr(planners, "support_table", lambda *args: calls.append(None) or support(*args))
         with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
-            _rvi_control(m, spec, OffsetFn.mean(), 1e-9, RVI_ITERS, RVI_DAMPING)
+            rvi_control(m, spec, OffsetFn.mean(), 1e-9)
         assert len(calls) <= 129  # the residual after sweep k reads the (k + 1)-th support table
         with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
             robust_rvi_control(m, spec, tol=1e-9)

@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` counts estimates and samples from the costs that
 ``learners.sigma_hat_for_pairs`` returns and times ``KernelSampler`` draws. It counts
 planner iterations from the results of ``planners.robust_rvi_eval`` and
-``robust_rvi_control`` and times the ``planners.worst_case_kernel`` calls inside them. A
-refactor that bypasses one of those names would only break ``perfbench/run.py --trace 1``;
-these tests catch it in the main suite.
+``robust_rvi_control`` and times the ``planners.worst_case_kernel`` calls inside them. The
+harness runners reach the learners and planners through the names ``harness`` imports, which
+the tracer patches too. A refactor that bypasses one of those names would only break
+``perfbench/run.py --trace 1``; these tests catch it in the main suite.
 """
 
 import pathlib
@@ -13,7 +14,7 @@ import sys
 
 import numpy as np
 
-from rarl import learners, planners
+from rarl import harness, learners, planners
 from rarl.environments import garnet
 from rarl.estimators import KernelSampler
 from rarl.learners import Constant
@@ -59,3 +60,29 @@ def test_traced_planners_count_every_iteration_and_worst_kernel():
     assert tracer.total(2, "planners", "worst_case_kernel", "chi2") == ev.iterations + ct.iterations
     assert tracer.total(2, "planners", "robust_rvi_eval", "chi2") == 1
     assert tracer.total(2, "planners", "robust_rvi_control", "chi2") == 1
+
+
+def test_traced_harness_runs_one_learner_and_one_planner_span_each(tmp_path):
+    def config(algorithm):
+        return harness.ExperimentConfig.from_dict(
+            {
+                "environment": {"id": "garnet", "params": {"n_states": 4, "n_actions": 2, "seed": 5}},
+                "uncertainty": {"kind": "tv", "delta": 0.2},
+                "algorithm": algorithm,
+                "n_iters": 20,
+                "n_seeds": 2,
+            }
+        )
+
+    tracer = Tracer()
+    with installed(tracer):
+        harness.run_eval_experiment(config("td"), tmp_path / "eval")
+        harness.run_control_experiment(config("q"), tmp_path / "control")
+    for runner, learner, planner in (
+        ("run_eval_experiment", "robust_rvi_td", "robust_rvi_eval"),
+        ("run_control_experiment", "robust_rvi_q", "robust_rvi_control"),
+    ):
+        assert tracer.total(2, "harness", runner, "tv") == 1
+        assert tracer.total(2, "learners", learner, "tv") == 1
+        assert tracer.total(2, "planners", planner, "tv") == 1
+    assert tracer.counts[("iters",)] == 40
