@@ -41,6 +41,7 @@ from .uncertainty import (
     Contamination,
     TotalVariation,
     UncertaintySet,
+    is_json_number,
     support_oracle_grid,
     uncertainty_from_json,
 )
@@ -55,6 +56,17 @@ class RunFailure(RuntimeError):
     """Too many per-seed runs failed, or the planner failed."""
 
 
+# the one algorithm each CLI command runs; a config written for another command fails at once
+ALGORITHMS = {
+    "eval": "td", "control": "q", "plan": "planner", "sweep": "robustness-sweep", "support-check": "support-check"
+}
+
+
+def _check_algorithm(cfg: "ExperimentConfig", command: str) -> None:
+    if cfg.algorithm != ALGORITHMS[command]:
+        raise ConfigError(f"algorithm must be {ALGORITHMS[command]!r} for {command}, got {cfg.algorithm!r}")
+
+
 def _integer(name: str, value, low: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -62,14 +74,9 @@ def _integer(name: str, value, low: int) -> int:
 
 
 def _positive_number(name: str, value) -> float:
-    if not _is_number(value) or not math.isfinite(value) or value <= 0:
+    if not is_json_number(value) or not math.isfinite(value) or value <= 0:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
     return float(value)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or float, not a bool or a numeric string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _known_fields(section: str, doc: dict, fields) -> None:
@@ -103,7 +110,7 @@ class ExperimentConfig:
             cfg = ExperimentConfig(**doc)
         except TypeError as exc:
             raise ConfigError(f"bad config fields: {exc}") from exc
-        if cfg.algorithm not in ("td", "q", "planner", "support-check", "robustness-sweep"):
+        if cfg.algorithm not in ALGORITHMS.values():
             raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
         for name in ("environment", "uncertainty", "offset", "schedule", "estimator", "support_check", "sweep"):
             value = getattr(cfg, name)
@@ -161,15 +168,10 @@ def build_environment(doc: dict) -> TabularMDP:
 
 
 def build_uncertainty(doc: dict) -> UncertaintySet:
-    wasserstein = doc.get("kind") == "wasserstein"
-    _known_fields("uncertainty", doc, ("kind", "delta", "l", "metric") if wasserstein else ("kind", "delta"))
-    for name in ("delta", "l"):
-        if name in doc and not _is_number(doc[name]):
-            raise ConfigError(f"uncertainty.{name} must be a JSON number, got {doc[name]!r}")
     try:
         return uncertainty_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad uncertainty config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
@@ -291,9 +293,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
     Every input is built and checked before the planner or any seed runs, so a bad config field
     fails at once. Learners and planners are looked up as module names at call time.
     """
-    command, algorithm = ("control", "q") if control else ("eval", "td")
-    if cfg.algorithm != algorithm:
-        raise ConfigError(f"algorithm must be {algorithm!r} for {command}, got {cfg.algorithm!r}")
+    _check_algorithm(cfg, "control" if control else "eval")
+    if control and cfg.policy != "uniform":
+        raise ConfigError(f"policy is not read by control, which learns its own; got {cfg.policy!r}")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
@@ -351,6 +353,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     """Model-based baseline only; writes baseline.json with the planner's method, iterations and residual."""
+    _check_algorithm(cfg, "plan")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
@@ -388,8 +391,8 @@ def _perturbation_grid(cfg: ExperimentConfig):
     if family not in _SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep family {family!r}")
     _known_fields("sweep", sweep, ("family", "start_state", *_SWEEP_FIELDS[family]))
+    params = dict(cfg.environment.get("params", {}))
     if family == "recycling_robot":
-        params = dict(cfg.environment.get("params", {}))
         nominal_alpha = params.pop("alpha", 0.5)
         nominal_beta = params.pop("beta", 0.5)
         k = _integer("sweep.points_per_axis", sweep.get("points_per_axis", 3), 1)
@@ -399,14 +402,12 @@ def _perturbation_grid(cfg: ExperimentConfig):
             mdps = [envs.recycling_robot(a, b, **params) for a in alphas for b in betas]
             yield float(x), mdps
     elif family == "inventory_b":
-        params = dict(cfg.environment.get("params", {}))
         capacity = int(params.get("capacity", 16))
         m = _integer("sweep.m", sweep.get("m", 0), 0)
         for b in sweep.get("b_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
             demand = envs.inventory_perturbed_demand(m, float(b), capacity + 1)
             yield float(b), [envs.inventory(**{**params, "demand": demand})]
     elif family == "inventory_m":
-        params = dict(cfg.environment.get("params", {}))
         capacity = int(params.get("capacity", 16))
         b = float(sweep.get("b", 0.25))
         for m in sweep.get("m_grid", list(range(capacity))):
@@ -427,6 +428,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     The non-robust learner is the same control loop with a zero-radius
     (singleton) uncertainty set, i.e. vanilla synchronous Q-learning.
     """
+    _check_algorithm(cfg, "sweep")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
@@ -499,6 +501,7 @@ def _support_check_options(opts: dict) -> tuple[int, int, list[float], int]:
 
 
 def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
+    """One {check, metric, value, passed} row per check."""
     n_instances, resolution, deltas, mlmc_draws = _support_check_options(cfg.support_check)
     rng = seed_stream(cfg.base_seed, 9000)
     rows = []
@@ -511,14 +514,8 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
         v = rng.normal(0.0, 1.0, size=4)
         closed = (1 - spec.delta) * p @ v + spec.delta * v.min()
         worst_closed = max(worst_closed, abs(spec.support(p, v) - closed))
-    rows.append(
-        {
-            "check": "closed-form-agreement/contamination",
-            "metric": f"max |exact - closed form| = {worst_closed:.2e} vs 1e-9",
-            "value": worst_closed,
-            "passed": bool(worst_closed <= 1e-9),
-        }
-    )
+    metric = f"max |exact - closed form| = {worst_closed:.2e} vs 1e-9"
+    rows.append(("closed-form-agreement/contamination", metric, worst_closed, worst_closed <= 1e-9))
     tol_factor = 0.02 * (200.0 / resolution)
     for name in ("tv", "chi2", "kl", "wasserstein"):
         worst = 0.0
@@ -530,14 +527,8 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
             oracle = support_oracle_grid(spec, p, v, resolution)
             tol = tol_factor * max(np.abs(v).max(), 1e-12)
             worst = max(worst, abs(exact - oracle) / tol)
-        rows.append(
-            {
-                "check": f"oracle-agreement/{name}",
-                "metric": f"max |exact - grid| / ({tol_factor:.3g} ||V||) = {worst:.3f}",
-                "value": worst,
-                "passed": bool(worst <= 1.0),
-            }
-        )
+        metric = f"max |exact - grid| / ({tol_factor:.3g} ||V||) = {worst:.3f}"
+        rows.append((f"oracle-agreement/{name}", metric, worst, worst <= 1.0))
     # unbiasedness of the multi-level estimator on a fixed three-state row
     p = np.array([0.2, 0.3, 0.5])
     v = np.array([0.0, 1.0, 2.0])
@@ -551,33 +542,22 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
         vals, _ = sigma_hat_for_pairs(source, spec, np.zeros((mlmc_draws, 2), dtype=np.int64), v, mlmc, rng)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         gap = abs(vals.mean() - exact)
-        rows.append(
-            {
-                "check": f"mlmc-unbiased/{name}",
-                "metric": f"|mean - exact| = {gap:.4g} vs 3*SE = {3 * se:.4g}",
-                "value": gap / max(3 * se, 1e-300),
-                "passed": bool(gap <= 3 * se),
-            }
-        )
+        metric = f"|mean - exact| = {gap:.4g} vs 3*SE = {3 * se:.4g}"
+        rows.append((f"mlmc-unbiased/{name}", metric, gap / max(3 * se, 1e-300), gap <= 3 * se))
     # negative control: a deliberately corrupted radius must be caught
     spec_good = TotalVariation(0.3)
     spec_bad = TotalVariation(0.6)
     p = np.array([0.4, 0.3, 0.2, 0.1])
     v = np.array([0.0, 1.0, 2.0, 3.0])
     gap = abs(spec_good.support(p, v) - support_oracle_grid(spec_bad, p, v, resolution))
-    rows.append(
-        {
-            "check": "negative-control/corrupted-delta",
-            "metric": f"measured gap {gap:.4g} must exceed 0.02 ||V||",
-            "value": gap,
-            "passed": bool(gap > 0.02 * np.abs(v).max()),
-        }
-    )
-    return rows
+    metric = f"measured gap {gap:.4g} must exceed 0.02 ||V||"
+    rows.append(("negative-control/corrupted-delta", metric, gap, gap > 0.02 * np.abs(v).max()))
+    return [{"check": check, "metric": m, "value": value, "passed": bool(ok)} for check, m, value, ok in rows]
 
 
 def run_support_check(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
     """Oracle-agreement and estimator-unbiasedness table; returns (report, ok)."""
+    _check_algorithm(cfg, "support-check")
     os.makedirs(out_dir, exist_ok=True)
     rows = _support_check_rows(cfg)
     ok = all(r["passed"] for r in rows)

@@ -8,8 +8,11 @@ balls, and Wasserstein balls over a state metric. The module provides:
   ``solve`` also returns the chi-square, KL and Wasserstein duals.
 - Worst-case rows recovered from optimality conditions, exact for every
   family. ``worst_row`` takes one row or a batch of rows.
+- Membership: ``distance(p, qs)`` is, per row q, the least radius whose ball
+  around p holds q, so every ball is exactly {q : distance(p, q) <= delta}.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
-  q.v over all simplex grid points satisfying the set constraint.
+  q.v over the simplex grid points within ``distance`` delta of p. The grid
+  has any number of states, up to a cap on its point count.
 
 All solvers are pure functions of immutable inputs. Batched paths and scalar
 paths share one implementation, so repeated evaluation is reproducible.
@@ -17,6 +20,7 @@ paths share one implementation, so repeated evaluation is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,8 @@ NEWTON_ITERS = 100
 # KL root search also stops at |f| <= 4 ulps of the terms of f, which sum to about 2 |log z| near the root
 ROUNDOFF = 8 * np.finfo(float).eps
 _BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
+GRID_POINTS = 1_500_000  # largest oracle grid; n = 4 states at resolution 200 has 1,373,701 points
+LP_ROWS = 12_341  # most transport LPs in one general-metric distance call: n = 4 at resolution 40
 
 
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -54,9 +60,16 @@ def _worst_row_inputs(p, v) -> tuple[np.ndarray, np.ndarray]:
     return _as_batch(_check_simplex(p, batch=True)), np.asarray(v, dtype=float)
 
 
+def _support_split(p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p on its support, the rows of qs there, and which rows put at most 1e-15 off it."""
+    p, qs = np.asarray(p, dtype=float), _as_batch(qs)
+    mask = p > 0
+    return p[mask], qs[:, mask], np.all(qs[:, ~mask] <= 1e-15, axis=1)
+
+
 @dataclass
 class UncertaintySet:
-    """Shared interface: ``support``, ``support_batch``, ``worst_row``; a ball of radius delta."""
+    """Shared interface: ``support``, ``support_batch``, ``worst_row``, ``distance``; a ball of radius delta."""
 
     delta: float
     kind = "abstract"
@@ -74,6 +87,10 @@ class UncertaintySet:
 
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A minimizing row in the ball around p; a (B, S) batch gives one per row."""
+        raise NotImplementedError
+
+    def distance(self, p: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Per row q of qs, the least radius whose ball around p holds q; shape (len(qs),)."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -100,6 +117,11 @@ class Contamination(UncertaintySet):
         q = (1.0 - self.delta) * rows
         q[:, int(np.argmin(v))] += self.delta
         return q.reshape(np.shape(p))
+
+    def distance(self, p, qs):
+        """max over supp(p) of (p_i - q_i) / p_i: the least delta with q >= (1 - delta) p."""
+        p, q, _ = _support_split(p, qs)
+        return ((p - q) / p).max(axis=1)
 
 
 class TotalVariation(UncertaintySet):
@@ -136,6 +158,9 @@ class TotalVariation(UncertaintySet):
         q[:, order] -= moved
         q[:, int(np.argmin(v))] += moved.sum(axis=1)
         return q.reshape(np.shape(p))
+
+    def distance(self, p, qs):
+        return 0.5 * np.abs(_as_batch(qs) - np.asarray(p, dtype=float)).sum(axis=1)
 
 
 class ChiSquare(UncertaintySet):
@@ -213,12 +238,14 @@ class ChiSquare(UncertaintySet):
         q = np.where(1.0 - p_min <= self.delta * p_min, np.where(argmin, rows, 0.0) / p_min, q)
         return q.reshape(np.shape(p))
 
-    @staticmethod
-    def divergence(q, p):
-        mask = p > 0
-        if np.any(q[~mask] > 1e-15):
-            return np.inf
-        return float(np.sum((q[mask] - p[mask]) ** 2 / p[mask]))
+    def distance(self, p, qs):
+        """sum_i (q_i - p_i)^2 / p_i over supp(p); inf where q puts mass off it."""
+        p, q, inside = _support_split(p, qs)
+        return np.where(inside, np.sum((q - p) ** 2 / p, axis=1), np.inf)
+
+    def divergence(self, q, p):
+        """``distance`` of one row q, in the (q, p) order the benchmark's ball check calls."""
+        return float(self.distance(p, q)[0])
 
 
 def _tilt_root(p, u, delta):
@@ -328,12 +355,14 @@ class KLDivergence(UncertaintySet):
         q /= q.sum(axis=1, keepdims=True)
         return q.reshape(np.shape(p))
 
-    @staticmethod
-    def divergence(q, p):
-        mask = q > 0
-        if np.any(p[mask] <= 0):
-            return np.inf
-        return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
+    def distance(self, p, qs):
+        """KL(q || p), with 0 log 0 = 0; inf where q puts mass off supp(p)."""
+        p, q, inside = _support_split(p, qs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(q > 0, q * np.log(q / p), 0.0)
+        return np.where(inside, terms.sum(axis=1), np.inf)
+
+    divergence = ChiSquare.divergence  # reads this family's own ``distance``
 
 
 def line_metric(n: int) -> np.ndarray:
@@ -386,9 +415,6 @@ class Wasserstein(UncertaintySet):
         dl = d**self.order
         self._pow_cache[n] = dl
         return dl
-
-    def uses_line_metric(self, n: int) -> bool:
-        return self.metric is None or np.array_equal(self.metric, line_metric(n))
 
     @staticmethod
     def _kinks(u, dl):
@@ -461,20 +487,30 @@ class Wasserstein(UncertaintySet):
         q += np.bincount((flat + y_hi).ravel(), (theta[:, None] * rows).ravel(), b * n)
         return q.reshape(np.shape(p))
 
+    def distance(self, p, qs):
+        """W_l(p, q) per row: the CDF formula on the line metric, else one transport LP per row."""
+        p, qs = np.asarray(p, dtype=float), _as_batch(qs)
+        n = p.shape[0]
+        pow_l = np.empty(qs.shape[0])
+        if self.metric is None or np.array_equal(self.metric, line_metric(n)):
+            step = max(1, _BLOCK // (2 * n * n))
+            for start in range(0, qs.shape[0], step):
+                pow_l[start : start + step] = _wasserstein_pow_line(p, qs[start : start + step], self.order)
+            return pow_l ** (1.0 / self.order)
+        if qs.shape[0] > LP_ROWS:
+            raise ValueError(f"general-metric distance limited to {LP_ROWS} rows per call, got {qs.shape[0]}")
+        cost = self._dl(n).reshape(-1)  # plan entry x * n + y moves mass from x to y
+        a_eq = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+        for k, q in enumerate(qs):
+            res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate([p, q]), method="highs")
+            if not res.success:
+                raise RuntimeError(f"transport LP failed: {res.message}")
+            pow_l[k] = res.fun
+        return pow_l ** (1.0 / self.order)
+
     def distance_pow(self, p, q):
-        """W_l(p, q)^l via the transport LP (used by the oracle for general metrics)."""
-        n = len(p)
-        dl = self._dl(n)
-        c = dl.reshape(-1)
-        a_eq = np.zeros((2 * n, n * n))
-        for x in range(n):
-            a_eq[x, x * n : (x + 1) * n] = 1.0
-        for y in range(n):
-            a_eq[n + y, y::n] = 1.0
-        res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([p, q]), bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
-        return float(res.fun)
+        """W_l(p, q)^l for one row q, as the benchmark's ball check reads it."""
+        return float(self.distance(p, q)[0]) ** self.order
 
     def to_json_dict(self):
         doc = {**super().to_json_dict(), "l": self.order}
@@ -486,41 +522,50 @@ class Wasserstein(UncertaintySet):
 FAMILIES = {cls.kind: cls for cls in (Contamination, TotalVariation, ChiSquare, KLDivergence, Wasserstein)}
 
 
+def is_json_number(value) -> bool:
+    """A JSON number: an int or float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def uncertainty_from_json(doc: dict) -> UncertaintySet:
-    kind = doc["kind"]
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown uncertainty set kind {kind!r}")
+    """The set a ``to_json_dict`` document describes; a ValueError names the field it rejects."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"uncertainty must be a JSON object, got {doc!r}")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise ValueError(f"uncertainty.kind must be one of {sorted(FAMILIES)}, got {kind!r}")
+    fields = ("kind", "delta", "l", "metric") if kind == "wasserstein" else ("kind", "delta")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"uncertainty has unknown field(s) {unknown}; expected some of {sorted(fields)}")
+    for name, value in (("delta", doc.get("delta")), ("l", doc.get("l", 1.0))):
+        if not is_json_number(value):
+            raise ValueError(f"uncertainty.{name} must be a JSON number, got {value!r}")
     extra = {"order": float(doc.get("l", 1.0)), "metric": doc.get("metric")} if kind == "wasserstein" else {}
-    return FAMILIES[kind](float(doc["delta"]), **extra)
+    try:
+        return FAMILIES[kind](float(doc["delta"]), **extra)
+    except (TypeError, ValueError) as exc:  # the set's own checks of its radius, order and metric
+        raise ValueError(f"bad uncertainty config: {exc}") from exc
 
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """All probability rows with entries that are multiples of 1/resolution."""
+    """All probability rows with entries that are multiples of 1/resolution, in lexicographic order."""
     cached = _GRID_CACHE.get((n, resolution))
     if cached is not None:
         return cached
     r = resolution
-    if n == 1:
-        grid = np.ones((1, 1))
-    elif n == 2:
-        i = np.arange(r + 1)
-        grid = np.stack([i, r - i], axis=1) / r
-    elif n == 3:
-        i, j = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
-        mask = i + j <= r
-        i, j = i[mask], j[mask]
-        grid = np.stack([i, j, r - i - j], axis=1) / r
-    elif n == 4:
-        rng = np.arange(r + 1, dtype=np.int32)
-        i, j, k = np.meshgrid(rng, rng, rng, indexing="ij")
-        mask = (i.astype(np.int64) + j + k) <= r
-        i, j, k = i[mask], j[mask], k[mask]
-        grid = np.stack([i, j, k, r - i - j - k], axis=1).astype(float) / r
-    else:
-        raise ValueError(f"grid oracle limited to 4 states, got {n}")
+    points = math.comb(r + n - 1, n - 1)  # stars and bars: r units over n states
+    if points > GRID_POINTS:
+        raise ValueError(f"grid of {points} points for {n} states at resolution {r}; the cap is {GRID_POINTS}")
+    head = np.zeros((1, 0), dtype=np.int64)  # every feasible choice of the leading entries
+    for _ in range(n - 1):
+        room = r - head.sum(axis=1) + 1  # choices for the next entry: 0 .. what is left
+        first = np.cumsum(room) - room
+        head = np.column_stack([np.repeat(head, room, axis=0), np.arange(room.sum()) - np.repeat(first, room)])
+    grid = np.column_stack([head, r - head.sum(axis=1)]) / r
     grid.setflags(write=False)
     _GRID_CACHE[(n, resolution)] = grid
     return grid
@@ -546,42 +591,15 @@ def _wasserstein_pow_line(p: np.ndarray, qs: np.ndarray, order: float) -> np.nda
 def support_oracle_grid(
     spec: UncertaintySet, p: np.ndarray, v: np.ndarray, resolution: int, feas_tol: float = 1e-9
 ) -> float:
-    """Brute-force oracle: min q.v over feasible grid points of the simplex.
+    """Brute-force oracle: min q.v over the simplex grid points within ``distance`` delta of p.
 
     Independent of the exact solvers; converges to the support value from
-    above as the resolution grows. Limited to 4 states.
+    above as the resolution grows. The grid holds at most ``GRID_POINTS`` points.
     """
     p = _check_simplex(p)
     v = np.asarray(v, dtype=float)
-    n = p.shape[0]
-    qs = _simplex_grid(n, resolution)
-    if isinstance(spec, Contamination):
-        feasible = np.all(qs >= (1.0 - spec.delta) * p[None, :] - feas_tol, axis=1)
-    elif isinstance(spec, TotalVariation):
-        feasible = 0.5 * np.abs(qs - p[None, :]).sum(axis=1) <= spec.delta + feas_tol
-    elif isinstance(spec, ChiSquare):
-        mask = p > 0
-        div = np.sum((qs[:, mask] - p[mask]) ** 2 / p[mask], axis=1)
-        feasible = (div <= spec.delta + feas_tol) & np.all(qs[:, ~mask] <= 1e-15, axis=1)
-    elif isinstance(spec, KLDivergence):
-        mask = p > 0
-        safe = np.where(qs[:, mask] > 0, qs[:, mask], 1.0)
-        div = np.sum(safe * np.log(safe / p[mask]), axis=1)
-        feasible = (div <= spec.delta + feas_tol) & np.all(qs[:, ~mask] <= 1e-15, axis=1)
-    elif isinstance(spec, Wasserstein):
-        cap = spec.delta**spec.order + feas_tol
-        if spec.uses_line_metric(n):
-            chunks = []
-            for start in range(0, qs.shape[0], 100_000):
-                block = qs[start : start + 100_000]
-                chunks.append(_wasserstein_pow_line(p, block, spec.order) <= cap)
-            feasible = np.concatenate(chunks)
-        else:
-            if resolution > 40:
-                raise ValueError("general-metric oracle limited to resolution <= 40")
-            feasible = np.array([spec.distance_pow(p, q) <= cap for q in qs])
-    else:
-        raise ValueError(f"no oracle for {type(spec).__name__}")
+    qs = _simplex_grid(p.shape[0], resolution)
+    feasible = spec.distance(p, qs) <= spec.delta + feas_tol
     if not feasible.any():
         raise RuntimeError("no feasible grid point; increase the resolution")
     return float((qs[feasible] @ v).min())

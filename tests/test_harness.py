@@ -431,13 +431,19 @@ class TestCli:
             ("sweep", "sweep", {"family": "one_loop_mix", "b_grid": [0.5]}, "bad sweep config: sweep has unknown"),
             ("support-check", "support_check", {"instance": 2}, "support_check has unknown field(s) ['instance']"),
             ("control", "algorithm", "td", "algorithm must be 'q' for control"),
+            ("eval", "algorithm", "support-check", "algorithm must be 'td' for eval"),
+            ("plan", "algorithm", "q", "algorithm must be 'planner' for plan"),
+            ("sweep", "algorithm", "q", "algorithm must be 'robustness-sweep' for sweep"),
+            ("support-check", "algorithm", "planner", "algorithm must be 'support-check' for support-check"),
+            ("control", "policy", [[0.5, 0.5], [0.5, 0.5]], "policy is not read by control"),
         ],
     )
     def test_exit_one_on_bad_section(self, tmp_path, capsys, command, field, value, message):
+        algorithm = {"eval": "td", "control": "q", "plan": "planner", "sweep": "robustness-sweep"}
         doc = {
             "environment": {"id": "one_loop"},
             "uncertainty": {"kind": "contamination", "delta": 0.4},
-            "algorithm": "robustness-sweep" if command == "sweep" else "support-check",
+            "algorithm": algorithm.get(command, "support-check"),
             "n_iters": 20,
             field: value,
         }

@@ -6,6 +6,7 @@ import pathlib
 import re
 
 import rarl
+from rarl.uncertainty import FAMILIES
 
 PACKAGE = pathlib.Path(rarl.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -106,3 +107,14 @@ def test_unread_module_name_lint_catches_leftovers():
     found = unread_module_names(sources)
     assert len(found) == 2
     assert "defines 'GOLDEN'" in found[0] and "defines '_bracket_top'" in found[1]
+
+
+def test_every_family_defines_the_set_interface():
+    # a family that inherited the base NotImplementedError could not reach the oracle or a ball check
+    missing = [
+        f"{cls.__name__}.{method}"
+        for cls in FAMILIES.values()
+        for method in ("support_batch", "worst_row", "distance")
+        if method not in vars(cls)
+    ]
+    assert not missing

@@ -1,11 +1,16 @@
 """Tests for the ambiguity-set support functions, duals, and the grid oracle."""
 
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import logsumexp
 
 from rarl import uncertainty
+from rarl.environments import garnet
 from rarl.uncertainty import (
     ChiSquare,
     Contamination,
@@ -185,7 +190,15 @@ class TestWorstRows:
                 "KLDivergence": 1e-9 * scale,
                 "Wasserstein": 1e-9 * scale,
             }
-            for spec in families(DELTAS[trial % 3]):
+            delta = DELTAS[trial % 3]
+            ball_tol = {  # how far past the radius a worst row may lie
+                "Contamination": 1e-9,
+                "TotalVariation": 1e-9,
+                "ChiSquare": 1e-8,
+                "KLDivergence": 1e-8,
+                "Wasserstein": 1e-9 * delta,
+            }
+            for spec in families(delta):
                 name = type(spec).__name__
                 q = spec.worst_row(p, v)
                 assert q.min() >= -1e-12 and q.sum() == pytest.approx(1.0, abs=1e-8)
@@ -194,14 +207,7 @@ class TestWorstRows:
                 tol = exact_tol[name]  # attains the support value
                 assert value >= target - 1e-8
                 assert value - target <= tol
-                if isinstance(spec, Contamination):
-                    assert np.all(q >= (1 - spec.delta) * p - 1e-9)
-                elif isinstance(spec, TotalVariation):
-                    assert 0.5 * np.abs(q - p).sum() <= spec.delta + 1e-9
-                elif isinstance(spec, (ChiSquare, KLDivergence)):
-                    assert spec.divergence(q, p) <= spec.delta + 1e-8
-                else:
-                    assert spec.distance_pow(p, q) <= spec.delta**spec.order * (1.0 + 1e-9)
+                assert spec.distance(p, q[None, :])[0] <= spec.delta + ball_tol[name]
 
 
 class TestGridOracle:
@@ -231,8 +237,53 @@ class TestGridOracle:
             assert coarse >= fine - 1e-9 >= exact - 1e-7
 
     def test_rejects_large_state_spaces(self):
-        with pytest.raises(ValueError):
-            support_oracle_grid(TotalVariation(0.1), np.ones(5) / 5, np.zeros(5), 10)
+        # 5 states at resolution 200 is a 70,058,751-point grid: refused from its count, before allocating
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="70058751 points"):
+                support_oracle_grid(TotalVariation(0.1), np.ones(5) / 5, np.zeros(5), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_is_every_lattice_point_once(self):
+        for n, resolution in ((1, 7), (2, 5), (3, 10), (5, 10)):
+            grid = uncertainty._simplex_grid(n, resolution)
+            assert grid.shape == (math.comb(resolution + n - 1, n - 1), n)
+            counts = np.rint(grid * resolution)
+            np.testing.assert_array_equal(counts.sum(axis=1), resolution)
+            assert counts.min() >= 0
+            # lexicographic order, hence no repeats
+            assert all(tuple(a) < tuple(b) for a, b in zip(counts[:-1], counts[1:]))
+
+    def test_general_metric_row_cap_checked_before_any_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(uncertainty, "linprog", lambda *args, **kwargs: calls.append(args))
+        spec = Wasserstein(0.5, metric=1.0 - np.eye(4))  # not the line metric: one LP per grid point
+        # resolution 41 has 13,244 points, over the 12,341 of resolution 40
+        with pytest.raises(ValueError, match="12341 rows"):
+            support_oracle_grid(spec, np.ones(4) / 4, np.zeros(4), 41)
+        assert calls == []
+
+    def test_kl_keeps_points_with_zeros_inside_supp_p(self):
+        # the worst row [0.5, 0.5, 0] has KL = log(1.25) = 0.223 <= 0.3: q_3 = 0 < p_3 adds nothing
+        spec = KLDivergence(0.3)
+        p, v = np.array([0.4, 0.4, 0.2]), np.array([0.0, 0.0, 1.0])
+        assert spec.distance(p, np.array([[0.5, 0.5, 0.0]]))[0] == pytest.approx(np.log(1.25), abs=1e-15)
+        assert spec.support(p, v) == pytest.approx(0.0, abs=1e-12)
+        assert support_oracle_grid(spec, p, v, 10) == 0.0
+
+    def test_five_state_garnet_rows(self):
+        kernel = garnet(5, 3, seed=254).kernel.reshape(-1, 5)
+        rng = np.random.default_rng(254)
+        for i, p in enumerate(kernel[:6]):
+            v = rng.normal(0.0, 1.0, size=5)
+            for spec in families(DELTAS[i % 3])[1:]:
+                exact = spec.support(p, v)
+                oracle = support_oracle_grid(spec, p, v, 40)
+                assert oracle >= exact - 1e-9
+                assert oracle - exact <= 0.1 * np.abs(v).max()
 
     def test_general_metric_wasserstein(self):
         metric = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
@@ -263,6 +314,21 @@ class TestJsonRoundTrip:
         assert uncertainty_from_json({"kind": "wasserstein", "delta": 0.4, "l": 2.0}).order == 2.0
         with pytest.raises(ValueError):
             uncertainty_from_json({"kind": "nope", "delta": 0.1})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"kind": "tv", "delta": "0.2", "l": 3, "typo": 1}, "['l', 'typo']"),
+            ({"kind": "tv", "delta": "0.2"}, "uncertainty.delta"),
+            ({"kind": "kl", "delta": True}, "uncertainty.delta"),
+            ({"kind": "wasserstein", "delta": 0.2, "l": "2"}, "uncertainty.l"),
+            ({"kind": "chi2"}, "uncertainty.delta"),
+            ({"delta": 0.2}, "uncertainty.kind"),
+        ],
+    )
+    def test_rejects_malformed_documents(self, doc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            uncertainty_from_json(doc)
 
 
 def _chi2_reference(p, v, delta):
