@@ -429,6 +429,10 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     (singleton) uncertainty set, i.e. vanilla synchronous Q-learning.
     """
     _check_algorithm(cfg, "sweep")
+    # the sweep trains its own two policies, one seed each
+    for name, default in (("policy", "uniform"), ("n_seeds", 1)):
+        if getattr(cfg, name) != default:
+            raise ConfigError(f"{name} is not read by sweep, which trains its own policies; got {getattr(cfg, name)!r}")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
     spec = build_uncertainty(cfg.uncertainty)
@@ -558,6 +562,9 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
 def run_support_check(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
     """Oracle-agreement and estimator-unbiasedness table; returns (report, ok)."""
     _check_algorithm(cfg, "support-check")
+    # the check draws its own instances, but a config's sections are checked like any command's
+    build_environment(cfg.environment)
+    build_uncertainty(cfg.uncertainty)
     os.makedirs(out_dir, exist_ok=True)
     rows = _support_check_rows(cfg)
     ok = all(r["passed"] for r in rows)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
@@ -244,19 +242,19 @@ def stationary_distribution(p: np.ndarray, tol: float = 1e-12, max_iters: int = 
 def is_unichain(p: np.ndarray, support_eps: float = SUPPORT_EPS) -> bool:
     """True iff the chain has exactly one closed recurrent class.
 
-    Decided on the support graph (entries above support_eps): condense into
-    strongly connected components and count components with no outgoing edge.
+    Decided on the support graph (entries above support_eps) by its dense
+    reachability closure: (P > eps) | I squared until it stops changing. Some
+    state is then reachable from every state (an all-true column) iff exactly
+    one class is closed: every state reaches a closed class, and a state that
+    every closed class reaches lies in each of them.
     """
     p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    graph = sp.csr_matrix(p > support_eps)
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    closed = np.ones(n_comp, dtype=bool)
-    src, dst = (p > support_eps).nonzero()
-    for i, j in zip(labels[src], labels[dst]):
-        if i != j:
-            closed[i] = False
-    return int(closed.sum()) == 1
+    reach = (p > support_eps) | np.eye(p.shape[0], dtype=bool)
+    while True:
+        longer = reach @ reach  # boolean product: paths of up to twice the length
+        if np.array_equal(longer, reach):
+            return bool(reach.all(axis=0).any())
+        reach = longer
 
 
 def gain_and_bias(

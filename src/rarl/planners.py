@@ -1,22 +1,25 @@
 """Model-based planning oracles for worst-case average reward.
 
 Robust policy iteration provides ground truth for both policy evaluation and
-optimal control. For a fixed value v, ``worst_case_kernel`` gives the exact
-worst kernel in one batched call; evaluating the policy exactly under that
-kernel (one linear solve) gives the next v (Iyengar 2005; Ho, Petrik &
-Wiesemann 2021). Control improves the policy greedily around that inner loop.
-Runs terminate on the sup-norm robust Bellman residual, so every returned
-solution carries its own certificate. When a worst kernel is multichain or
-policy iteration does not certify within a fixed number of steps, the call
-runs one damped relative value iteration loop instead, on the value vector for
-evaluation and on the Q table for control: iterates are damped with a
-half-step (the aperiodicity transformation, which leaves fixed points and
-gains unchanged), re-centered by the offset each sweep, and stopped on the
-same residual. ``FiniteKernelSet`` is an uncertainty set given as an explicit
-finite collection of kernels, answering the same batched ``support_batch`` /
-``worst_row`` calls as the parametric families; it exists to reproduce the
-two-kernel counterexample instance. ``finite_set_enumeration`` evaluates each
-kernel exactly and returns the worst gain with all minimizers.
+optimal control. Each step makes one batched ``support_and_worst`` call at the
+current value v, which gives the support table that certifies v and the exact
+worst kernel; evaluating the policy exactly under that kernel (one linear
+solve) gives the next v (Iyengar 2005; Ho, Petrik & Wiesemann 2021). Control
+improves the policy greedily around that inner loop and hands the last kernel
+on to the next policy's evaluation. Runs terminate on the sup-norm robust
+Bellman residual, so every returned solution carries its own certificate.
+When a worst kernel is multichain or policy iteration does not certify within
+a fixed number of steps, the call runs one damped relative value iteration
+loop instead, on the value vector for evaluation and on the Q table for
+control: iterates are damped with a half-step (the aperiodicity
+transformation, which leaves fixed points and gains unchanged), re-centered
+by the offset each sweep, and stopped on the same residual.
+``FiniteKernelSet`` is an uncertainty set given as an explicit finite
+collection of kernels, answering the same batched ``support_batch`` /
+``worst_row`` / ``support_and_worst`` calls as the parametric families; it
+exists to reproduce the two-kernel counterexample instance.
+``finite_set_enumeration`` evaluates each kernel exactly and returns the
+worst gain with all minimizers.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ class FiniteKernelSet:
     """An explicit finite collection of kernels, (s,a)-rectangular: the support of a pair is the
     minimum of q.v over the pair's rows in the collection.
 
-    Like the parametric families it answers ``support_batch`` and ``worst_row``, but only for the
-    batch it is built around, the MDP's S*A nominal rows in s-major order. Each pair keeps its rows
-    in lexicographic order, so a tie goes to the smallest row.
+    Like the parametric families it answers ``support_batch``, ``worst_row`` and ``support_and_worst``,
+    but only for the batch it is built around, the MDP's S*A nominal rows in s-major order. Each pair
+    keeps its rows in lexicographic order, so a tie goes to the smallest row.
     """
 
     kind = "finite"
@@ -64,12 +67,23 @@ class FiniteKernelSet:
         return self._values(rows, v).min(axis=1)
 
     def worst_row(self, rows, v):
-        return self.rows[np.arange(len(self.rows)), self._values(rows, v).argmin(axis=1)]
+        return self.support_and_worst(rows, v)[1]
+
+    def support_and_worst(self, rows, v):
+        values = self._values(rows, v)
+        pairs, best = np.arange(len(self.rows)), values.argmin(axis=1)
+        return values[pairs, best], self.rows[pairs, best]
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
     """Kernel assembled from worst-case rows for the given value vector, in one ``worst_row`` call."""
     return uset.worst_row(mdp.kernel.reshape(-1, mdp.n_states), np.asarray(v, dtype=float)).reshape(mdp.kernel.shape)
+
+
+def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``support_table`` and ``worst_case_kernel`` at v, from one ``support_and_worst`` call."""
+    sigma, worst = uset.support_and_worst(mdp.kernel.reshape(-1, mdp.n_states), np.asarray(v, dtype=float))
+    return sigma.reshape(mdp.n_states, mdp.n_actions), worst.reshape(mdp.kernel.shape)
 
 
 # Exact solves a planner call may spend in policy iteration before it falls back to RVI, and the
@@ -83,8 +97,8 @@ class PlannerResult:
     """Certified worst-case gain and value of a fixed policy.
 
     ``method`` is ``"policy-iteration"``, or ``"rvi"`` after a fallback;
-    ``iterations`` counts policy-iteration steps (one worst kernel and one
-    exact linear solve each), or RVI sweeps after a fallback.
+    ``iterations`` counts policy-iteration steps (one exact linear solve and
+    one support-and-worst-row solve each), or RVI sweeps after a fallback.
     """
 
     gain: float
@@ -110,23 +124,25 @@ def _control_operator(mdp, uset):
     return lambda q: mdp.reward + support_table(mdp, uset, q.max(axis=1))
 
 
-def _pi_eval(mdp, policy, uset, offset, tol, v, max_steps):
-    """Robust policy iteration for a fixed policy, warm-started at ``v``.
+def _pi_eval(mdp, policy, uset, offset, tol, kernel, max_steps):
+    """Robust policy iteration for a fixed policy, warm-started at the worst ``kernel`` of some v.
 
-    Each step evaluates the policy exactly under the worst kernel for the
-    current value. Returns the certified result with the support table at its
-    value, or None when a worst kernel's chain is multichain or singular or no
-    step certifies within ``max_steps``.
+    Each step evaluates the policy exactly under the current kernel, then takes
+    the support table and the worst kernel at the new value from one
+    ``support_and_worst`` call: the table certifies the value, and the kernel
+    drives the next step. Returns the certified result with the support table
+    and the worst kernel at its value, or None when a kernel's chain is
+    multichain or singular or no step certifies within ``max_steps``.
     """
     for step in range(1, max_steps + 1):
         try:
-            v = gain_and_bias(mdp.with_kernel(worst_case_kernel(mdp, uset, v)), policy, offset).bias
+            v = gain_and_bias(mdp.with_kernel(kernel), policy, offset).bias
         except (MultichainError, np.linalg.LinAlgError, ConvergenceError):
             return None
-        sigma = support_table(mdp, uset, v)
+        sigma, kernel = _support_and_worst(mdp, uset, v)
         g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
         if residual <= tol:
-            return PlannerResult(float(g), v, step, residual, "policy-iteration"), sigma
+            return PlannerResult(float(g), v, step, residual, "policy-iteration"), sigma, kernel
     return None
 
 
@@ -173,7 +189,8 @@ def robust_rvi_eval(
     sweep 2^j (j >= 6) is no lower than after sweep 2^(j-1).
     """
     offset = offset or OffsetFn.mean()
-    solved = _pi_eval(mdp, policy, uset, offset, tol, np.zeros(mdp.n_states), _PI_MAX_STEPS)
+    kernel = _support_and_worst(mdp, uset, np.zeros(mdp.n_states))[1]
+    solved = _pi_eval(mdp, policy, uset, offset, tol, kernel, _PI_MAX_STEPS)
     if solved:
         return solved[0]
     return PlannerResult(*_rvi(_eval_operator(mdp, policy, uset), mdp.n_states, offset, tol), "rvi")
@@ -202,16 +219,15 @@ def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
     """
     rows = np.arange(mdp.n_states)
     actions = np.argmax(mdp.reward, axis=1)  # greedy at v = 0, where every support value is 0
-    v = np.zeros(mdp.n_states)
+    kernel = _support_and_worst(mdp, uset, np.zeros(mdp.n_states))[1]
     steps = 0
     while steps < _PI_MAX_STEPS:
         policy = Policy.deterministic(actions, mdp.n_actions)
-        solved = _pi_eval(mdp, policy, uset, offset, tol / 4, v, _PI_MAX_STEPS - steps)
+        solved = _pi_eval(mdp, policy, uset, offset, tol / 4, kernel, _PI_MAX_STEPS - steps)
         if solved is None:
             return None
-        ev, sigma = solved
+        ev, sigma, kernel = solved
         steps += ev.iterations
-        v = ev.value
         q = mdp.reward + sigma - ev.gain
         best = q.max(axis=1)
         greedy = np.where(q[rows, actions] >= best - tol / 4, actions, q.argmax(axis=1))

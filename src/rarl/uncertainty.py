@@ -7,7 +7,9 @@ balls, and Wasserstein balls over a state metric. The module provides:
 - Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows;
   ``solve`` also returns the chi-square, KL and Wasserstein duals.
 - Worst-case rows recovered from optimality conditions, exact for every
-  family. ``worst_row`` takes one row or a batch of rows.
+  family. ``worst_row`` takes one row or a batch of rows, and
+  ``support_and_worst`` returns a batch's support values and worst rows from
+  one solve.
 - Membership: ``distance(p, qs)`` is, per row q, the least radius whose ball
   around p holds q, so every ball is exactly {q : distance(p, q) <= delta}.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
@@ -69,7 +71,12 @@ def _support_split(p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class UncertaintySet:
-    """Shared interface: ``support``, ``support_batch``, ``worst_row``, ``distance``; a ball of radius delta."""
+    """Shared interface: ``support``, ``support_batch``, ``worst_row``, ``support_and_worst``, ``distance``;
+    a ball of radius delta.
+
+    Each family keeps ``support_batch`` and ``worst_row`` as methods of its own, thin wrappers over
+    the solve it shares with ``support_and_worst``, so each can be wrapped on its class alone.
+    """
 
     delta: float
     kind = "abstract"
@@ -87,6 +94,17 @@ class UncertaintySet:
 
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A minimizing row in the ball around p; a (B, S) batch gives one per row."""
+        raise NotImplementedError
+
+    def support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``support_batch(rows, v)`` and ``worst_row(rows, v)`` from one solve; on nonnegative rows
+        both equal those calls bit for bit."""
+        checked, v = _worst_row_inputs(rows, v)
+        values, q = self._support_and_worst(checked, v)
+        return values, q.reshape(np.shape(rows))
+
+    def _support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support values and worst rows of a checked (B, S) batch."""
         raise NotImplementedError
 
     def distance(self, p: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -113,10 +131,13 @@ class Contamination(UncertaintySet):
         return (1.0 - self.delta) * rows @ v + self.delta * v.min()
 
     def worst_row(self, p, v):
-        rows, v = _worst_row_inputs(p, v)
+        return self.support_and_worst(p, v)[1]
+
+    def _support_and_worst(self, rows, v):
         q = (1.0 - self.delta) * rows
+        values = q @ v + self.delta * v.min()
         q[:, int(np.argmin(v))] += self.delta
-        return q.reshape(np.shape(p))
+        return values, q
 
     def distance(self, p, qs):
         """max over supp(p) of (p_i - q_i) / p_i: the least delta with q >= (1 - delta) p."""
@@ -134,30 +155,31 @@ class TotalVariation(UncertaintySet):
     kind = "tv"
 
     def _transfer(self, rows, v):
-        """Greedy transfer onto argmin v: the states above min v, highest v first, and the mass
-        the first i of them give, capped at delta in total; shapes (k,) and (B, k)."""
+        """Greedy transfer onto argmin v: the support values, the states above min v, highest v
+        first, and the mass the first i of them give, capped at delta in total; shapes (B,), (k,)
+        and (B, k)."""
         order = np.argsort(-v, kind="stable")
         order = order[: np.count_nonzero(v > v.min())]
-        return order, np.minimum(np.cumsum(rows[:, order], axis=1), self.delta)
-
-    def support_batch(self, rows, v):
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
-        order, given = self._transfer(rows, v)
+        given = np.minimum(np.cumsum(rows[:, order], axis=1), self.delta)
         # sum_i (given_i - given_{i-1}) gap_i, summed by parts as sum_i given_i (gap_i - gap_{i+1})
         gap = v[order] - v.min()
         gap[:-1] -= gap[1:]
-        return rows @ v - given @ gap
+        return rows @ v - given @ gap, order, given
+
+    def support_batch(self, rows, v):
+        return self._transfer(_as_batch(rows), np.asarray(v, dtype=float))[0]
 
     def worst_row(self, p, v):
         """Greedy transfer: states above min v, highest first, give up to delta onto argmin v."""
-        rows, v = _worst_row_inputs(p, v)
-        order, given = self._transfer(rows, v)
+        return self.support_and_worst(p, v)[1]
+
+    def _support_and_worst(self, rows, v):
+        values, order, given = self._transfer(rows, v)
         moved = np.diff(given, axis=1, prepend=0.0)
         q = rows.copy()
         q[:, order] -= moved
         q[:, int(np.argmin(v))] += moved.sum(axis=1)
-        return q.reshape(np.shape(p))
+        return values, q
 
     def distance(self, p, qs):
         return 0.5 * np.abs(_as_batch(qs) - np.asarray(p, dtype=float)).sum(axis=1)
@@ -218,13 +240,16 @@ class ChiSquare(UncertaintySet):
         return self.solve(rows, v)[0]
 
     def worst_row(self, p, v):
-        rows, v = _worst_row_inputs(p, v)
+        return self.support_and_worst(p, v)[1]
+
+    def _support_and_worst(self, rows, v):
+        values, thresholds = self.solve(rows, v)
         if self.delta == 0.0:
-            return rows.reshape(np.shape(p)).copy()
+            return values, rows.copy()
         support = rows > 0.0
         argmin = support & (v == np.where(support, v, np.inf).min(axis=1, keepdims=True))
         p_min = np.where(argmin, rows, 0.0).sum(axis=1, keepdims=True)
-        w = np.minimum(v, self.solve(rows, v)[1][:, None])
+        w = np.minimum(v, thresholds[:, None])
         mean = (rows * w).sum(axis=1, keepdims=True)
         var = (rows * (w - mean) ** 2).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):  # var = 0 only on argmin-vertex rows
@@ -235,8 +260,7 @@ class ChiSquare(UncertaintySet):
             shrink = np.sqrt(self.delta / dist) * (1.0 - 1e-12)
             q = np.where(dist > self.delta, rows + shrink * (q - rows), q)
         # the argmin vertex of supp(p) has divergence 1/p_min - 1; it wins when that is <= delta
-        q = np.where(1.0 - p_min <= self.delta * p_min, np.where(argmin, rows, 0.0) / p_min, q)
-        return q.reshape(np.shape(p))
+        return values, np.where(1.0 - p_min <= self.delta * p_min, np.where(argmin, rows, 0.0) / p_min, q)
 
     def distance(self, p, qs):
         """sum_i (q_i - p_i)^2 / p_i over supp(p); inf where q puts mass off it."""
@@ -345,15 +369,17 @@ class KLDivergence(UncertaintySet):
 
     def worst_row(self, p, v):
         """The tilt q_alpha at the optimal alpha; p on the argmin states of supp(p) at alpha = 0."""
-        rows, v = _worst_row_inputs(p, v)
-        alphas = self.solve(rows, v)[1][:, None]
+        return self.support_and_worst(p, v)[1]
+
+    def _support_and_worst(self, rows, v):
+        values, alphas = self.solve(rows, v)
         support = rows > 0.0
         m = np.where(support, v, np.inf).min(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where(support & (v > m), (v - m) / alphas, 0.0)
+            gap = np.where(support & (v > m), (v - m) / alphas[:, None], 0.0)
         q = rows * np.exp(-gap)
         q /= q.sum(axis=1, keepdims=True)
-        return q.reshape(np.shape(p))
+        return values, q
 
     def distance(self, p, qs):
         """KL(q || p), with 0 log 0 = 0; inf where q puts mass off supp(p)."""
@@ -459,13 +485,16 @@ class Wasserstein(UncertaintySet):
 
     def worst_row(self, p, v):
         """Each p_x split between the argmin lines of phi_x at the optimal lambda."""
-        rows, v = _worst_row_inputs(p, v)
+        return self.support_and_worst(p, v)[1]
+
+    def _support_and_worst(self, rows, v):
+        values, lambdas = self.solve(rows, v)
         if self.delta == 0.0:
-            return rows.reshape(np.shape(p)).copy()
+            return values, rows.copy()
         b, n = rows.shape
         dl = self._dl(n)
         u = v - v.min()
-        lams, which = np.unique(self.solve(rows, v)[1], return_inverse=True)
+        lams, which = np.unique(lambdas, return_inverse=True)
         # the tied argmin lines of every phi_x, once per distinct optimal lambda
         y_lo = np.empty((lams.shape[0], n), dtype=np.intp)
         y_hi = np.empty_like(y_lo)
@@ -485,7 +514,7 @@ class Wasserstein(UncertaintySet):
         flat = np.arange(b)[:, None] * n
         q = np.bincount((flat + y_lo).ravel(), ((1.0 - theta)[:, None] * rows).ravel(), b * n)
         q += np.bincount((flat + y_hi).ravel(), (theta[:, None] * rows).ravel(), b * n)
-        return q.reshape(np.shape(p))
+        return values, q.reshape(b, n)
 
     def distance(self, p, qs):
         """W_l(p, q) per row: the CDF formula on the line metric, else one transport LP per row."""

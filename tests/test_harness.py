@@ -436,6 +436,10 @@ class TestCli:
             ("sweep", "algorithm", "q", "algorithm must be 'robustness-sweep' for sweep"),
             ("support-check", "algorithm", "planner", "algorithm must be 'support-check' for support-check"),
             ("control", "policy", [[0.5, 0.5], [0.5, 0.5]], "policy is not read by control"),
+            ("sweep", "policy", {"deterministic": [1, 1]}, "policy is not read by sweep"),
+            ("sweep", "n_seeds", 7, "n_seeds is not read by sweep"),
+            ("support-check", "environment", {"id": "nope"}, "bad environment config: unknown environment id 'nope'"),
+            ("support-check", "uncertainty", {"kind": "volcano"}, "uncertainty.kind must be one of"),
         ],
     )
     def test_exit_one_on_bad_section(self, tmp_path, capsys, command, field, value, message):

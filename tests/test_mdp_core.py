@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from rarl.environments import example_a, one_loop
 from rarl.mdp import (
+    SUPPORT_EPS,
     ConvergenceError,
     MultichainError,
     OffsetFn,
@@ -125,6 +128,46 @@ class TestIsUnichain:
 
     def test_transient_state(self):
         assert is_unichain(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @staticmethod
+    def closed_classes(p, eps):
+        """Independent reference: condense the support graph into strongly connected components
+        and count those with no edge leaving them."""
+        support = p > eps
+        n_comp, labels = connected_components(sp.csr_matrix(support), directed=True, connection="strong")
+        src, dst = support.nonzero()
+        leaving = labels[src] != labels[dst]
+        return n_comp - np.unique(labels[src][leaving]).size
+
+    def test_matches_scc_condensation(self):
+        rng = np.random.default_rng(31)
+        answers = []
+        for trial in range(2000):
+            n = int(rng.integers(1, 13))
+            kind = trial % 4
+            if kind == 0:  # sparse random support
+                p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+            elif kind == 1:  # periodic: a random permutation, cycles of any length
+                p = np.eye(n)[rng.permutation(n)]
+            elif kind == 2:  # closed blocks, each a cycle, and transient states feeding some of them
+                closed = int(rng.integers(1, n + 1))
+                cuts = rng.choice(np.arange(1, closed), size=int(rng.integers(0, min(3, closed))), replace=False)
+                p = np.zeros((n, n))
+                for block in np.split(np.arange(closed), np.sort(cuts)):
+                    p[block, np.roll(block, 1)] = 1.0
+                for s in range(closed, n):
+                    p[s, rng.choice(n, size=int(rng.integers(1, 3)))] = rng.random()
+            else:  # a dense chain thinned to a few edges per row
+                p = rng.dirichlet(np.full(n, 0.3), size=n)
+                p[p < np.quantile(p, rng.uniform(0.3, 0.9), axis=1, keepdims=True)] = 0.0
+            p[np.arange(n), rng.integers(n, size=n)] += (p.sum(axis=1) == 0)  # no empty row
+            p /= p.sum(axis=1, keepdims=True)
+            # entries at exactly support_eps are not edges; entries just above it are
+            p[rng.random((n, n)) < 0.05] = SUPPORT_EPS
+            p[rng.random((n, n)) < 0.02] = np.nextafter(SUPPORT_EPS, 1.0)
+            answers.append(is_unichain(p))
+            assert answers[-1] == (self.closed_classes(p, SUPPORT_EPS) == 1), p
+        assert 400 <= sum(answers) <= 1600  # both answers well represented
 
 
 class TestGainAndBias:

@@ -1,5 +1,7 @@
 """Tests for the model-based planning oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,70 @@ class TestPolicyIterationAgainstRvi:
         assert (plan.method, ctrl.method) == ("policy-iteration", "policy-iteration")
         assert plan.gain == pytest.approx(3.0, abs=1e-12)
         assert ctrl.gain == pytest.approx(3.0, abs=1e-12)
+
+
+class TestPinnedOutputs:
+    """SHA-256 prefixes of eval (gain, value) under the uniform policy and of control (gain, q,
+    actions as int64), at tol 1e-9 with the mean offset. A change to how policy iteration reaches
+    its answer that moves any bit of a result changes them; such a change must say so."""
+
+    PINNED = {
+        ("inventory", "contamination"): ("c867f1f3dde4e34c8990a41b", "9f08a0d5671e7a444f70ff75"),
+        ("inventory", "tv"): ("04f51014dc89b22ab5abd8b9", "ceb760ad775a1b4fa737acc1"),
+        ("inventory", "chi2"): ("8385320aab3902a0f53ded9f", "b68f8acc8e2416e5de2037f6"),
+        ("inventory", "kl"): ("8c6b2c78e7c4a93b9f84c0a1", "2c96c5d28fa9315c3e3d217f"),
+        ("inventory", "wasserstein"): ("da839ef54ea99b8a01ef3e86", "5af023ce3fc17f118a8e81e0"),
+        ("garnet", "contamination"): ("8c37136108fd84cac7fc3a6b", "97bbaae8f1048d82c79e2244"),
+        ("garnet", "tv"): ("e7c2886c15ea876427ffd103", "11ebf298abd2312ba2d67d22"),
+        ("garnet", "chi2"): ("b37ed43aa8938c7ee045d73c", "7870c5bd6b73e2cc282f4902"),
+        ("garnet", "kl"): ("068fa9aa9372e1309669a2d7", "6cf9c268c8b370fec62f836f"),
+        ("garnet", "wasserstein"): ("b0149ef763bb12eecb5d9ea4", "94f4f48be72f139bcacad1b7"),
+    }
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("env", ["inventory", "garnet"])
+    def test_hashes(self, env, spec):
+        m = inventory() if env == "inventory" else garnet(5, 3, seed=254)
+        ev = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec, tol=1e-9)
+        ct = robust_rvi_control(m, spec, tol=1e-9)
+        digests = (
+            hashlib.sha256(np.float64(ev.gain).tobytes() + ev.value.tobytes()).hexdigest()[:24],
+            hashlib.sha256(
+                np.float64(ct.gain).tobytes() + ct.q.tobytes() + ct.policy.actions().astype(np.int64).tobytes()
+            ).hexdigest()[:24],
+        )
+        assert digests == self.PINNED[env, spec.kind]
+
+
+class TestSolveCount:
+    """Each policy-iteration step makes one ``support_and_worst`` call, and nothing else of the set."""
+
+    @staticmethod
+    def count(monkeypatch, spec):
+        calls = {name: 0 for name in ("support_and_worst", "support_batch", "worst_row")}
+        for name in calls:
+
+            def counted(*args, _name=name, _method=getattr(spec, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(spec, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_k_steps_make_k_plus_one_calls(self, spec, monkeypatch):
+        m = inventory()
+        calls = self.count(monkeypatch, spec)
+        ev = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec, tol=1e-9)
+        assert ev.method == "policy-iteration"
+        assert calls == {"support_and_worst": ev.iterations + 1, "support_batch": 0, "worst_row": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        ct = robust_rvi_control(m, spec, tol=1e-9)
+        # each policy's evaluation starts from the kernel its predecessor's last step found;
+        # the one support_batch is the closing Q-residual certificate
+        assert ct.method == "policy-iteration"
+        assert calls == {"support_and_worst": ct.iterations + 1, "support_batch": 1, "worst_row": 0}

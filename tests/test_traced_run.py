@@ -3,23 +3,25 @@
 ``perfbench/tracer.py`` counts estimates and samples from the costs that
 ``learners.sigma_hat_for_pairs`` returns and times ``KernelSampler`` draws. It counts
 planner iterations from the results of ``planners.robust_rvi_eval`` and
-``robust_rvi_control`` and times the ``planners.worst_case_kernel`` calls inside them. The
-harness runners reach the learners and planners through the names ``harness`` imports, which
-the tracer patches too. A refactor that bypasses one of those names would only break
-``perfbench/run.py --trace 1``; these tests catch it in the main suite.
+``robust_rvi_control``. The harness runners reach the learners and planners through the names
+``harness`` imports, which the tracer patches too. The tracer and the benchmark clock replace
+``support_batch`` and ``worst_row`` on each family class through the class's own ``__dict__``.
+A refactor that bypasses one of those names would only break ``perfbench/run.py --trace 1``;
+these tests catch it in the main suite.
 """
 
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 from rarl import harness, learners, planners
 from rarl.environments import garnet
 from rarl.estimators import KernelSampler
 from rarl.learners import Constant
 from rarl.mdp import OffsetFn, Policy
-from rarl.uncertainty import ChiSquare, TotalVariation
+from rarl.uncertainty import FAMILIES, ChiSquare, TotalVariation
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -54,12 +56,23 @@ def test_traced_planners_count_every_iteration_and_worst_kernel():
         ev = planners.robust_rvi_eval(m, Policy.uniform(5, 3), spec)
         ct = planners.robust_rvi_control(m, spec)
     assert ev.method == ct.method == "policy-iteration"
-    assert tracer.counts[("sweeps", "chi2", "eval")] == ev.iterations
-    assert tracer.counts[("sweeps", "chi2", "control")] == ct.iterations
-    # one worst kernel per policy-iteration step, each inside a planner span
-    assert tracer.total(2, "planners", "worst_case_kernel", "chi2") == ev.iterations + ct.iterations
+    assert (ev.iterations, ct.iterations) == (4, 4)
+    assert tracer.counts[("sweeps", "chi2", "eval")] == 4
+    assert tracer.counts[("sweeps", "chi2", "control")] == 4
     assert tracer.total(2, "planners", "robust_rvi_eval", "chi2") == 1
     assert tracer.total(2, "planners", "robust_rvi_control", "chi2") == 1
+    # policy-iteration steps solve through ``support_and_worst``, which the tracer does not wrap;
+    # it sees only control's closing Q-residual support table
+    assert tracer.total(2, "planners", "worst_case_kernel") == 0
+    assert tracer.total(2, "uncertainty", "worst_row") == 0
+    assert tracer.total(2, "uncertainty", "support_batch", "chi2") == 1
+
+
+@pytest.mark.parametrize("cls", FAMILIES.values(), ids=list(FAMILIES))
+def test_family_classes_define_their_own_wrapped_methods(cls):
+    # the tracer and the benchmark clock read cls.__dict__[name]; an inherited method is a KeyError
+    for name in ("support_batch", "worst_row"):
+        assert name in cls.__dict__, f"{cls.__name__}.{name} must be defined on the class itself"
 
 
 def test_traced_harness_runs_one_learner_and_one_planner_span_each(tmp_path):

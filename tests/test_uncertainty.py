@@ -10,7 +10,7 @@ from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import logsumexp
 
 from rarl import uncertainty
-from rarl.environments import garnet
+from rarl.environments import example_a, garnet
 from rarl.uncertainty import (
     ChiSquare,
     Contamination,
@@ -208,6 +208,67 @@ class TestWorstRows:
                 assert value >= target - 1e-8
                 assert value - target <= tol
                 assert spec.distance(p, q[None, :])[0] <= spec.delta + ball_tol[name]
+
+
+class TestSupportAndWorst:
+    """``support_and_worst`` is ``support_batch`` and ``worst_row`` from one solve, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(spec, rows, v):
+        values, q = spec.support_and_worst(rows, v)
+        for got, want in ((values, spec.support_batch(rows, v)), (q, spec.worst_row(rows, v))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Contamination(0.0),
+            Contamination(0.4),
+            TotalVariation(0.0),
+            TotalVariation(0.2),
+            TotalVariation(0.9),
+            ChiSquare(0.0),
+            ChiSquare(0.3),
+            ChiSquare(3.0),
+            KLDivergence(0.0),
+            KLDivergence(0.3),
+            KLDivergence(3.0),
+            Wasserstein(0.0),
+            Wasserstein(0.3),
+            Wasserstein(3.0),
+            Wasserstein(0.7, order=2.0),
+        ],
+        ids=lambda spec: f"{spec.kind}-{spec.delta}-l{getattr(spec, 'order', 1)}",
+    )
+    def test_families(self, spec):
+        rng = np.random.default_rng(21)
+        for trial in range(24):
+            n = int(rng.integers(2, 8))
+            rows = rng.dirichlet(np.full(n, 0.5), size=int(rng.integers(1, 12)))
+            rows[rng.random(rows.shape) < 0.3] = 0.0  # sparse rows, as in garnet kernels and MLMC samples
+            rows[:, rng.integers(n)] += 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+            v = rng.normal(0.0, 10.0 ** (-3 + trial % 7), size=n)  # scales 1e-3 .. 1e3
+            if trial % 5 == 0:
+                v[-1] = v[0]  # a tied minimum or maximum
+            self.assert_bitwise(spec, rows, v)
+            self.assert_bitwise(spec, rows[0], v)  # one 1-D row
+            self.assert_bitwise(spec, rows, np.full(n, v[0]))  # constant v
+
+    def test_garnet_rows(self):
+        m = garnet(5, 3, seed=254)
+        rows = m.kernel.reshape(-1, 5)
+        v = np.linspace(-2.0, 3.0, 5)
+        for delta in (0.0, 0.3, 3.0):
+            for spec in families(delta) + [Wasserstein(delta, order=2.0)]:
+                self.assert_bitwise(spec, rows, v)
+
+    def test_finite_kernel_set(self):
+        ex = example_a(1.0, 2.0, 4.0)
+        rows = ex.mdp.kernel.reshape(3, 3)
+        rng = np.random.default_rng(22)
+        for v in [np.zeros(3), np.array([-2.5, -0.5, 0.5])] + [rng.normal(0.0, 1e3, 3) for _ in range(10)]:
+            self.assert_bitwise(ex.uset, rows, v)
 
 
 class TestGridOracle:
