@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, TabularMDP, gain_and_bias, gain_vector, induced_chain, is_unichain
+from .mdp import Policy, TabularMDP, gain_and_bias, gain_vector, induced_chain
 from .planners import FiniteKernelSet
 
 
@@ -222,13 +222,13 @@ def evaluate_under_perturbation(
     """Exact average reward of a fixed policy on a perturbed environment.
 
     If the induced chain is multichain the gain depends on the start state;
-    passing ``start_state`` selects the gain from that state (via the limiting
-    matrix), otherwise multichain policies raise.
+    passing ``start_state`` reads the gain from that state off ``gain_vector``
+    (one stationary solve per closed class, one solve for the transient
+    states), otherwise multichain policies raise ``MultichainError``.
     """
-    p_pi, r_pi = induced_chain(perturbed, policy)
-    if start_state is not None and not is_unichain(p_pi):
-        return float(gain_vector(p_pi, r_pi)[start_state])
-    return gain_and_bias(perturbed, policy).gain
+    if start_state is None:
+        return gain_and_bias(perturbed, policy).gain
+    return float(gain_vector(*induced_chain(perturbed, policy))[start_state])
 
 
 def worst_gain_over(policy: Policy, perturbed_mdps, start_state: int | None = None) -> float:

@@ -138,27 +138,24 @@ class ExperimentConfig:
         return asdict(self)
 
 
+# environment id -> constructor of its nominal MDP from the config's params
+ENVIRONMENTS = {
+    "garnet": envs.garnet, "example_a": lambda **params: envs.example_a(**params).mdp,
+    "recycling_robot": envs.recycling_robot, "inventory": envs.inventory,
+    "one_loop": lambda **params: envs.one_loop(**params)[0], "frozen_lake": envs.frozen_lake_4x4,
+}
+
+
 def build_environment(doc: dict) -> TabularMDP:
     _known_fields("environment", doc, ("id", "params"))
     env_id = doc.get("id")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"environment.params must be a JSON object, got {params!r}")
+    if not isinstance(env_id, str) or env_id not in ENVIRONMENTS:
+        raise ConfigError(f"unknown environment id {env_id!r}")
     try:
-        if env_id == "garnet":
-            mdp = envs.garnet(**params)
-        elif env_id == "example_a":
-            mdp = envs.example_a(**params).mdp
-        elif env_id == "recycling_robot":
-            mdp = envs.recycling_robot(**params)
-        elif env_id == "inventory":
-            mdp = envs.inventory(**params)
-        elif env_id == "one_loop":
-            mdp = envs.one_loop(**params)[0]
-        elif env_id == "frozen_lake":
-            mdp = envs.frozen_lake_4x4(**params)
-        else:
-            raise ConfigError(f"unknown environment id {env_id!r}")
+        mdp = ENVIRONMENTS[env_id](**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment config: {exc}") from exc
     problem = validate(mdp)

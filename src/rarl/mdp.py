@@ -3,8 +3,10 @@
 This module provides:
 - ``TabularMDP`` and ``Policy`` containers with validation and JSON round-trips.
 - Induced-chain construction (state transition matrix and state reward vector).
-- Stationary distributions, unichain detection, and exact gain / relative value
-  ("bias") computation for a fixed policy via a dense linear solve.
+- Chain structure from one reachability closure of the support graph, and
+  dense linear solves on it: unichain detection, exact stationary
+  distributions, per-start-state gain vectors of multichain chains, and the
+  exact gain / relative value ("bias") of a fixed policy.
 - Relative-value-iteration offset functionals (reference state, mean).
 - The span seminorm, the support table sigma(s, a, v) shared with the
   planners, and the worst-case Bellman residual check used to certify
@@ -24,6 +26,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
+_GAIN_BIAS_RTOL = 1e-7  # gain_and_bias rejects a residual above this times (1 + max |r_pi|)
 
 
 class MultichainError(ValueError):
@@ -214,54 +217,51 @@ def induced_chain(mdp: TabularMDP, policy: Policy) -> tuple[np.ndarray, np.ndarr
     return p_pi, r_pi
 
 
-def stationary_distribution(p: np.ndarray, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
-    """Stationary distribution of a unichain transition matrix.
-
-    Power iteration on the half-lazy chain (I + P)/2, which shares the
-    stationary distribution but is aperiodic, so the iteration also converges
-    on periodic chains. Raises ConvergenceError if the residual does not fall
-    below tol.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    lazy = 0.5 * (np.eye(n) + p)
-    mu = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iters):
-        nxt = mu @ lazy
-        residual = float(np.abs(nxt - mu).sum())
-        mu = nxt
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError("stationary distribution did not converge", residual)
-    mu = np.maximum(mu, 0.0)
-    return mu / mu.sum()
-
-
-def is_unichain(p: np.ndarray, support_eps: float = SUPPORT_EPS) -> bool:
-    """True iff the chain has exactly one closed recurrent class.
-
-    Decided on the support graph (entries above support_eps) by its dense
-    reachability closure: (P > eps) | I squared until it stops changing. Some
-    state is then reachable from every state (an all-true column) iff exactly
-    one class is closed: every state reaches a closed class, and a state that
-    every closed class reaches lies in each of them.
-    """
-    p = np.asarray(p, dtype=float)
-    reach = (p > support_eps) | np.eye(p.shape[0], dtype=bool)
+def _reach(p: np.ndarray) -> np.ndarray:
+    """Reachability closure of the support graph (edges: entries above SUPPORT_EPS), (P > eps) | I
+    squared until it stops changing; reach[i, j] iff j is reachable from i. State i lies in a closed
+    class iff every state it reaches reaches it back, and its class is then its reach row."""
+    reach = (np.asarray(p, dtype=float) > SUPPORT_EPS) | np.eye(len(p), dtype=bool)
     while True:
         longer = reach @ reach  # boolean product: paths of up to twice the length
         if np.array_equal(longer, reach):
-            return bool(reach.all(axis=0).any())
+            return reach
         reach = longer
+
+
+def _class_distribution(p: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Stationary distribution of the closed class ``cls`` (a state mask), 0 off the class:
+    one dense solve of mu (I - P) = 0 on the class."""
+    k = int(cls.sum())
+    a = (np.eye(k) - p[np.ix_(cls, cls)]).T
+    a[-1] = 1.0  # sum(mu) = 1 replaces the last balance equation
+    mu = np.zeros(len(p))
+    mu[cls] = np.linalg.solve(a, np.eye(k)[-1])
+    return mu
+
+
+def is_unichain(p: np.ndarray) -> bool:
+    """True iff the chain has exactly one closed recurrent class, i.e. some state is reachable
+    from every state: every state reaches a closed class, and a state that every closed class
+    reaches lies in each of them."""
+    return bool(_reach(p).all(axis=0).any())
+
+
+def stationary_distribution(p: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a unichain transition matrix, exact on periodic and slowly
+    mixing chains alike: one solve on the closed class (the states every state reaches), 0 on
+    transient states. Raises MultichainError if more than one class is closed."""
+    p = np.asarray(p, dtype=float)
+    recurrent = _reach(p).all(axis=0)
+    if not recurrent.any():
+        raise MultichainError("chain has more than one recurrent class")
+    return _class_distribution(p, recurrent)
 
 
 def gain_and_bias(
     mdp: TabularMDP,
     policy: Policy,
     normalization: OffsetFn | None = None,
-    tol: float = 1e-9,
 ) -> GainBias:
     """Exact gain and relative value function of a policy on a unichain MDP.
 
@@ -271,7 +271,8 @@ def gain_and_bias(
     the cumulative-deviation sense; an OffsetFn pins f(v) = 0 instead.
     """
     p_pi, r_pi = induced_chain(mdp, policy)
-    if not is_unichain(p_pi):
+    recurrent = _reach(p_pi).all(axis=0)
+    if not recurrent.any():
         raise MultichainError("induced chain has more than one recurrent class")
     n = mdp.n_states
     a = np.zeros((n + 1, n + 1))
@@ -280,7 +281,7 @@ def gain_and_bias(
     a[:n, n] = 1.0
     b[:n] = r_pi
     if normalization is None:
-        a[n, :n] = stationary_distribution(p_pi)
+        a[n, :n] = _class_distribution(p_pi, recurrent)
     elif normalization.kind == "mean":
         a[n, :n] = 1.0 / n
     else:
@@ -291,28 +292,28 @@ def gain_and_bias(
         raise np.linalg.LinAlgError(f"singular gain/bias system: {exc}") from exc
     gain, bias = float(sol[n]), sol[:n]
     residual = float(np.max(np.abs(bias - (r_pi - gain + p_pi @ bias))))
-    if residual > max(tol, 1e-7 * (1.0 + np.abs(r_pi).max())):
+    if residual > _GAIN_BIAS_RTOL * (1.0 + np.abs(r_pi).max()):
         raise ConvergenceError("gain/bias solve left a large residual", residual)
     return GainBias(gain, bias)
 
 
-def gain_vector(p: np.ndarray, r: np.ndarray, max_squarings: int = 80) -> np.ndarray:
+def gain_vector(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per-start-state long-run average reward, valid for multichain matrices.
 
-    Computes the limiting (Cesaro) matrix of the chain by repeated squaring of
-    the half-lazy transition matrix (same class structure and absorption
-    probabilities, but aperiodic) and applies it to the reward vector. On a
-    unichain this returns a constant vector equal to the gain.
+    Each closed class gets the stationary average of r over the class; the
+    transient states T then take one solve of (I - P_TT) g_T = P_TR g_R, with
+    R the closed states. On a unichain every entry equals the gain.
     """
     p = np.asarray(p, dtype=float)
-    lazy = 0.5 * (np.eye(p.shape[0]) + p)
-    for _ in range(max_squarings):
-        nxt = lazy @ lazy
-        if np.abs(nxt - lazy).max() < 1e-14:
-            lazy = nxt
-            break
-        lazy = nxt
-    return lazy @ np.asarray(r, dtype=float)
+    reach = _reach(p)
+    closed = (reach <= reach.T).all(axis=1)
+    g = np.zeros(len(p))
+    for first in np.unique(reach[closed].argmax(axis=1)):  # each class once, by its first state
+        cls = reach[first]
+        g[cls] = _class_distribution(p, cls) @ r
+    t = ~closed
+    g[t] = np.linalg.solve(np.eye(int(t.sum())) - p[np.ix_(t, t)], p[np.ix_(t, closed)] @ g[closed])
+    return g
 
 
 def span(v: np.ndarray) -> float:

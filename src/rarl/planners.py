@@ -270,17 +270,18 @@ class EnumerationResult:
     per_kernel: list[GainBias]
 
 
-def finite_set_enumeration(
-    mdp: TabularMDP, kernels, policy: Policy, tie_tol: float = 1e-9
-) -> EnumerationResult:
+_TIE_TOL = 1e-9  # gains within this of the minimum tie
+
+
+def finite_set_enumeration(mdp: TabularMDP, kernels, policy: Policy) -> EnumerationResult:
     """Exact worst gain over an explicit finite kernel collection.
 
     Evaluates the policy's gain and relative value function under every
     kernel; the minimizer set contains every kernel whose gain ties with the
-    minimum within tie_tol.
+    minimum within ``_TIE_TOL``.
     """
     per_kernel = [gain_and_bias(mdp.with_kernel(k), policy, normalization=None) for k in kernels]
     gains = np.array([gb.gain for gb in per_kernel])
     g = float(gains.min())
-    minimizers = [i for i, gv in enumerate(gains) if gv <= g + tie_tol]
+    minimizers = [i for i, gv in enumerate(gains) if gv <= g + _TIE_TOL]
     return EnumerationResult(g, minimizers, per_kernel)

@@ -36,6 +36,7 @@ ROUNDOFF = 8 * np.finfo(float).eps
 _BLOCK = 1 << 20  # elements per temporary in Wasserstein's per-state blocks
 GRID_POINTS = 1_500_000  # largest oracle grid; n = 4 states at resolution 200 has 1,373,701 points
 LP_ROWS = 12_341  # most transport LPs in one general-metric distance call: n = 4 at resolution 40
+_FEAS_TOL = 1e-9  # an oracle grid point within this of the radius counts as inside the ball
 
 
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
@@ -617,9 +618,7 @@ def _wasserstein_pow_line(p: np.ndarray, qs: np.ndarray, order: float) -> np.nda
     return np.einsum("bk,bk->b", du, np.abs(xp - xq).astype(float) ** order)
 
 
-def support_oracle_grid(
-    spec: UncertaintySet, p: np.ndarray, v: np.ndarray, resolution: int, feas_tol: float = 1e-9
-) -> float:
+def support_oracle_grid(spec: UncertaintySet, p: np.ndarray, v: np.ndarray, resolution: int) -> float:
     """Brute-force oracle: min q.v over the simplex grid points within ``distance`` delta of p.
 
     Independent of the exact solvers; converges to the support value from
@@ -628,7 +627,7 @@ def support_oracle_grid(
     p = _check_simplex(p)
     v = np.asarray(v, dtype=float)
     qs = _simplex_grid(p.shape[0], resolution)
-    feasible = spec.distance(p, qs) <= spec.delta + feas_tol
+    feasible = spec.distance(p, qs) <= spec.delta + _FEAS_TOL
     if not feasible.any():
         raise RuntimeError("no feasible grid point; increase the resolution")
     return float((qs[feasible] @ v).min())

@@ -14,6 +14,7 @@ from rarl.mdp import (
     Policy,
     TabularMDP,
     gain_and_bias,
+    gain_vector,
     induced_chain,
     is_unichain,
     robust_bellman_residual,
@@ -34,6 +35,29 @@ def random_unichain_mdp(rng, n_states, n_actions):
     kernel /= kernel.sum(axis=2, keepdims=True)
     reward = rng.normal(0.0, 2.0, size=(n_states, n_actions))
     return TabularMDP(n_states, n_actions, kernel, reward)
+
+
+def random_chain(rng, trial, max_states):
+    """A random transition matrix with 1..max_states states; trial % 4 picks the shape."""
+    n = int(rng.integers(1, max_states + 1))
+    kind = trial % 4
+    if kind == 0:  # sparse random support
+        p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
+    elif kind == 1:  # periodic: a random permutation, cycles of any length
+        p = np.eye(n)[rng.permutation(n)]
+    elif kind == 2:  # closed blocks, each a cycle, and transient states feeding some of them
+        closed = int(rng.integers(1, n + 1))
+        cuts = rng.choice(np.arange(1, closed), size=int(rng.integers(0, min(3, closed))), replace=False)
+        p = np.zeros((n, n))
+        for block in np.split(np.arange(closed), np.sort(cuts)):
+            p[block, np.roll(block, 1)] = 1.0
+        for s in range(closed, n):
+            p[s, rng.choice(n, size=int(rng.integers(1, 3)))] = rng.random()
+    else:  # a dense chain thinned to a few edges per row
+        p = rng.dirichlet(np.full(n, 0.3), size=n)
+        p[p < np.quantile(p, rng.uniform(0.3, 0.9), axis=1, keepdims=True)] = 0.0
+    p[np.arange(n), rng.integers(n, size=n)] += (p.sum(axis=1) == 0)  # no empty row
+    return p / p.sum(axis=1, keepdims=True)
 
 
 class TestValidate:
@@ -118,6 +142,19 @@ class TestStationaryDistribution:
             np.testing.assert_allclose(mu @ p, mu, atol=1e-9)
             assert mu.min() >= 0 and abs(mu.sum() - 1) < 1e-12
 
+    @pytest.mark.parametrize("a,b,atol", [(1e-11, 5e-11, 1e-7), (1e-6, 5e-6, 1e-10)])
+    def test_slowly_switching_two_state(self, a, b, atol):
+        # slowly mixing: mu = (b, a) / (a + b) although each step moves almost no mass
+        p = np.array([[1.0 - a, a], [b, 1.0 - b]])
+        mu = stationary_distribution(p)
+        np.testing.assert_allclose(mu, [5 / 6, 1 / 6], atol=atol)
+        assert np.abs(mu @ p - mu).max() <= 1e-15
+
+    def test_rates_below_support_eps_are_not_edges(self):
+        # both switching rates lie below SUPPORT_EPS, so each state is its own closed class
+        with pytest.raises(MultichainError):
+            stationary_distribution(np.array([[1.0 - 1e-13, 1e-13], [5e-13, 1.0 - 5e-13]]))
+
 
 class TestIsUnichain:
     def test_cycle(self):
@@ -143,26 +180,9 @@ class TestIsUnichain:
         rng = np.random.default_rng(31)
         answers = []
         for trial in range(2000):
-            n = int(rng.integers(1, 13))
-            kind = trial % 4
-            if kind == 0:  # sparse random support
-                p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.5))
-            elif kind == 1:  # periodic: a random permutation, cycles of any length
-                p = np.eye(n)[rng.permutation(n)]
-            elif kind == 2:  # closed blocks, each a cycle, and transient states feeding some of them
-                closed = int(rng.integers(1, n + 1))
-                cuts = rng.choice(np.arange(1, closed), size=int(rng.integers(0, min(3, closed))), replace=False)
-                p = np.zeros((n, n))
-                for block in np.split(np.arange(closed), np.sort(cuts)):
-                    p[block, np.roll(block, 1)] = 1.0
-                for s in range(closed, n):
-                    p[s, rng.choice(n, size=int(rng.integers(1, 3)))] = rng.random()
-            else:  # a dense chain thinned to a few edges per row
-                p = rng.dirichlet(np.full(n, 0.3), size=n)
-                p[p < np.quantile(p, rng.uniform(0.3, 0.9), axis=1, keepdims=True)] = 0.0
-            p[np.arange(n), rng.integers(n, size=n)] += (p.sum(axis=1) == 0)  # no empty row
-            p /= p.sum(axis=1, keepdims=True)
-            # entries at exactly support_eps are not edges; entries just above it are
+            p = random_chain(rng, trial, max_states=12)
+            n = len(p)
+            # entries at exactly SUPPORT_EPS are not edges; entries just above it are
             p[rng.random((n, n)) < 0.05] = SUPPORT_EPS
             p[rng.random((n, n)) < 0.02] = np.nextafter(SUPPORT_EPS, 1.0)
             answers.append(is_unichain(p))
@@ -221,6 +241,62 @@ class TestGainAndBias:
         m = make_mdp(np.eye(2)[:, None, :], [[0.0], [1.0]])
         with pytest.raises(MultichainError):
             gain_and_bias(m, Policy.deterministic([0, 0], 1))
+
+    def test_stationary_normalization_on_slowly_switching_chain(self):
+        a, b = 1e-6, 5e-6
+        m = make_mdp([[[1.0 - a, a]], [[b, 1.0 - b]]], [[1.0], [-2.0]])
+        gb = gain_and_bias(m, Policy.deterministic([0, 0], 1), normalization=None)
+        assert gb.gain == pytest.approx(5 / 6 - 2 / 6, abs=1e-9)
+        # v0 - v1 = (r0 - r1) / (a + b), and mu . v = 0 up to rounding at that scale
+        assert gb.bias[0] - gb.bias[1] == pytest.approx(3.0 / (a + b), rel=1e-9)
+        assert abs(float(stationary_distribution(m.kernel[:, 0]) @ gb.bias)) <= 1e-10 * np.abs(gb.bias).max()
+
+
+class TestGainVector:
+    @staticmethod
+    def exact_gain(p, r):
+        """Independent reference: the multichain evaluation equations (I - P) g = 0 and
+        g + (I - P) h = r, where g is unique, solved by the SVD pseudo-inverse of the 2S x 2S
+        system in 50-digit arithmetic. Rows are renormalised at that precision first, so the
+        reference chain is stochastic to 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        n = len(p)
+        with mpmath.workdps(50):
+            rows = [[mpmath.mpf(float(x)) for x in row] for row in p]
+            rows = [[x / mpmath.fsum(row) for x in row] for row in rows]
+            a = mpmath.zeros(2 * n, 2 * n)
+            b = mpmath.zeros(2 * n, 1)
+            for i in range(n):
+                for j in range(n):
+                    a[i, j] = a[n + i, n + j] = int(i == j) - rows[i][j]
+                a[n + i, i] = 1
+                b[n + i] = mpmath.mpf(float(r[i]))
+            u, s, v = mpmath.svd_r(a)
+            coef = u.T * b
+            keep = [k for k in range(2 * n) if s[k] > max(s) * mpmath.mpf(10) ** -30]
+            return np.array([float(mpmath.fsum(v[k, i] * coef[k] / s[k] for k in keep)) for i in range(n)])
+
+    def test_matches_50_digit_reference(self):
+        # single states, periodic classes, transient states feeding several classes, thinned chains;
+        # the seed's 40 chains include four on which repeated squaring of (I + P) / 2 ends in NaN or 0
+        rng = np.random.default_rng(26)
+        shapes = set()
+        for trial in range(40):
+            p = random_chain(rng, trial, max_states=6)
+            r = rng.normal(0.0, 2.0, size=len(p))
+            g = gain_vector(p, r)
+            assert np.abs(g - self.exact_gain(p, r)).max() <= 1e-9 * (1.0 + np.abs(r).max()), (p, r)
+            shapes.add((len(p) == 1, is_unichain(p)))
+        assert shapes == {(True, True), (False, True), (False, False)}
+
+    def test_slowly_mixing_unichain(self):
+        p = np.array([[0.9963, 0, 0.0037, 0], [0, 0, 0.0018, 0.9982], [0, 0.3810, 0.6179, 0.0011], [0, 1, 0, 0]])
+        p /= p.sum(axis=1, keepdims=True)
+        r = np.array([1.0, -0.5, 2.0, 0.3])
+        g = gain_vector(p, r)
+        np.testing.assert_allclose(g, self.exact_gain(p, r), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g, float(stationary_distribution(p) @ r), rtol=0, atol=1e-12)
+        assert g[0] == pytest.approx(-0.0954, abs=1e-4)
 
 
 class TestSpan:
