@@ -229,6 +229,13 @@ def _reach(p: np.ndarray) -> np.ndarray:
         reach = longer
 
 
+def _closed_classes(reach: np.ndarray) -> np.ndarray:
+    """The closed classes of a reachability closure, as state masks, one row per class in the
+    order of their first states."""
+    closed = (reach <= reach.T).all(axis=1)
+    return reach[np.unique(reach[closed].argmax(axis=1))]
+
+
 def _class_distribution(p: np.ndarray, cls: np.ndarray) -> np.ndarray:
     """Stationary distribution of the closed class ``cls`` (a state mask), 0 off the class:
     one dense solve of mu (I - P) = 0 on the class."""
@@ -252,9 +259,10 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     mixing chains alike: one solve on the closed class (the states every state reaches), 0 on
     transient states. Raises MultichainError if more than one class is closed."""
     p = np.asarray(p, dtype=float)
-    recurrent = _reach(p).all(axis=0)
+    reach = _reach(p)
+    recurrent = reach.all(axis=0)
     if not recurrent.any():
-        raise MultichainError("chain has more than one recurrent class")
+        raise MultichainError(f"chain has {len(_closed_classes(reach))} closed recurrent classes")
     return _class_distribution(p, recurrent)
 
 
@@ -271,9 +279,10 @@ def gain_and_bias(
     the cumulative-deviation sense; an OffsetFn pins f(v) = 0 instead.
     """
     p_pi, r_pi = induced_chain(mdp, policy)
-    recurrent = _reach(p_pi).all(axis=0)
+    reach = _reach(p_pi)
+    recurrent = reach.all(axis=0)
     if not recurrent.any():
-        raise MultichainError("induced chain has more than one recurrent class")
+        raise MultichainError(f"induced chain has {len(_closed_classes(reach))} closed recurrent classes")
     n = mdp.n_states
     a = np.zeros((n + 1, n + 1))
     b = np.zeros(n + 1)
@@ -305,12 +314,11 @@ def gain_vector(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     R the closed states. On a unichain every entry equals the gain.
     """
     p = np.asarray(p, dtype=float)
-    reach = _reach(p)
-    closed = (reach <= reach.T).all(axis=1)
+    classes = _closed_classes(_reach(p))
     g = np.zeros(len(p))
-    for first in np.unique(reach[closed].argmax(axis=1)):  # each class once, by its first state
-        cls = reach[first]
+    for cls in classes:
         g[cls] = _class_distribution(p, cls) @ r
+    closed = classes.any(axis=0)
     t = ~closed
     g[t] = np.linalg.solve(np.eye(int(t.sum())) - p[np.ix_(t, t)], p[np.ix_(t, closed)] @ g[closed])
     return g

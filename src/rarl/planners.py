@@ -13,7 +13,9 @@ a fixed number of steps, the call runs one damped relative value iteration
 loop instead, on the value vector for evaluation and on the Q table for
 control: iterates are damped with a half-step (the aperiodicity
 transformation, which leaves fixed points and gains unchanged), re-centered
-by the offset each sweep, and stopped on the same residual.
+by the offset each sweep, and stopped on the same residual. If that loop
+fails too, its error also names, and chains from, the reason policy
+iteration stopped.
 ``FiniteKernelSet`` is an uncertainty set given as an explicit finite
 collection of kernels, answering the same batched ``support_batch`` /
 ``worst_row`` / ``support_and_worst`` calls as the parametric families; it
@@ -131,19 +133,30 @@ def _pi_eval(mdp, policy, uset, offset, tol, kernel, max_steps):
     the support table and the worst kernel at the new value from one
     ``support_and_worst`` call: the table certifies the value, and the kernel
     drives the next step. Returns the certified result with the support table
-    and the worst kernel at its value, or None when a kernel's chain is
-    multichain or singular or no step certifies within ``max_steps``.
+    and the worst kernel at its value, or the reason it stopped: the error of a
+    kernel whose chain is multichain or singular, or a ``ConvergenceError``
+    when no step certifies within ``max_steps``.
     """
     for step in range(1, max_steps + 1):
         try:
             v = gain_and_bias(mdp.with_kernel(kernel), policy, offset).bias
-        except (MultichainError, np.linalg.LinAlgError, ConvergenceError):
-            return None
+        except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
+            return exc
         sigma, kernel = _support_and_worst(mdp, uset, v)
         g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
         if residual <= tol:
             return PlannerResult(float(g), v, step, residual, "policy-iteration"), sigma, kernel
-    return None
+    return ConvergenceError(f"policy iteration found no certificate within {_PI_MAX_STEPS} steps", residual)
+
+
+def _fallback(reason: Exception, bellman, shape, offset, tol) -> tuple[float, np.ndarray, int, float]:
+    """``_rvi`` after policy iteration stopped for ``reason``; a ``ConvergenceError`` of the
+    fallback appends that reason's text and chains from it."""
+    try:
+        return _rvi(bellman, shape, offset, tol)
+    except ConvergenceError as exc:
+        exc.args = (f"{exc}; policy iteration stopped first: {reason}",)
+        raise exc from reason
 
 
 def _rvi(bellman, shape, offset, tol) -> tuple[float, np.ndarray, int, float]:
@@ -191,9 +204,9 @@ def robust_rvi_eval(
     offset = offset or OffsetFn.mean()
     kernel = _support_and_worst(mdp, uset, np.zeros(mdp.n_states))[1]
     solved = _pi_eval(mdp, policy, uset, offset, tol, kernel, _PI_MAX_STEPS)
-    if solved:
+    if not isinstance(solved, Exception):
         return solved[0]
-    return PlannerResult(*_rvi(_eval_operator(mdp, policy, uset), mdp.n_states, offset, tol), "rvi")
+    return PlannerResult(*_fallback(solved, _eval_operator(mdp, policy, uset), mdp.n_states, offset, tol), "rvi")
 
 
 @dataclass
@@ -210,12 +223,13 @@ class ControlResult:
     method: str
 
 
-def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
+def _pi_control(mdp, uset, offset, tol) -> ControlResult | Exception:
     """Greedy policy improvement, each deterministic policy evaluated by ``_pi_eval``.
 
     A policy's actions are kept wherever they are within tol/4 of the row max
     of r + sigma(v) - g, so tied actions cannot cycle; with its evaluation
     certified to tol/4, a repeated policy's Q residual is at most tol.
+    Returns the certified result, or the reason it stopped, as ``_pi_eval`` does.
     """
     rows = np.arange(mdp.n_states)
     actions = np.argmax(mdp.reward, axis=1)  # greedy at v = 0, where every support value is 0
@@ -224,8 +238,8 @@ def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
     while steps < _PI_MAX_STEPS:
         policy = Policy.deterministic(actions, mdp.n_actions)
         solved = _pi_eval(mdp, policy, uset, offset, tol / 4, kernel, _PI_MAX_STEPS - steps)
-        if solved is None:
-            return None
+        if isinstance(solved, Exception):
+            return solved
         ev, sigma, kernel = solved
         steps += ev.iterations
         q = mdp.reward + sigma - ev.gain
@@ -235,10 +249,11 @@ def _pi_control(mdp, uset, offset, tol) -> ControlResult | None:
             q = q - offset(q)
             g, residual = _gain_and_residual(_control_operator(mdp, uset)(q), q, offset)
             if residual > tol:
-                return None
+                return ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual)
             return ControlResult(float(g), q, greedy_policy(q), steps, residual, "policy-iteration")
         actions = greedy
-    return None
+    residual = _gain_and_residual(_control_operator(mdp, uset)(q), q, offset)[1]  # q's offset leaves it unchanged
+    return ConvergenceError(f"policy iteration found no certificate within {_PI_MAX_STEPS} steps", residual)
 
 
 def robust_rvi_control(
@@ -257,9 +272,9 @@ def robust_rvi_control(
     """
     offset = offset or OffsetFn.mean()
     solved = _pi_control(mdp, uset, offset, tol)
-    if solved:
+    if not isinstance(solved, Exception):
         return solved
-    g, q, sweeps, residual = _rvi(_control_operator(mdp, uset), (mdp.n_states, mdp.n_actions), offset, tol)
+    g, q, sweeps, residual = _fallback(solved, _control_operator(mdp, uset), (mdp.n_states, mdp.n_actions), offset, tol)
     return ControlResult(g, q, greedy_policy(q), sweeps, residual, "rvi")
 
 

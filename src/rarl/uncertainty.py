@@ -17,7 +17,9 @@ balls, and Wasserstein balls over a state metric. The module provides:
   has any number of states, up to a cap on its point count.
 
 All solvers are pure functions of immutable inputs. Batched paths and scalar
-paths share one implementation, so repeated evaluation is reproducible.
+paths share one implementation, so repeated evaluation is reproducible. They
+need numpy only; scipy is imported on the first general-metric Wasserstein
+``distance``, whose transport LPs it solves.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 SIMPLEX_TOL = 1e-9
 NEWTON_TOL = 1e-12  # KL root search: |KL - delta| / delta, or relative bracket width, at which it stops
@@ -408,9 +409,10 @@ class Wasserstein(UncertaintySet):
     linear, so g is too, and for delta > 0 its final slope is -delta^l: the
     maximum lies at lambda = 0 or at a kink of some phi_x, where two of x's
     lines cross on its lower envelope. The kinks depend on v and D only, so
-    ``solve`` finds them once and evaluates g at all of them with one matrix
-    product over the rows. The worst row moves each p_x onto the argmin lines
-    of phi_x at the optimal lambda.
+    ``solve`` finds them once, by a march along each phi_x's lower hull (at
+    most S - 1 steps on (S, S) arrays), and evaluates g at all of them with
+    one matrix product over the rows. The worst row moves each p_x onto the
+    argmin lines of phi_x at the optimal lambda.
     """
 
     order: float = 1.0
@@ -445,21 +447,26 @@ class Wasserstein(UncertaintySet):
 
     @staticmethod
     def _kinks(u, dl):
-        """0 and every lambda > 0 where two lines cross on the lower envelope of some phi_x (u >= 0)."""
+        """0 and every lambda > 0 where phi_x turns a corner for some x (u >= 0).
+
+        A march along each x's lower hull of the lines u_y + lambda dl[x, y]: x starts on its
+        least-u line (least slope on ties), and each step moves it to the line of smaller slope
+        that crosses its current line c first, at (u_y - u_c) / (dl[x, c] - dl[x, y]). Slopes
+        fall at every step, so there are at most S - 1 steps, each on (S, S) arrays.
+        """
         n = u.shape[0]
-        i, j = np.triu_indices(n, 1)
-        span = u.max()
+        rows = np.arange(n)
+        cur = np.where(u == u.min(), dl, np.inf).argmin(axis=1)
         found = [np.zeros(1)]
-        step = max(1, _BLOCK // n**3)
-        for start in range(0, n, step):
-            d = dl[start : start + step]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = (u[i] - u[j]) / (d[:, j] - d[:, i])
-            lam = np.where(np.isfinite(lam) & (lam > 0.0), lam, 0.0)
-            at = u[i] + lam * d[:, i]
-            env = (u + lam[:, :, None] * d[:, None, :]).min(axis=2)
-            # loose on purpose: a spurious kink costs time, a missed one the value
-            found.append(lam[(lam > 0.0) & (at - env <= 1e-9 * (at + span))])
+        with np.errstate(divide="ignore", invalid="ignore"):  # read only where the slope falls
+            for _ in range(n - 1):
+                slope = dl[rows, cur][:, None]
+                lam = np.where(dl < slope, (u - u[cur][:, None]) / (slope - dl), np.inf)
+                nxt = lam.min(axis=1)
+                if nxt.min() == np.inf:  # every x is on a line of slope 0
+                    break
+                found.append(nxt[(nxt > 0.0) & (nxt < np.inf)])
+                cur = np.where(lam == nxt[:, None], dl, np.inf).argmin(axis=1)
         return np.unique(np.concatenate(found))
 
     def solve(self, rows, v):
@@ -529,6 +536,8 @@ class Wasserstein(UncertaintySet):
             return pow_l ** (1.0 / self.order)
         if qs.shape[0] > LP_ROWS:
             raise ValueError(f"general-metric distance limited to {LP_ROWS} rows per call, got {qs.shape[0]}")
+        from scipy.optimize import linprog  # the only scipy use: loaded on the first general-metric call
+
         cost = self._dl(n).reshape(-1)  # plan entry x * n + y moves mass from x to y
         a_eq = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
         for k, q in enumerate(qs):

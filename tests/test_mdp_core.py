@@ -152,7 +152,7 @@ class TestStationaryDistribution:
 
     def test_rates_below_support_eps_are_not_edges(self):
         # both switching rates lie below SUPPORT_EPS, so each state is its own closed class
-        with pytest.raises(MultichainError):
+        with pytest.raises(MultichainError, match="has 2 closed recurrent classes"):
             stationary_distribution(np.array([[1.0 - 1e-13, 1e-13], [5e-13, 1.0 - 5e-13]]))
 
 
@@ -239,7 +239,7 @@ class TestGainAndBias:
 
     def test_multichain_rejected(self):
         m = make_mdp(np.eye(2)[:, None, :], [[0.0], [1.0]])
-        with pytest.raises(MultichainError):
+        with pytest.raises(MultichainError, match="has 2 closed recurrent classes"):
             gain_and_bias(m, Policy.deterministic([0, 0], 1))
 
     def test_stationary_normalization_on_slowly_switching_chain(self):

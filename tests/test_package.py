@@ -1,12 +1,18 @@
 """Package-level checks: the README example runs, imports and module-level names are used,
-``__all__`` resolves."""
+``__all__`` resolves, and only a general-metric distance loads scipy."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import numpy as np
 
 import rarl
-from rarl.uncertainty import FAMILIES
+from rarl.uncertainty import FAMILIES, Wasserstein
 
 PACKAGE = pathlib.Path(rarl.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -119,3 +125,43 @@ def test_every_family_defines_the_set_interface():
         if method not in vars(cls)
     ]
     assert not missing
+
+
+IMPORT_PATH_SCRIPT = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import rarl, rarl.cli, rarl.harness
+from rarl.uncertainty import FAMILIES, Wasserstein, support_oracle_grid
+
+steps = {"import": scipy_modules()}
+rows, v = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]]), np.array([0.0, 1.0, -1.0])
+for cls in FAMILIES.values():
+    cls(0.3).support_and_worst(rows, v)
+steps["support_and_worst"] = scipy_modules()
+spec = Wasserstein(0.5, metric=1.0 - np.eye(4))
+try:
+    support_oracle_grid(spec, np.ones(4) / 4, np.zeros(4), 41)
+except ValueError as exc:
+    steps["row_cap"] = str(exc)
+steps["row_cap_scipy"] = scipy_modules()
+steps["distance"] = spec.distance(np.ones(4) / 4, np.eye(4)).tolist()
+steps["scipy.optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_general_metric_distance_loads_scipy():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout)
+    assert steps["import"] == []
+    assert steps["support_and_worst"] == []
+    assert "12341 rows" in steps["row_cap"] and steps["row_cap_scipy"] == []
+    assert steps["scipy.optimize"]
+    here = Wasserstein(0.5, metric=1.0 - np.eye(4)).distance(np.ones(4) / 4, np.eye(4))
+    np.testing.assert_array_equal(steps["distance"], here)

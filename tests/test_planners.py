@@ -306,6 +306,36 @@ class TestPolicyIterationAgainstRvi:
         with pytest.raises(ConvergenceError, match="stalled at sweep 64") as failure:
             robust_rvi_eval(m, Policy.uniform(2, 1), Contamination(0.0), tol=1e-9)
         assert failure.value.residual == 0.5
+        assert isinstance(failure.value.__cause__, MultichainError)
+        assert str(failure.value).endswith("policy iteration stopped first: induced chain has 2 closed recurrent classes")
+
+    def test_control_fallback_error_names_why_policy_iteration_stopped(self):
+        # under KL(3) on inventory a worst kernel splits into 7 closed classes, then the RVI fallback stalls
+        m = inventory()
+        with pytest.raises(ConvergenceError, match="stalled at sweep 64") as failure:
+            robust_rvi_control(m, KLDivergence(3.0), tol=1e-9)
+        cause = failure.value.__cause__
+        assert isinstance(cause, MultichainError) and str(cause) == "induced chain has 7 closed recurrent classes"
+        assert str(failure.value).endswith(f"policy iteration stopped first: {cause}")
+        assert failure.value.residual == pytest.approx(6.266, abs=1e-3)
+        # chi2(3) control falls back as well, and the fallback certifies it, bit for bit as before
+        ct = robust_rvi_control(m, ChiSquare(3.0), tol=1e-9)
+        assert (ct.method, ct.iterations) == ("rvi", 176) and ct.residual <= 1e-9
+        digest = hashlib.sha256(
+            np.float64(ct.gain).tobytes() + ct.q.tobytes() + ct.policy.actions().astype(np.int64).tobytes()
+        ).hexdigest()[:24]
+        assert digest == "3fce07afd398ee41390dd91d"
+
+    def test_step_cap_reason(self, monkeypatch):
+        m = inventory()
+        monkeypatch.setattr(planners, "_PI_MAX_STEPS", 3)
+        policy = Policy.uniform(m.n_states, m.n_actions)
+        for reason in (
+            planners._pi_eval(m, policy, ChiSquare(0.3), OffsetFn.mean(), 1e-9, m.kernel, 3),
+            planners._pi_control(m, ChiSquare(0.3), OffsetFn.mean(), 1e-9),
+        ):
+            assert isinstance(reason, ConvergenceError)
+            assert str(reason).startswith("policy iteration found no certificate within 3 steps")
 
     def test_step_cap_falls_back_to_rvi(self, monkeypatch):
         # chi2 on inventory needs 4 steps for evaluation and 8 for control

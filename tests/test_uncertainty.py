@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import logsumexp
 
@@ -320,7 +321,7 @@ class TestGridOracle:
 
     def test_general_metric_row_cap_checked_before_any_lp(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(uncertainty, "linprog", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: calls.append(args))
         spec = Wasserstein(0.5, metric=1.0 - np.eye(4))  # not the line metric: one LP per grid point
         # resolution 41 has 13,244 points, over the 12,341 of resolution 40
         with pytest.raises(ValueError, match="12341 rows"):
@@ -621,6 +622,18 @@ def _plane_metric(rng, n):
     return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
 
 
+def _envelope_kinks(u, dl):
+    """Reference kinks: every pairwise crossing of x's lines that lies on x's lower envelope, within
+    1e-9 relative, tested pair by pair in (S, S(S-1)/2, S) arrays."""
+    i, j = np.triu_indices(u.shape[0], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (u[i] - u[j]) / (dl[:, j] - dl[:, i])
+    lam = np.where(np.isfinite(lam) & (lam > 0.0), lam, 0.0)
+    at = u[i] + lam * dl[:, i]
+    env = (u + lam[:, :, None] * dl[:, None, :]).min(axis=2)
+    return np.unique(np.concatenate([np.zeros(1), lam[(lam > 0.0) & (at - env <= 1e-9 * (at + u.max()))]]))
+
+
 class TestWassersteinSolve:
     @pytest.mark.parametrize("delta", [1e-2, 0.1, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -653,6 +666,43 @@ class TestWassersteinSolve:
         values, lambdas = Wasserstein(1.5).solve(p, v)
         assert values[0] == pytest.approx(-0.5, abs=1e-15)
         assert lambdas[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("metric", ["line", "plane", "pseudo"])
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_hull_march_matches_envelope_reference(self, metric, order, monkeypatch):
+        rng = np.random.default_rng(int(10 * order) + ("line", "plane", "pseudo").index(metric))
+        for n in range(1, 25):
+            if metric == "line":
+                d = None
+            elif metric == "plane":
+                d = _plane_metric(rng, n)
+            else:  # states in clusters at distance 0 from each other
+                d = line_metric(n)[np.ix_(np.arange(n) // 3, np.arange(n) // 3)]
+            spec = Wasserstein(float(10.0 ** rng.uniform(-2, 1)), order=order, metric=d)
+            dl = spec._dl(n)
+            rows = rng.dirichlet(np.ones(n), size=8)
+            for v in (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), np.round(rng.normal(size=n), 1), np.full(n, 1.5)):
+                u = v - v.min()
+                kinks = Wasserstein._kinks(u, dl)
+                assert np.isin(kinks, _envelope_kinks(u, dl)).all(), (n, v)
+                values = spec.solve(rows, v)[0]
+                with monkeypatch.context() as patch:
+                    patch.setattr(Wasserstein, "_kinks", staticmethod(_envelope_kinks))
+                    reference = spec.solve(rows, v)[0]
+                assert np.abs(values - reference).max() <= 1e-15 * (1.0 + np.abs(v).max()), (n, v)
+
+    def test_kink_search_memory(self):
+        rng = np.random.default_rng(15)
+        u = rng.normal(size=60)
+        u -= u.min()
+        dl = line_metric(60)
+        tracemalloc.start()
+        try:
+            Wasserstein._kinks(u, dl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the all-pairs envelope test peaked at 6.9 MB here
 
     def test_worst_row_attains_support_in_ball(self):
         rng = np.random.default_rng(13)
