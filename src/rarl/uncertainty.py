@@ -16,9 +16,11 @@ balls, and Wasserstein balls over a state metric. The module provides:
   q.v over the simplex grid points within ``distance`` delta of p. The grid
   has any number of states, up to a cap on its point count.
 
-All solvers are pure functions of immutable inputs. Batched paths and scalar
-paths share one implementation, so repeated evaluation is reproducible. They
-need numpy only; scipy is imported on the first general-metric Wasserstein
+All solvers are pure functions of immutable inputs, and batched and scalar
+paths share one implementation. Chi-square and KL give a row the same bits
+alone as in a batch; contamination, TV and Wasserstein reduce rows with BLAS
+products (``rows @ v``), whose last bits can depend on the batch. They need
+numpy only; scipy is imported on the first general-metric Wasserstein
 ``distance``, whose transport LPs it solves.
 """
 
@@ -195,8 +197,9 @@ class ChiSquare(UncertaintySet):
     objective phi(t) is concave between consecutive sorted entries of v. On
     such a segment min(v, t) is affine in t, so mean and variance are
     quadratics in t and the segment's maximizer is a closed-form stationary
-    point clipped to the segment (Iyengar 2005). ``solve`` takes the best
-    segment per row; it sorts v once and is vectorized over rows.
+    point clipped to the segment (Iyengar 2005). ``solve`` sorts v once, scores
+    every segment from one-pass cumulative moments, O(S) per row, and re-scores
+    with the two-pass variance those within a rounding window of the row's best.
     """
 
     kind = "chi2"
@@ -206,17 +209,17 @@ class ChiSquare(UncertaintySet):
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0 or v.max() == v.min():
-            return rows @ v, np.full(rows.shape[0], v.max())
-        order = np.argsort(v, kind="stable")
+            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], v.max())
+        order = v.argsort(kind="stable")
         knots = v[order]
         lo, width = knots[0], knots[-1] - knots[0]
         u = (knots - lo) / width  # the problem is shift and scale equivariant
-        p = rows[:, order]
+        p = rows.take(order, axis=1)  # C-contiguous, so einsum sums each row as it sums it alone
         # segment k is [u_k, u_{k+1}]: states 0..k keep their value, the rest sit at t
-        low = np.cumsum(p, axis=1)[:, :-1]
-        m1 = np.cumsum(p * u, axis=1)[:, :-1]
-        m2 = np.cumsum(p * u * u, axis=1)[:, :-1]
-        tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        low = p.cumsum(axis=1)[:, :-1]
+        m1 = (p * u).cumsum(axis=1)[:, :-1]
+        m2 = (p * u * u).cumsum(axis=1)[:, :-1]
+        tail = p[:, ::-1].cumsum(axis=1)[:, -2::-1]
         # phi'(t) = 0 at t = m1/low + sqrt(Var_low / (delta low - tail)), which
         # exists iff delta low > tail; otherwise phi increases on the segment
         gap = self.delta * low - tail
@@ -224,19 +227,25 @@ class ChiSquare(UncertaintySet):
         with np.errstate(divide="ignore", invalid="ignore"):
             spread = np.sqrt(np.maximum(low * m2 - m1 * m1, 0.0) / gap)
             stationary = lo + width * (m1 + spread) / low
-        cand = np.clip(np.where(inside, stationary, knots[1:]), knots[:-1], knots[1:])
-        values = np.full(rows.shape[0], -np.inf)
-        thresholds = np.empty(rows.shape[0])
-        for k in range(cand.shape[1]):
-            # two-pass variance: one pass E[w^2] - mean^2 cancels as var -> 0
-            w = np.minimum(u, (cand[:, k : k + 1] - lo) / width)
-            mean = np.einsum("bs,bs->b", p, w)
-            dev = w - mean[:, None]
-            phi = mean - np.sqrt(self.delta * np.einsum("bs,bs->b", p, dev * dev))
-            better = phi > values
-            values = np.where(better, phi, values)
-            thresholds = np.where(better, cand[:, k], thresholds)
-        return lo + width * values, thresholds
+        cand = np.minimum(np.maximum(np.where(inside, stationary, knots[1:]), knots[:-1]), knots[1:])
+        t = (cand - lo) / width
+        mean = m1 + t * tail  # one-pass E[min(u, t)]; E[min(u, t)^2] = m2 + t^2 tail
+        score = mean - np.sqrt(self.delta * np.maximum(m2 + t * t * tail - mean * mean, 0.0))
+        # a segment with its predecessor's t, or past the row's last mass, scores as the one before it
+        score[:, 1:][(cand[:, 1:] == cand[:, :-1]) | (tail[:, :-1] == 0.0)] = -np.inf
+        # u is in [0, 1] and p sums to 1, so each cumulative moment is off by about S ulps, the one-pass variance by
+        # n = (4S + 8) eps, its square root by sqrt(delta n), and the two-pass score is as close: a segment tying the
+        # row's best two-pass score is in the window (4 is margin)
+        n = (4 * p.shape[1] + 8) * math.ulp(1.0)
+        r, k = (score >= score.max(axis=1, keepdims=True) - 4.0 * (math.sqrt(self.delta * n) + n)).nonzero()
+        q, w = p[r], np.minimum(u, t[r, k][:, None])
+        # two-pass variance: one pass E[w^2] - mean^2 cancels as var -> 0
+        mean = np.einsum("bs,bs->b", q, w)
+        w -= mean[:, None]
+        phi = np.full(cand.shape, -np.inf)
+        phi[r, k] = mean - np.sqrt(self.delta * np.einsum("bs,bs->b", q, w * w))
+        best = (np.arange(len(rows)), phi.argmax(axis=1))  # each row's first best segment
+        return lo + width * phi[best], cand[best]
 
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
@@ -350,7 +359,7 @@ class KLDivergence(UncertaintySet):
         rows = _as_batch(rows)
         v = np.asarray(v, dtype=float)
         if self.delta == 0.0 or v.max() == v.min():
-            return rows @ v, np.full(rows.shape[0], np.inf)
+            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], np.inf)
         support = rows > 0.0
         values = np.where(support, v, np.inf).min(axis=1)
         alphas = np.zeros(rows.shape[0])

@@ -131,6 +131,8 @@ class TestAxioms:
             batch = spec.support_batch(rows, v)
             for i in range(0, 40, 7):
                 assert batch[i] == pytest.approx(spec.support(rows[i], v), abs=1e-12)
+                if spec.kind in ("chi2", "kl"):  # these two give a row the same bits alone as in a batch
+                    assert batch[i] == spec.support(rows[i], v)
 
 
 class TestDualCertificates:
@@ -410,6 +412,83 @@ def _chi2_reference(p, v, delta):
     return best
 
 
+def _chi2_segments(rows, v, delta):
+    """Per row and segment k of sorted v (delta > 0, v not constant): the cumulative moments m1, m2 and the
+    tail mass of u = (v - min v) / span(v), and the segment's clipped stationary point."""
+    order = np.argsort(v, kind="stable")
+    knots = v[order]
+    lo, width = knots[0], knots[-1] - knots[0]
+    u = (knots - lo) / width
+    p = rows[:, order]
+    low = np.cumsum(p, axis=1)[:, :-1]
+    m1 = np.cumsum(p * u, axis=1)[:, :-1]
+    m2 = np.cumsum(p * u * u, axis=1)[:, :-1]
+    tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    gap = delta * low - tail
+    inside = (low > 0.0) & (gap > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.sqrt(np.maximum(low * m2 - m1 * m1, 0.0) / gap)
+        stationary = lo + width * (m1 + spread) / low
+    cand = np.clip(np.where(inside, stationary, knots[1:]), knots[:-1], knots[1:])
+    return lo, width, u, p, m1, m2, tail, cand
+
+
+def _chi2_segments_reference(rows, v, delta):
+    """Reference chi-square solve: the two-pass score of every segment's clipped stationary point, one
+    segment at a time over the whole batch, keeping each row's first best. Called on one row at a time it
+    gives the bits ``ChiSquare.solve`` must give."""
+    lo, width, u, p, _, _, _, cand = _chi2_segments(rows, v, delta)
+    values = np.full(rows.shape[0], -np.inf)
+    thresholds = np.empty(rows.shape[0])
+    for k in range(cand.shape[1]):
+        w = np.minimum(u, (cand[:, k : k + 1] - lo) / width)
+        mean = np.einsum("bs,bs->b", p, w)
+        dev = w - mean[:, None]
+        phi = mean - np.sqrt(delta * np.einsum("bs,bs->b", p, dev * dev))
+        better = phi > values
+        values = np.where(better, phi, values)
+        thresholds = np.where(better, cand[:, k], thresholds)
+    return lo + width * values, thresholds
+
+
+def _chi2_one_pass_thresholds(rows, v, delta):
+    """The thresholds a ranking of the segments by one-pass moments alone, E[w^2] - E[w]^2, would pick."""
+    lo, width, _, _, m1, m2, tail, cand = _chi2_segments(rows, v, delta)
+    t = (cand - lo) / width
+    mean = m1 + t * tail
+    score = mean - np.sqrt(delta * np.maximum(m2 + t * t * tail - mean * mean, 0.0))
+    return cand[np.arange(rows.shape[0]), score.argmax(axis=1)]
+
+
+def _chi2_mp_reference(p, v, delta):
+    """40-digit chi-square support: on each segment between distinct sorted values of v, the stationary
+    point t = m1/low + sqrt(Var_low / (delta low - tail)) clipped to the segment, or its right end when
+    delta low <= tail; the best phi(t) = E_p min(v, t) - sqrt(delta Var_p min(v, t)) over them and the knots."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(float(x)) for x in p]
+        v = [mpmath.mpf(float(x)) for x in v]
+        delta = mpmath.mpf(delta)
+
+        def phi(t):
+            w = [min(x, t) for x in v]
+            mean = mpmath.fsum(a * b for a, b in zip(p, w))
+            return mean - mpmath.sqrt(delta * mpmath.fsum(a * (b - mean) ** 2 for a, b in zip(p, w)))
+
+        knots = sorted(set(v))
+        best = max(phi(t) for t in knots)
+        for a, b in zip(knots[:-1], knots[1:]):
+            low = mpmath.fsum(x for x, y in zip(p, v) if y <= a)
+            m1 = mpmath.fsum(x * y for x, y in zip(p, v) if y <= a)
+            m2 = mpmath.fsum(x * y * y for x, y in zip(p, v) if y <= a)
+            tail = mpmath.fsum(x for x, y in zip(p, v) if y >= b)
+            t = b
+            if low > 0 and delta * low > tail:
+                t = m1 / low + mpmath.sqrt(max(m2 / low - (m1 / low) ** 2, 0) / (delta * low - tail))
+            best = max(best, phi(min(max(t, a), b)))
+        return float(best)
+
+
 class TestChiSquareSolve:
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.3, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -454,6 +533,61 @@ class TestChiSquareSolve:
             assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
             assert abs(q @ v - spec.support(p, v)) <= 1e-9 * max(1.0, np.abs(v).max())
             assert spec.divergence(q, p) <= spec.delta * (1.0 + 1e-9)
+
+    @staticmethod
+    def reference_rows(rng, n, count):
+        """Dirichlet rows, rows with zero entries, and sparse multinomial count rows like MLMC rows."""
+        dense = rng.dirichlet(np.full(n, 0.5), size=count)
+        holes = rng.dirichlet(np.ones(n), size=count) * (rng.random((count, n)) < 0.6)
+        holes[:, 0] += holes.sum(axis=1) == 0.0
+        counts = rng.multinomial(int(rng.integers(1, 9)), rng.dirichlet(np.ones(n)), size=count)
+        return np.vstack([dense, holes / holes.sum(axis=1, keepdims=True), counts / counts.sum(axis=1, keepdims=True)])
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-2, 0.3, 3.0, 30.0])
+    def test_bitwise_equal_to_segment_reference_row_by_row(self, delta):
+        rng = np.random.default_rng(int(1e4 * delta))
+        spec = ChiSquare(delta)
+        for n in (2, 3, 4, 6, 9, 17, 30, 60):
+            rows = self.reference_rows(rng, n, 3 if n >= 30 else 6)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            for v in (
+                scale * rng.normal(size=n),
+                scale * rng.normal(size=n) + 1e3,
+                scale * np.round(rng.normal(size=n), 1),  # rounded to 0.1: ties and repeated thresholds
+                scale * np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n],  # tied pairs
+            ):
+                if v.max() == v.min():
+                    continue
+                values, thresholds = spec.solve(rows, v)
+                for i, p in enumerate(rows):
+                    ref_value, ref_t = _chi2_segments_reference(p[None, :], v, delta)
+                    alone = spec.solve(p, v)
+                    assert (values[i], thresholds[i]) == (ref_value[0], ref_t[0]), (n, p, v)
+                    assert (alone[0][0], alone[1][0]) == (values[i], thresholds[i]), (n, p, v)
+
+    def test_rescoring_beats_one_pass_ranking(self):
+        # ranked by one-pass moments, this row would pick t = -0.59999998 (on the segment [-0.6, -0.1]),
+        # whose two-pass value lies 9e-9 below the optimum at t = -0.6, above a 1e-9 span tolerance
+        p, v, delta = np.array([0.0, 0.07, 0.17, 0.18, 0.58]), np.array([-2.2, 1.5, 0.1, -0.1, -0.6]), 3.0
+        value, t = ChiSquare(delta).solve(p, v)
+        reference = _chi2_segments_reference(p[None, :], v, delta)
+        assert (value[0], t[0]) == (reference[0][0], reference[1][0]) and t[0] == -0.6
+        picked = _chi2_one_pass_thresholds(p[None, :], v, delta)[0]
+        w = np.minimum(v, picked)
+        assert value[0] - (p @ w - np.sqrt(delta * (p @ (w - p @ w) ** 2))) > 1e-9 * (v.max() - v.min())
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.3, 3.0, 30.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_40_digit_reference(self, delta, scale):
+        rng = np.random.default_rng(int(1e4 * delta + scale))
+        for n in (2, 4, 7, 11):
+            rows = self.reference_rows(rng, n, 2)
+            v = scale * rng.normal(size=n)
+            if n > 2:
+                v[-1] = v[0]  # tied values
+            values = ChiSquare(delta).solve(rows, v)[0]
+            for p, value in zip(rows, values):
+                assert abs(value - _chi2_mp_reference(p, v, delta)) <= 1e-12 * (v.max() - v.min()), (n, p, v)
 
 
 def test_kl_large_radius_bracket():
