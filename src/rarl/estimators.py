@@ -67,9 +67,16 @@ class MlmcConfig:
     """Geometric-level parameter and a practical cap on the level.
 
     The proven ranges are psi in (0, 0.5) for TV / KL / Wasserstein and
-    psi in (0, 1 - sqrt(2)/2) for chi-square. The cap bounds the worst-case
-    sample cost at 2^(max_level + 1); truncation happens with probability
-    (1 - psi)^(max_level + 1) per estimate.
+    psi in (0, 1 - sqrt(2)/2) for chi-square. A level-N estimate costs
+    2^(N + 1) samples, and levels at or above L = max_level are drawn as L, so
+    the expected sample cost per estimate is
+
+        sum_{N < L} psi (1 - psi)^N 2^(N + 1) + (1 - psi)^L 2^(L + 1).
+
+    For psi < 1/2, 2 (1 - psi) > 1 and the uncapped sum diverges: the cap, not
+    psi, keeps the cost finite, and most samples go to estimates at the cap.
+    L is at most 61, so that the 2^(L + 1) samples of one estimate fit in int64;
+    ``EstimateStream.samples`` raises ``OverflowError`` once a run's total does not.
     """
 
     psi: float
@@ -78,8 +85,8 @@ class MlmcConfig:
     def __post_init__(self):
         if not 0.0 < self.psi < 1.0:
             raise ValueError(f"psi must be in (0, 1), got {self.psi}")
-        if self.max_level < 0:
-            raise ValueError(f"max_level must be nonnegative, got {self.max_level}")
+        if not 0 <= self.max_level <= 61:
+            raise ValueError(f"max_level must lie in [0, 61], got {self.max_level}")
 
 
 def default_psi(spec: UncertaintySet) -> float:
@@ -123,8 +130,9 @@ class EstimateStream:
         # with level probabilities p_N (block, seeds, n)
         self.costs = np.zeros((0, len(rngs) * len(self.s_idx)), dtype=np.int64)
         self.next_states = self.rows = self.p_level = None
-        # each seed's samples after the first j iterations of the block, (block + 1, seeds)
-        self._spent = np.zeros((1, len(rngs)), dtype=np.int64)
+        # each seed's samples after the first j iterations of the block, (block + 1, seeds), in
+        # float64: exact below 2^53, and a total past int64 cannot wrap negative
+        self._spent = np.zeros((1, len(rngs)))
 
     def _draw_block(self):
         n, n_seeds = len(self.s_idx), len(self._streams)
@@ -141,8 +149,8 @@ class EstimateStream:
         else:
             costs = self._draw_rows(firsts)
         self.costs = costs.reshape(block, -1)
-        spent = np.cumsum(costs.sum(axis=2), axis=0)
-        self._spent = self._spent[-1] + np.concatenate([np.zeros((1, n_seeds), dtype=np.int64), spent])
+        spent = np.cumsum(costs.sum(axis=2, dtype=float), axis=0)
+        self._spent = self._spent[-1] + np.concatenate([np.zeros((1, n_seeds)), spent])
 
     def _draw_rows(self, firsts):
         """The MLMC rows and level probabilities of a block with these first draws; returns the
@@ -172,8 +180,12 @@ class EstimateStream:
         return 2 * half
 
     def samples(self) -> np.ndarray:
-        """Samples behind the estimates returned so far, per live seed."""
-        return self._spent[self._at]
+        """Samples behind the estimates returned so far, per live seed, as int64; raises
+        ``OverflowError`` once a seed's count no longer fits."""
+        spent = self._spent[self._at]
+        if spent.max(initial=0.0) >= 2.0**63:
+            raise OverflowError(f"a run's sample count reached {spent.max():.3g}, past int64; lower max_level")
+        return spent.astype(np.int64)
 
     def drop(self, keep: np.ndarray) -> None:
         """Stop estimating for the live seeds where the boolean mask ``keep`` is False."""

@@ -11,7 +11,7 @@ Outputs per experiment directory:
 - ``trace.csv`` with header ``iter,mean,p95,p05,baseline`` (nearest-rank
   percentiles across seeds) and a matching ``plot.svg``;
 - ``summary.json`` with per-seed tail estimates and the planner baseline,
-  with the planner's method, iterations and residual under ``planner``;
+  with the planner's iterations, ``damped`` count and residual under ``planner``;
 - control runs add ``policy.json`` (per-seed and modal greedy policies);
 - sweeps write ``sweep.csv`` with header
   ``perturbation,robust_gain,nonrobust_gain`` and ``sweep.svg``;
@@ -223,9 +223,11 @@ def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:
     if psi is not None and _positive_number("estimator.psi", psi) >= 1.0:
         raise ConfigError(f"estimator.psi must lie in (0, 1), got {psi!r}")
     max_level = _integer("estimator.max_level", doc.get("max_level", 20), 0)
-    if isinstance(spec, Contamination):
-        return None
-    return MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
+    try:
+        mlmc = MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
+    except ValueError as exc:
+        raise ConfigError(f"estimator.{exc}") from exc  # psi is checked above, so this names max_level
+    return None if isinstance(spec, Contamination) else mlmc
 
 
 def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
@@ -280,8 +282,8 @@ def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline:
 
 
 def _planner_stats(plan) -> dict:
-    """How the planner certified its baseline: method, iterations and final residual."""
-    return {"method": plan.method, "iterations": plan.iterations, "residual": plan.residual}
+    """How the planner certified its baseline: steps, ``damped`` count and final residual."""
+    return {"iterations": plan.iterations, "damped": plan.damped, "residual": plan.residual}
 
 
 def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
@@ -349,7 +351,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
-    """Model-based baseline only; writes baseline.json with the planner's method, iterations and residual."""
+    """Model-based baseline only; writes baseline.json with the planner's iterations, ``damped`` count and residual."""
     _check_algorithm(cfg, "plan")
     os.makedirs(out_dir, exist_ok=True)
     mdp = build_environment(cfg.environment)
@@ -372,51 +374,62 @@ def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     return doc
 
 
-# each sweep family's own fields, next to "family" and "start_state"
-_SWEEP_FIELDS = {
-    "recycling_robot": ("points_per_axis", "x_grid"),
-    "inventory_b": ("m", "b_grid"),
-    "inventory_m": ("b", "m_grid"),
-    "one_loop_mix": ("x_grid",),
+# each sweep family's environment id, and its own fields next to "family" and "start_state"
+_SWEEP_FAMILIES = {
+    "recycling_robot": ("recycling_robot", ("points_per_axis", "x_grid")),
+    "inventory_b": ("inventory", ("m", "b_grid")),
+    "inventory_m": ("inventory", ("b", "m_grid")),
+    "one_loop_mix": ("one_loop", ("x_grid",)),
 }
+
+
+def _number(name: str, value) -> float:
+    if not is_json_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _perturbation_grid(cfg: ExperimentConfig):
     """Yield (label, [perturbed MDPs]) per grid point of the sweep family."""
     sweep = cfg.sweep or {}
     family = sweep.get("family")
-    if family not in _SWEEP_FIELDS:
+    if family not in _SWEEP_FAMILIES:
         raise ConfigError(f"unknown sweep family {family!r}")
-    _known_fields("sweep", sweep, ("family", "start_state", *_SWEEP_FIELDS[family]))
+    env_id, fields = _SWEEP_FAMILIES[family]
+    if cfg.environment.get("id") != env_id:
+        raise ConfigError(f"sweep family {family!r} perturbs environment {env_id!r}, got {cfg.environment.get('id')!r}")
+    _known_fields("sweep", sweep, ("family", "start_state", *fields))
     params = dict(cfg.environment.get("params", {}))
     if family == "recycling_robot":
         nominal_alpha = params.pop("alpha", 0.5)
         nominal_beta = params.pop("beta", 0.5)
         k = _integer("sweep.points_per_axis", sweep.get("points_per_axis", 3), 1)
         for x in sweep.get("x_grid", [0.0, 0.1, 0.2, 0.3, 0.4]):
+            x = _number("sweep.x_grid", x)
             alphas = np.clip(np.linspace(nominal_alpha - x, nominal_alpha + x, k), 0.0, 1.0)
             betas = np.clip(np.linspace(nominal_beta - x, nominal_beta + x, k), 0.0, 1.0)
             mdps = [envs.recycling_robot(a, b, **params) for a in alphas for b in betas]
-            yield float(x), mdps
+            yield x, mdps
     elif family == "inventory_b":
         capacity = int(params.get("capacity", 16))
         m = _integer("sweep.m", sweep.get("m", 0), 0)
         for b in sweep.get("b_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
-            demand = envs.inventory_perturbed_demand(m, float(b), capacity + 1)
+            demand = envs.inventory_perturbed_demand(m, _number("sweep.b_grid", b), capacity + 1)
             yield float(b), [envs.inventory(**{**params, "demand": demand})]
     elif family == "inventory_m":
         capacity = int(params.get("capacity", 16))
-        b = float(sweep.get("b", 0.25))
+        b = _number("sweep.b", sweep.get("b", 0.25))
         for m in sweep.get("m_grid", list(range(capacity))):
             demand = envs.inventory_perturbed_demand(_integer("sweep.m_grid", m, 0), b, capacity + 1)
             yield float(m), [envs.inventory(**{**params, "demand": demand})]
     else:
         nominal, perturbed = envs.one_loop()
         for x in sweep.get("x_grid", [0.0, 0.25, 0.5, 0.75, 1.0]):
-            if not 0.0 <= float(x) <= 1.0:
+            x = _number("sweep.x_grid", x)
+            if not 0.0 <= x <= 1.0:
                 raise ValueError(f"x_grid entries must lie in [0, 1], got {x!r}")
-            kernel = (1.0 - float(x)) * nominal.kernel + float(x) * perturbed.kernel
-            yield float(x), [nominal.with_kernel(kernel)]
+            kernel = (1.0 - x) * nominal.kernel + x * perturbed.kernel
+            yield x, [nominal.with_kernel(kernel)]
 
 
 def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:

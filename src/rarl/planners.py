@@ -5,17 +5,11 @@ optimal control. Each step makes one batched ``support_and_worst`` call at the
 current value v, which gives the support table that certifies v and the exact
 worst kernel; evaluating the policy exactly under that kernel (one linear
 solve) gives the next v (Iyengar 2005; Ho, Petrik & Wiesemann 2021). Control
-improves the policy greedily around that inner loop and hands the last kernel
-on to the next policy's evaluation. Runs terminate on the sup-norm robust
-Bellman residual, so every returned solution carries its own certificate.
-When a worst kernel is multichain or policy iteration does not certify within
-a fixed number of steps, the call runs one damped relative value iteration
-loop instead, on the value vector for evaluation and on the Q table for
-control: iterates are damped with a half-step (the aperiodicity
-transformation, which leaves fixed points and gains unchanged), re-centered
-by the offset each sweep, and stopped on the same residual. If that loop
-fails too, its error also names, and chains from, the reason policy
-iteration stopped.
+improves the policy greedily around that inner loop. Runs terminate on the
+sup-norm robust Bellman residual, so every returned solution carries its own
+certificate. Where a worst kernel's chain is multichain or singular, the step
+is a damped sweep instead; where policy iteration stalls, the call starts over
+as damped relative value iteration from zero (see ``_policy_iteration``).
 ``FiniteKernelSet`` is an uncertainty set given as an explicit finite
 collection of kernels, answering the same batched ``support_batch`` /
 ``worst_row`` / ``support_and_worst`` calls as the parametric families; it
@@ -88,26 +82,40 @@ def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray
     return sigma.reshape(mdp.n_states, mdp.n_actions), worst.reshape(mdp.kernel.shape)
 
 
-# Exact solves a planner call may spend in policy iteration before it falls back to RVI, and the
-# sweeps the fallback may spend.
-_PI_MAX_STEPS = 50
-_RVI_MAX_SWEEPS = 10**6
+# Steps a planner call may spend; the stall rule of ``_stalled`` stops a failing call long before.
+_MAX_STEPS = 10_000
 
 
 @dataclass
 class PlannerResult:
     """Certified worst-case gain and value of a fixed policy.
 
-    ``method`` is ``"policy-iteration"``, or ``"rvi"`` after a fallback;
-    ``iterations`` counts policy-iteration steps (one exact linear solve and
-    one support-and-worst-row solve each), or RVI sweeps after a fallback.
+    ``iterations`` counts steps, one support-and-worst-row solve each. ``damped`` counts the steps
+    that were not an exact evaluation: each worst kernel whose chain is multichain or singular,
+    answered by a damped sweep or in control by a switch to the greedy policy, and each sweep of
+    the relative value iteration that follows a stall. It is 0 on every call that policy iteration
+    certifies with unichain worst kernels only.
     """
 
     gain: float
     value: np.ndarray
     iterations: int
     residual: float
-    method: str
+    damped: int
+
+
+@dataclass
+class ControlResult:
+    """Certified optimal worst-case gain, Q table pinned by offset(q) = 0, and
+    its greedy policy; ``iterations`` and ``damped`` as in ``PlannerResult``,
+    with the steps of every evaluated policy counted."""
+
+    gain: float
+    q: np.ndarray
+    policy: Policy
+    iterations: int
+    residual: float
+    damped: int
 
 
 def _gain_and_residual(tx, x, offset) -> tuple[float, float]:
@@ -116,73 +124,142 @@ def _gain_and_residual(tx, x, offset) -> tuple[float, float]:
     return g, float(np.abs(tx - g - x).max())
 
 
-def _eval_operator(mdp, policy, uset):
-    """The policy's robust Bellman operator, T v = sum_a pi(a|s) (r(s, a) + sigma(s, a, v))."""
-    return lambda v: np.einsum("sa,sa->s", policy.probs, mdp.reward + support_table(mdp, uset, v))
+def _stalled(marks: list, step: int, residual: float, tol: float) -> bool:
+    """Whether a phase that has not reached ``tol`` by its ``step`` never will, read at steps 2^j, j >= 5.
 
-
-def _control_operator(mdp, uset):
-    """The optimal robust Bellman operator on Q tables, H q = r + sigma(max_a q)."""
-    return lambda q: mdp.reward + support_table(mdp, uset, q.max(axis=1))
-
-
-def _pi_eval(mdp, policy, uset, offset, tol, kernel, max_steps):
-    """Robust policy iteration for a fixed policy, warm-started at the worst ``kernel`` of some v.
-
-    Each step evaluates the policy exactly under the current kernel, then takes
-    the support table and the worst kernel at the new value from one
-    ``support_and_worst`` call: the table certifies the value, and the kernel
-    drives the next step. Returns the certified result with the support table
-    and the worst kernel at its value, or the reason it stopped: the error of a
-    kernel whose chain is multichain or singular, or a ``ConvergenceError``
-    when no step certifies within ``max_steps``.
+    It has stalled when its residual is no lower than at the last checkpoint, or when it flattens
+    toward a limit that holds most of it: the ratio of the last two checkpoint residuals is no lower
+    than the ratio before, and the Aitken extrapolation of the last three is above both tol and half
+    the last residual. A residual that goes to 0 at a linear rate squares that ratio at each
+    doubling; one that falls like c / k keeps the ratio but extrapolates to 0, and the half keeps
+    the extrapolation's upward bias, where the ratio still grows, from stopping it. Without this
+    second rule, damped sweeps that approach a positive residual from above run for thousands of
+    steps.
     """
-    for step in range(1, max_steps + 1):
-        try:
-            v = gain_and_bias(mdp.with_kernel(kernel), policy, offset).bias
-        except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
-            return exc
+    if step < 32 or step & (step - 1):
+        return False
+    marks.append(residual)
+    if len(marks) < 2:
+        return False
+    if marks[-1] >= marks[-2]:
+        return True
+    if len(marks) < 3:
+        return False
+    older, old, new = marks[-3:]
+    if new * older < old**2:
+        return False
+    # new < old and new * older >= old^2 give new + older > 2 old; it rounds to equality only when
+    # the residual barely moves, and then the limit is the residual itself
+    curvature = new - 2 * old + older
+    limit = new - (new - old) ** 2 / curvature if curvature > 0 else new
+    return limit > max(tol, new / 2)
+
+
+def _greedy(q, actions, tol):
+    """Greedy actions on q that keep ``actions`` wherever they are within tol/4 of the row max."""
+    return np.where(q[np.arange(len(q)), actions] >= q.max(axis=1) - tol / 4, actions, q.argmax(axis=1))
+
+
+def _policy_iteration(mdp, uset, offset, tol, policy):
+    """Robust policy iteration from v = 0, of ``policy``, or with greedy improvement if it is None.
+
+    Each step evaluates the policy exactly under the worst kernel at v or, where that kernel's chain
+    is multichain or singular, takes the damped sweep v <- y - offset(y) with y = (v + T_pi v) / 2
+    (the aperiodicity transformation, which leaves fixed points and gains unchanged), reading
+    T_pi v off the support table at v. One ``support_and_worst`` call at the new v then gives the
+    table that certifies it and the next kernel.
+
+    Control improves a deterministic policy greedily on r + sigma(v) - g once its evaluation
+    certifies to tol/4, keeping its actions wherever they are within tol/4 of the row max, so tied
+    actions cannot cycle; a repeated policy's Q residual is then at most tol. Where the current
+    policy's kernel is multichain and the greedy policy differs, it switches to that policy at once.
+
+    A phase (one policy's evaluation) that stalls (``_stalled``) is where policy iteration ends.
+    Control first improves to the greedy policy there, unless that policy has stalled before. Then
+    the call starts over as damped relative value iteration from zero: the damped sweep above for
+    evaluation (unless every step of the phase already was one, so that it would only repeat it),
+    and for control q <- y - offset(y), y = (q + H q) / 2, with the optimal operator
+    H q = r + sigma(max_a q), until the Q residual certifies. If those sweeps stall too, the call
+    raises ``ConvergenceError``, chained from the last failed exact evaluation.
+    """
+    control = policy is None
+    v = np.zeros(mdp.n_states)
+    sigma, kernel = _support_and_worst(mdp, uset, v)
+    sigma0 = sigma
+    if control:
+        actions = np.argmax(mdp.reward, axis=1)  # greedy at v = 0, where every support value is 0
+        policy = Policy.deterministic(actions, mdp.n_actions)
+    target = tol / 4 if control else tol
+    steps = damped = start = 0
+    sweeps_only = False  # whether the phase takes damped sweeps only
+    solved = False  # whether an exact evaluation succeeded in the phase
+    q = None  # control's Q table, once it takes damped sweeps of the optimal operator
+    marks, stalled, reason = [], set(), None
+    while steps < _MAX_STEPS:
+        exact = not sweeps_only
+        if exact:
+            try:
+                v = gain_and_bias(mdp.with_kernel(kernel), policy, offset).bias
+                solved = True
+            except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
+                reason, exact = exc, False
+        if not exact:
+            damped += 1
+            if control and not sweeps_only:
+                greedy = _greedy(mdp.reward + sigma, actions, tol)
+                if not np.array_equal(greedy, actions):
+                    actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
+                    start, marks, solved = steps, [], False
+                    continue
+            if q is None:
+                y = 0.5 * v + 0.5 * np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma)
+                v = y - offset(y)
+            else:
+                y = 0.5 * q + 0.5 * (mdp.reward + sigma)
+                q = y - offset(y)
+                v = q.max(axis=1)
+        steps += 1
         sigma, kernel = _support_and_worst(mdp, uset, v)
-        g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
-        if residual <= tol:
-            return PlannerResult(float(g), v, step, residual, "policy-iteration"), sigma, kernel
-    return ConvergenceError(f"policy iteration found no certificate within {_PI_MAX_STEPS} steps", residual)
-
-
-def _fallback(reason: Exception, bellman, shape, offset, tol) -> tuple[float, np.ndarray, int, float]:
-    """``_rvi`` after policy iteration stopped for ``reason``; a ``ConvergenceError`` of the
-    fallback appends that reason's text and chains from it."""
-    try:
-        return _rvi(bellman, shape, offset, tol)
-    except ConvergenceError as exc:
-        exc.args = (f"{exc}; policy iteration stopped first: {reason}",)
-        raise exc from reason
-
-
-def _rvi(bellman, shape, offset, tol) -> tuple[float, np.ndarray, int, float]:
-    """Damped relative value iteration from x = 0, x <- y - offset(y) with y = (x + Tx) / 2, on a
-    value vector or a Q table alike: the fallback and test reference.
-
-    Returns (gain, x, sweeps, residual) once the residual is <= tol. Raises ``ConvergenceError``
-    after ``_RVI_MAX_SWEEPS`` sweeps, or as soon as the residual after sweep 2^j (j >= 6) is no
-    lower than after sweep 2^(j-1): a loop that makes no progress for that long will not
-    converge, e.g. on a multichain robust problem.
-    """
-    x = np.zeros(shape)
-    residual = np.inf
-    mark = None  # the residual after the last sweep 2^j, j >= 5
-    for k in range(_RVI_MAX_SWEEPS):
-        tx = bellman(x)
-        g, residual = _gain_and_residual(tx, x, offset)
-        if residual <= tol:
-            return float(g), x, k, residual
-        if k >= 32 and not k & (k - 1):
-            if mark is not None and residual >= mark:
-                raise ConvergenceError(f"robust value iteration stalled at sweep {k}", residual)
-            mark = residual
-        nxt = 0.5 * x + 0.5 * tx
-        x = nxt - offset(nxt)
-    raise ConvergenceError("robust value iteration did not converge", residual)
+        if q is not None:
+            g, residual = _gain_and_residual(mdp.reward + sigma, q, offset)
+            if residual <= tol:
+                return ControlResult(float(g), q, greedy_policy(q), steps, residual, damped)
+        else:
+            g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
+            if not control and residual <= tol:
+                return PlannerResult(float(g), v, steps, residual, damped)
+            if control and residual <= tol / 4:
+                q_pi = mdp.reward + sigma - g
+                greedy = _greedy(q_pi, actions, tol)
+                if not np.array_equal(greedy, actions):
+                    actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
+                    start, marks, solved = steps, [], False
+                    continue
+                q_pi = q_pi - offset(q_pi)
+                g, residual = _gain_and_residual(mdp.reward + support_table(mdp, uset, q_pi.max(axis=1)), q_pi, offset)
+                if residual <= tol:
+                    return ControlResult(float(g), q_pi, greedy_policy(q_pi), steps, residual, damped)
+                raise ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual) from reason
+        if not _stalled(marks, steps - start, residual, target if q is None else tol):
+            continue
+        if control and not sweeps_only:
+            stalled.add(actions.tobytes())
+            greedy = _greedy(mdp.reward + sigma - g, actions, tol)
+            if greedy.tobytes() not in stalled:
+                actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
+                start, marks, solved = steps, [], False
+                continue
+        if not sweeps_only and (control or solved):
+            # damped relative value iteration from zero, on Q for control
+            sweeps_only, start, marks, sigma = True, steps, [], sigma0
+            if control:
+                q = np.zeros((mdp.n_states, mdp.n_actions))
+            else:
+                v = np.zeros(mdp.n_states)
+            continue
+        why = f"; the last exact evaluation failed: {reason}" if reason else ""
+        raise ConvergenceError(f"policy iteration stalled at step {steps}{why}", residual) from reason
+    raise ConvergenceError(f"policy iteration found no certificate within {_MAX_STEPS} steps", residual) from reason
 
 
 def robust_rvi_eval(
@@ -195,65 +272,14 @@ def robust_rvi_eval(
     """Worst-case gain and value of a fixed policy by robust policy iteration.
 
     Stops on the sup-norm robust Bellman residual <= tol, with the value
-    pinned by offset(v) = 0. If a worst kernel is multichain or singular, or
-    policy iteration does not certify within a fixed number of steps, the call
-    runs damped relative value iteration instead, which raises
-    ``ConvergenceError`` if it too fails, or as soon as its residual after
-    sweep 2^j (j >= 6) is no lower than after sweep 2^(j-1).
+    pinned by offset(v) = 0. Where a worst kernel is multichain or singular
+    the step is a damped sweep instead of an exact solve; where policy
+    iteration stalls, the call starts over as damped relative value
+    iteration from zero (see ``_policy_iteration``). Raises
+    ``ConvergenceError`` when that stalls too, or after a fixed number of
+    steps.
     """
-    offset = offset or OffsetFn.mean()
-    kernel = _support_and_worst(mdp, uset, np.zeros(mdp.n_states))[1]
-    solved = _pi_eval(mdp, policy, uset, offset, tol, kernel, _PI_MAX_STEPS)
-    if not isinstance(solved, Exception):
-        return solved[0]
-    return PlannerResult(*_fallback(solved, _eval_operator(mdp, policy, uset), mdp.n_states, offset, tol), "rvi")
-
-
-@dataclass
-class ControlResult:
-    """Certified optimal worst-case gain, Q table pinned by offset(q) = 0, and
-    its greedy policy; ``iterations`` and ``method`` as in ``PlannerResult``,
-    with the steps of every evaluated policy counted."""
-
-    gain: float
-    q: np.ndarray
-    policy: Policy
-    iterations: int
-    residual: float
-    method: str
-
-
-def _pi_control(mdp, uset, offset, tol) -> ControlResult | Exception:
-    """Greedy policy improvement, each deterministic policy evaluated by ``_pi_eval``.
-
-    A policy's actions are kept wherever they are within tol/4 of the row max
-    of r + sigma(v) - g, so tied actions cannot cycle; with its evaluation
-    certified to tol/4, a repeated policy's Q residual is at most tol.
-    Returns the certified result, or the reason it stopped, as ``_pi_eval`` does.
-    """
-    rows = np.arange(mdp.n_states)
-    actions = np.argmax(mdp.reward, axis=1)  # greedy at v = 0, where every support value is 0
-    kernel = _support_and_worst(mdp, uset, np.zeros(mdp.n_states))[1]
-    steps = 0
-    while steps < _PI_MAX_STEPS:
-        policy = Policy.deterministic(actions, mdp.n_actions)
-        solved = _pi_eval(mdp, policy, uset, offset, tol / 4, kernel, _PI_MAX_STEPS - steps)
-        if isinstance(solved, Exception):
-            return solved
-        ev, sigma, kernel = solved
-        steps += ev.iterations
-        q = mdp.reward + sigma - ev.gain
-        best = q.max(axis=1)
-        greedy = np.where(q[rows, actions] >= best - tol / 4, actions, q.argmax(axis=1))
-        if np.array_equal(greedy, actions):
-            q = q - offset(q)
-            g, residual = _gain_and_residual(_control_operator(mdp, uset)(q), q, offset)
-            if residual > tol:
-                return ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual)
-            return ControlResult(float(g), q, greedy_policy(q), steps, residual, "policy-iteration")
-        actions = greedy
-    residual = _gain_and_residual(_control_operator(mdp, uset)(q), q, offset)[1]  # q's offset leaves it unchanged
-    return ConvergenceError(f"policy iteration found no certificate within {_PI_MAX_STEPS} steps", residual)
+    return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, policy)
 
 
 def robust_rvi_control(
@@ -266,16 +292,12 @@ def robust_rvi_control(
 
     The outer loop improves a deterministic policy greedily on
     r + sigma(v) - g, where (g, v) is its robust evaluation, until the policy
-    repeats and the sup-norm Q residual is <= tol. Falls back to damped
-    relative value iteration on Q under the same conditions as
-    ``robust_rvi_eval``.
+    repeats and the sup-norm Q residual is <= tol. Once an evaluation stalls
+    whose greedy policy has stalled before, the call starts over as damped
+    relative value iteration on Q from zero, and fails as
+    ``robust_rvi_eval`` does when that stalls too.
     """
-    offset = offset or OffsetFn.mean()
-    solved = _pi_control(mdp, uset, offset, tol)
-    if not isinstance(solved, Exception):
-        return solved
-    g, q, sweeps, residual = _fallback(solved, _control_operator(mdp, uset), (mdp.n_states, mdp.n_actions), offset, tol)
-    return ControlResult(g, q, greedy_policy(q), sweeps, residual, "rvi")
+    return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, None)
 
 
 @dataclass

@@ -69,6 +69,43 @@ class TestMlmcConfig:
         psi = 0.49
         assert psi * (1 - psi) ** 2 == pytest.approx(0.127449, abs=1e-9)
 
+    @pytest.mark.parametrize("max_level", [61, 62, 63])
+    def test_max_level_keeps_costs_in_int64(self, max_level):
+        # a level-61 estimate costs 2^62 samples; at 62 the cost 2^63 wrapped to -2^63, and from 63
+        # on the multinomial count 2^N - 1 wrapped negative
+        if max_level > 61:
+            with pytest.raises(ValueError, match=r"max_level must lie in \[0, 61\]"):
+                MlmcConfig(psi=0.01, max_level=max_level)
+            return
+        cfg = MlmcConfig(psi=0.01, max_level=max_level)
+        rng = np.random.default_rng(5)
+        _, costs = sigma_hat_for_pairs(row_sampler(P3), TotalVariation(0.2), [(0, 0)] * 20, V3, cfg, rng)
+        assert costs.min() >= 2 and costs.max() == 2**62
+
+    def test_run_total_past_int64_raises_instead_of_wrapping(self):
+        # 20 estimates, about half of them at level 61 (2^62 samples each), cost more than int64 holds
+        cfg = MlmcConfig(psi=0.01, max_level=61)
+        stream = EstimateStream(row_sampler(P3), TotalVariation(0.2), [(0, 0)] * 20, cfg, np.random.default_rng(5), 2)
+        stream.next(V3)
+        with pytest.raises(OverflowError, match="past int64"):
+            stream.samples()
+        one = EstimateStream(row_sampler(P3), TotalVariation(0.2), [(0, 0)], cfg, np.random.default_rng(5), 1)
+        one.next(V3)
+        assert one.samples().dtype == np.int64 and one.samples()[0] == one.costs[0, 0] > 0
+
+    @pytest.mark.parametrize("psi, max_level", [(0.25, 6), (0.2, 8)])
+    def test_expected_cost_formula(self, psi, max_level):
+        # E[cost] = sum_{N < L} psi (1 - psi)^N 2^(N + 1) + (1 - psi)^L 2^(L + 1), as documented
+        levels = np.arange(max_level + 1)
+        probs = np.append(psi * (1 - psi) ** levels[:-1], (1 - psi) ** max_level)
+        costs = 2.0 ** (levels + 1)
+        mean = probs @ costs
+        se = np.sqrt((probs @ costs**2 - mean**2) / 200_000)
+        cfg, rng = MlmcConfig(psi, max_level), np.random.default_rng(6)
+        stream = EstimateStream(row_sampler(P3), TotalVariation(0.2), [(0, 0)] * 200_000, cfg, rng, n_iters=1)
+        stream.next(V3)
+        assert abs(stream.costs.mean() - mean) <= 3 * se
+
 
 class TestMlmcEstimate:
     def test_point_mass_row_zero_correction(self):

@@ -12,6 +12,7 @@ from rarl.harness import (
     ConfigError,
     ExperimentConfig,
     build_environment,
+    build_mlmc_config,
     build_policy,
     nearest_rank_percentile,
     run_control_experiment,
@@ -48,6 +49,10 @@ class TestConfig:
     def test_rejects_unknown_environment(self):
         with pytest.raises(ConfigError):
             build_environment({"id": "casino"})
+
+    def test_max_level_61_accepted(self):
+        # 62 and 63 exit 1: TestCli::test_exit_one_on_bad_run_field
+        assert build_mlmc_config({"max_level": 61}, TotalVariation(0.2)) == MlmcConfig(0.25, 61)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
@@ -160,7 +165,7 @@ class TestEvalExperiment:
         header = trace_a.decode().splitlines()[0]
         assert header == "iter,mean,p95,p05,baseline"
         planner = json.loads((out_a / "summary.json").read_text())["planner"]
-        assert planner["method"] == "policy-iteration"
+        assert planner["damped"] == 0
         assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
         assert (out_a / "plot.svg").read_text().startswith("<svg")
 
@@ -219,7 +224,7 @@ class TestControlExperiment:
         assert len(doc["per_seed_policies"]) == 3
         assert "baseline_gain" in summary
         planner = json.loads((tmp_path / "summary.json").read_text())["planner"]
-        assert planner["method"] == "policy-iteration"
+        assert planner["damped"] == 0
         assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
 
 
@@ -233,7 +238,7 @@ class TestPlannerCommand:
         assert "policy" in doc2 and len(doc2["policy"]) == 4
         for folder in ("e", "c"):
             written = json.loads((tmp_path / folder / "baseline.json").read_text())
-            assert written["method"] == "policy-iteration"
+            assert written["damped"] == 0
             assert written["iterations"] >= 1 and written["residual"] <= cfg.planner_tol
 
 
@@ -300,12 +305,20 @@ class TestSweep:
             ("inventory", {"family": "inventory_m", "m_grid": [-1]}),
             ("inventory", {"family": "inventory_m", "b": "a"}),
             ("inventory", {"family": "inventory_m", "b": 2.0}),
+            ("inventory", {"family": "inventory_m", "b": True}),
+            ("inventory", {"family": "inventory_b", "b_grid": [True]}),
+            ("one_loop", {"family": "one_loop_mix", "x_grid": ["0.5"]}),
+            ({"id": "garnet", "params": {"n_states": 4, "n_actions": 2, "seed": 5}}, {"family": "one_loop_mix"}),
+            ("one_loop", {"family": "inventory_m"}),
+            ("recycling_robot", {"family": "inventory_b"}),
+            ("inventory", {"family": "recycling_robot"}),
         ],
     )
     def test_bad_section_fails_before_any_learner_runs(self, tmp_path, monkeypatch, environment, sweep):
         calls = []
         monkeypatch.setattr(harness, "robust_rvi_q", lambda *args, **kwargs: calls.append(args))
-        cfg = eval_config(environment={"id": environment}, algorithm="robustness-sweep", sweep=sweep)
+        environment = environment if isinstance(environment, dict) else {"id": environment}
+        cfg = eval_config(environment=environment, algorithm="robustness-sweep", sweep=sweep)
         with pytest.raises(ConfigError):
             run_robustness_sweep(cfg, tmp_path)
         assert calls == []
@@ -384,6 +397,8 @@ class TestCli:
             ("policy", {"deterministic": [0, 1, 0], "stochastic": 1}, "unsupported policy spec"),
             ("algorithm", "q", "algorithm must be 'td' for eval"),
             ("algorithm", "planner", "algorithm must be 'td' for eval"),
+            ("estimator", {"max_level": 62}, "estimator.max_level must lie in [0, 61]"),
+            ("estimator", {"max_level": 63}, "estimator.max_level must lie in [0, 61]"),
         ],
     )
     def test_exit_one_on_bad_run_field(self, tmp_path, capsys, monkeypatch, field, value, message):

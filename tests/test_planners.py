@@ -20,9 +20,6 @@ from rarl.mdp import (
     support_table,
 )
 from rarl.planners import (
-    _control_operator,
-    _eval_operator,
-    _rvi,
     finite_set_enumeration,
     robust_rvi_control,
     robust_rvi_eval,
@@ -234,18 +231,71 @@ class TestWorstCaseKernel:
 FAMILIES = (Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3))
 
 
+def _rvi(bellman, shape, offset, tol):
+    """Damped relative value iteration from x = 0, x <- y - offset(y) with y = (x + Tx) / 2, on a
+    value vector or a Q table alike: the reference the planners are checked against.
+
+    Returns (gain, x, sweeps, residual) once the residual is <= tol. Raises ``ConvergenceError``
+    after 10^6 sweeps, or as soon as the residual after sweep 2^j (j >= 6) is no lower than after
+    sweep 2^(j-1), e.g. on a multichain robust problem.
+    """
+    x = np.zeros(shape)
+    residual = np.inf
+    mark = None  # the residual after the last sweep 2^j, j >= 5
+    for k in range(10**6):
+        tx = bellman(x)
+        g = offset(tx) - offset(x)
+        residual = float(np.abs(tx - g - x).max())
+        if residual <= tol:
+            return float(g), x, k, residual
+        if k >= 32 and not k & (k - 1):
+            if mark is not None and residual >= mark:
+                raise ConvergenceError(f"robust value iteration stalled at sweep {k}", residual)
+            mark = residual
+        nxt = 0.5 * x + 0.5 * tx
+        x = nxt - offset(nxt)
+    raise ConvergenceError("robust value iteration did not converge", residual)
+
+
 def rvi_eval(m, policy, spec, offset, tol):
-    """The damped RVI reference for a fixed policy: (gain, value, sweeps, residual)."""
-    return _rvi(_eval_operator(m, policy, spec), m.n_states, offset, tol)
+    """The damped RVI reference for a fixed policy, T v = sum_a pi(a|s) (r(s, a) + sigma(s, a, v)):
+    (gain, value, sweeps, residual)."""
+
+    def bellman(v):
+        return np.einsum("sa,sa->s", policy.probs, m.reward + support_table(m, spec, v))
+
+    return _rvi(bellman, m.n_states, offset, tol)
 
 
 def rvi_control(m, spec, offset, tol):
-    """The damped RVI reference on Q tables: (gain, q, sweeps, residual)."""
-    return _rvi(_control_operator(m, spec), (m.n_states, m.n_actions), offset, tol)
+    """The damped RVI reference on Q tables, H q = r + sigma(max_a q): (gain, q, sweeps, residual)."""
+    return _rvi(lambda q: m.reward + support_table(m, spec, q.max(axis=1)), (m.n_states, m.n_actions), offset, tol)
+
+
+def count_support_calls(monkeypatch, spec):
+    """The list that gets one entry per ``support_and_worst`` call of ``spec``."""
+    calls = []
+    solve = spec.support_and_worst
+    monkeypatch.setattr(spec, "support_and_worst", lambda *args: calls.append(None) or solve(*args))
+    return calls
+
+
+# Every case that certified only through the damped-RVI fallback the planners used to have, with its
+# policy-iteration steps now (the fallback took 176, 231, 131, 187 and 80 sweeps): a worst kernel on
+# the way is multichain, the worst kernel at the certified value is unichain.
+FORMER_FALLBACKS = [
+    ("inventory", "control", ChiSquare(3.0), 8),
+    ("inventory", "control", ChiSquare(5.0), 10),
+    ("inventory", "control", KLDivergence(1.0), 19),
+    ("inventory", "eval", KLDivergence(3.0), 78),
+    ("garnet", "eval", ChiSquare(3.0), 7),
+    ("garnet", "eval", ChiSquare(5.0), 7),
+    ("garnet", "eval", KLDivergence(3.0), 7),
+]
 
 
 class TestPolicyIterationAgainstRvi:
-    """Policy iteration against the damped RVI loops it falls back to."""
+    """Policy iteration against the damped RVI reference loops."""
 
     @pytest.mark.parametrize("offset", [OffsetFn.mean(), OffsetFn.reference_state(3)], ids=["mean", "state3"])
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
@@ -256,7 +306,7 @@ class TestPolicyIterationAgainstRvi:
         tol = 1e-9
         pi = robust_rvi_eval(m, policy, spec, offset, tol=tol)
         rvi_gain = rvi_eval(m, policy, spec, offset, tol)[0]
-        assert pi.method == "policy-iteration"
+        assert pi.damped == 0
         assert abs(pi.gain - rvi_gain) <= 1e-8
         assert pi.residual <= tol
         assert np.abs(robust_bellman_residual(m, policy, spec, pi.gain, pi.value)).max() <= tol
@@ -264,15 +314,35 @@ class TestPolicyIterationAgainstRvi:
 
         pi_c = robust_rvi_control(m, spec, offset, tol=tol)
         rvi_gain, rvi_q = rvi_control(m, spec, offset, tol)[:2]
-        assert pi_c.method == "policy-iteration"
+        assert pi_c.damped == 0
         assert abs(pi_c.gain - rvi_gain) <= 1e-8
         np.testing.assert_array_equal(pi_c.policy.actions(), greedy_policy(rvi_q).actions())
         assert offset(pi_c.q) == pytest.approx(0.0, abs=1e-12)
         hq = m.reward + support_table(m, spec, pi_c.q.max(axis=1))
         assert pi_c.residual == np.abs(hq - pi_c.gain - pi_c.q).max() <= tol
 
+    @pytest.mark.parametrize(
+        "env, kind, spec, steps",
+        FORMER_FALLBACKS,
+        ids=[f"{env}-{kind}-{spec.kind}({spec.delta:g})" for env, kind, spec, _ in FORMER_FALLBACKS],
+    )
+    def test_multichain_worst_kernels_on_the_way_certify(self, env, kind, spec, steps):
+        m = inventory() if env == "inventory" else garnet(4, 2, seed=39)
+        policy = Policy.uniform(m.n_states, m.n_actions)
+        offset = OffsetFn.mean()
+        tol = 1e-9
+        if kind == "eval":
+            plan = robust_rvi_eval(m, policy, spec, tol=tol)
+            reference = rvi_eval(m, policy, spec, offset, tol)[0]
+            assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= tol
+        else:
+            plan = robust_rvi_control(m, spec, tol=tol)
+            reference = rvi_control(m, spec, offset, tol)[0]
+        assert (plan.iterations, plan.residual <= tol) == (steps, True) and plan.damped > 0
+        assert abs(plan.gain - reference) <= 1e-9
+
     @pytest.mark.parametrize("spec", [ChiSquare(5.0), KLDivergence(3.0)], ids=lambda spec: spec.kind)
-    def test_multichain_worst_kernel_falls_back_to_rvi(self, spec):
+    def test_multichain_kernel_takes_damped_steps(self, spec):
         m = garnet(4, 2, seed=39)
         policy = Policy.uniform(4, 2)
         offset = OffsetFn.mean()
@@ -282,80 +352,160 @@ class TestPolicyIterationAgainstRvi:
         with pytest.raises(MultichainError):
             gain_and_bias(m.with_kernel(worst_case_kernel(m, spec, v)), policy, offset)
         plan = robust_rvi_eval(m, policy, spec, tol=tol)
-        assert plan.method == "rvi"
-        assert plan.iterations == rvi_eval(m, policy, spec, offset, tol)[2]
-        assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= 10 * tol
+        assert (plan.iterations, plan.damped) == (7, 4)  # the damped RVI reference takes 80 sweeps
+        assert np.abs(robust_bellman_residual(m, policy, spec, plan.gain, plan.value)).max() <= tol
 
     @pytest.mark.parametrize("spec", [ChiSquare(5.0), KLDivergence(3.0)], ids=lambda spec: spec.kind)
     def test_stalled_control_fallback_fails_fast(self, spec, monkeypatch):
-        # the robust control problem is multichain: the Q residual sits at 2.806 from sweep 64 on,
-        # so the fallback stops at sweep 128 instead of running its 10^6 sweeps
+        # the robust control problem is multichain: the reference's Q residual sits at 2.806 from sweep
+        # 64 on, so it stops at sweep 128; policy iteration stalls at step 66 and then takes those same
+        # 128 sweeps from zero
         m = garnet(4, 2, seed=39)
-        calls = []
-        support = planners.support_table
-        monkeypatch.setattr(planners, "support_table", lambda *args: calls.append(None) or support(*args))
         with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
             rvi_control(m, spec, OffsetFn.mean(), 1e-9)
-        assert len(calls) <= 129  # the residual after sweep k reads the (k + 1)-th support table
-        with pytest.raises(ConvergenceError, match="stalled at sweep 128"):
+        calls = count_support_calls(monkeypatch, spec)
+        with pytest.raises(ConvergenceError, match="stalled at step 194") as failure:
             robust_rvi_control(m, spec, tol=1e-9)
+        assert len(calls) == 195  # k steps make k + 1 calls
+        assert failure.value.residual == pytest.approx(2.806, abs=1e-3)
+        assert isinstance(failure.value.__cause__, MultichainError)
+
+    @pytest.mark.parametrize("spec", [ChiSquare(1.0), KLDivergence(1.0)], ids=lambda spec: spec.kind)
+    def test_residual_approaching_a_positive_limit_fails_fast(self, spec, monkeypatch):
+        # damped steps approach a positive residual from above, so each checkpoint's residual is lower
+        # than the one before; the ratio of successive ones stops shrinking and extrapolates above tol
+        m = garnet(4, 2, seed=4)
+        calls = count_support_calls(monkeypatch, spec)
+        with pytest.raises(ConvergenceError, match="stalled at step 192") as failure:
+            robust_rvi_control(m, spec, tol=1e-9)
+        assert len(calls) == 193
+        assert isinstance(failure.value.__cause__, MultichainError)
+
+    def test_stalled_evaluation_improves_from_where_it_stopped(self):
+        # the first policy's exact evaluation cycles between near-tied worst kernels with its residual
+        # near 1e-7, so it stalls at step 64; the greedy policy there certifies (damped RVI: 238,704 sweeps)
+        m, spec, tol = garnet(5, 2, seed=30), ChiSquare(1.0), 1e-9
+        ct = robust_rvi_control(m, spec, tol=tol)
+        assert ct.iterations > 64 and ct.damped == 0
+        hq = m.reward + support_table(m, spec, ct.q.max(axis=1))
+        assert ct.residual == np.abs(hq - ct.gain - ct.q).max() <= tol
+
+    def test_stalled_evaluation_starts_over_as_rvi(self):
+        # exact evaluation of this policy stalls at step 64; the damped RVI reference certifies from zero
+        # in 38 sweeps, and so does policy iteration once it starts over
+        m, spec, tol = garnet(6, 2, seed=26), ChiSquare(10.0), 1e-9
+        policy = Policy.deterministic(np.argmin(m.reward, axis=1), m.n_actions)
+        plan = robust_rvi_eval(m, policy, spec, tol=tol)
+        reference, sweeps = rvi_eval(m, policy, spec, OffsetFn.mean(), tol)[::2]
+        assert (plan.iterations, plan.damped, sweeps) == (102, 101, 38)
+        assert plan.gain == pytest.approx(reference, abs=1e-12) and plan.residual <= tol
+
+    def test_stalled_control_starts_over_as_rvi(self):
+        # the last policy's damped evaluation keeps a constant residual (its robust evaluation is
+        # multichain) and is its own greedy policy, so policy iteration stalls at step 131; the damped
+        # RVI reference on Q certifies from zero in 123 sweeps, and so does policy iteration after it
+        m, spec, tol = garnet(8, 4, seed=24), KLDivergence(3.0), 1e-9
+        ct = robust_rvi_control(m, spec, tol=tol)
+        reference, sweeps = rvi_control(m, spec, OffsetFn.mean(), tol)[::2]
+        assert (ct.iterations, ct.damped, sweeps) == (131 + 123, 254, 123)
+        assert ct.gain == pytest.approx(reference, abs=1e-12)
+        hq = m.reward + support_table(m, spec, ct.q.max(axis=1))
+        assert ct.residual == np.abs(hq - ct.gain - ct.q).max() <= tol
+
+    def test_slow_damped_sweeps_certify(self):
+        # state 0 leaks into two absorbing states of reward 1 at rate 0.02: the chain is multichain, so
+        # every step is a damped sweep, and the residual falls by about 1 % per sweep down to tol
+        kernel = np.array([[[0.98, 0.01, 0.01]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]])
+        m = TabularMDP(3, 1, kernel, np.array([[0.0], [1.0], [1.0]]))
+        plan = robust_rvi_eval(m, Policy.uniform(3, 1), Contamination(0.0), tol=1e-9)
+        assert plan.iterations == plan.damped > 1000 and plan.residual <= 1e-9
+        assert plan.gain == pytest.approx(1.0, abs=1e-8)
 
     def test_stalled_eval_fallback_fails_fast(self):
-        # two absorbing states with rewards 0 and 1: no single gain fits, the residual stays at 1/2
+        # two absorbing states with rewards 0 and 1: no single gain fits, the residual stays at 1/2;
+        # every step already is a damped sweep from zero, so there is nothing to start over
         m = TabularMDP(2, 1, np.eye(2)[:, None, :], np.array([[0.0], [1.0]]))
-        with pytest.raises(ConvergenceError, match="stalled at sweep 64") as failure:
+        with pytest.raises(ConvergenceError, match="stalled at step 64") as failure:
             robust_rvi_eval(m, Policy.uniform(2, 1), Contamination(0.0), tol=1e-9)
         assert failure.value.residual == 0.5
         assert isinstance(failure.value.__cause__, MultichainError)
-        assert str(failure.value).endswith("policy iteration stopped first: induced chain has 2 closed recurrent classes")
+        assert "the last exact evaluation failed: induced chain has 2 closed recurrent classes" in str(failure.value)
 
     def test_control_fallback_error_names_why_policy_iteration_stopped(self):
-        # under KL(3) on inventory a worst kernel splits into 7 closed classes, then the RVI fallback stalls
+        # under KL(3) on inventory a worst kernel splits into 7 closed classes, the damped steps stall at
+        # step 64, and the damped RVI on Q that follows stalls after 64 sweeps
         m = inventory()
-        with pytest.raises(ConvergenceError, match="stalled at sweep 64") as failure:
+        with pytest.raises(ConvergenceError, match="stalled at step 128") as failure:
             robust_rvi_control(m, KLDivergence(3.0), tol=1e-9)
         cause = failure.value.__cause__
         assert isinstance(cause, MultichainError) and str(cause) == "induced chain has 7 closed recurrent classes"
-        assert str(failure.value).endswith(f"policy iteration stopped first: {cause}")
+        assert f"stalled at step 128; the last exact evaluation failed: {cause} (residual=" in str(failure.value)
         assert failure.value.residual == pytest.approx(6.266, abs=1e-3)
-        # chi2(3) control falls back as well, and the fallback certifies it
+        # chi2(3) control meets a multichain kernel too, and switches to the greedy policy there
         ct = robust_rvi_control(m, ChiSquare(3.0), tol=1e-9)
-        assert (ct.method, ct.iterations) == ("rvi", 176) and ct.residual <= 1e-9
+        assert (ct.iterations, ct.damped) == (8, 1) and ct.residual <= 1e-9
         digest = hashlib.sha256(
             np.float64(ct.gain).tobytes() + ct.q.tobytes() + ct.policy.actions().astype(np.int64).tobytes()
         ).hexdigest()[:24]
-        assert digest == "e2db7eb900910faaf3408e33"
+        assert digest == "e745decd5cbadb7e83d3e0ce"
 
     def test_step_cap_reason(self, monkeypatch):
-        m = inventory()
-        monkeypatch.setattr(planners, "_PI_MAX_STEPS", 3)
-        policy = Policy.uniform(m.n_states, m.n_actions)
-        for reason in (
-            planners._pi_eval(m, policy, ChiSquare(0.3), OffsetFn.mean(), 1e-9, m.kernel, 3),
-            planners._pi_control(m, ChiSquare(0.3), OffsetFn.mean(), 1e-9),
-        ):
-            assert isinstance(reason, ConvergenceError)
-            assert str(reason).startswith("policy iteration found no certificate within 3 steps")
-
-    def test_step_cap_falls_back_to_rvi(self, monkeypatch):
         # chi2 on inventory needs 4 steps for evaluation and 8 for control
         m = inventory()
-        policy = Policy.uniform(m.n_states, m.n_actions)
-        spec = ChiSquare(0.3)
-        monkeypatch.setattr(planners, "_PI_MAX_STEPS", 3)
-        plan = robust_rvi_eval(m, policy, spec, tol=1e-9)
-        ctrl = robust_rvi_control(m, spec, tol=1e-9)
-        assert (plan.method, ctrl.method) == ("rvi", "rvi")
-        assert plan.residual <= 1e-9 and ctrl.residual <= 1e-9
+        monkeypatch.setattr(planners, "_MAX_STEPS", 3)
+        for solve in (
+            lambda: robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), ChiSquare(0.3), tol=1e-9),
+            lambda: robust_rvi_control(m, ChiSquare(0.3), tol=1e-9),
+        ):
+            with pytest.raises(ConvergenceError, match="policy iteration found no certificate within 3 steps"):
+                solve()
 
     def test_finite_kernel_set_without_fallback(self):
         ex = example_a(1.0, 2.0, 4.0)
         plan = robust_rvi_eval(ex.mdp, ex.policy, ex.uset, tol=1e-10)
         ctrl = robust_rvi_control(ex.mdp, ex.uset, tol=1e-10)
-        assert (plan.method, ctrl.method) == ("policy-iteration", "policy-iteration")
+        assert (plan.damped, ctrl.damped) == (0, 0)
         assert plan.gain == pytest.approx(3.0, abs=1e-12)
         assert ctrl.gain == pytest.approx(3.0, abs=1e-12)
 
+
+class TestStallRule:
+    """``planners._stalled`` on residuals r(k) read at every step k of one phase, with tol 1e-9."""
+
+    @staticmethod
+    def outcome(residual):
+        """The step at which the rule stops the phase, or "certified" once r(k) <= tol."""
+        marks = []
+        for k in range(1, 2**20 + 1):
+            r = residual(k)
+            if r <= 1e-9:
+                return "certified"
+            if planners._stalled(marks, k, r, 1e-9):
+                return k
+        return "running"
+
+    @pytest.mark.parametrize(
+        "residual",
+        [lambda k: 1 / k, lambda k: 1 / k**2, lambda k: 1 / (k * np.log(k + 1)), lambda k: 0.9995**k],
+        ids=["1/k", "1/k^2", "1/(k log k)", "linear-rate"],
+    )
+    def test_slowly_converging_residual_never_stalls(self, residual):
+        # c / k keeps the ratio of successive checkpoint residuals at 1/2, but extrapolates to 0;
+        # c / (k log k) extrapolates to a positive limit, but one far below half the residual
+        assert self.outcome(residual) in ("certified", "running")
+
+    @pytest.mark.parametrize(
+        "residual, step",
+        [
+            (lambda k: 0.5, 64),
+            (lambda k: 1e-3 + 1 / k, 1024),
+            (lambda k: 1e-3 + 0.99**k, 2048),
+            (lambda k: 1e-3 * (1 - 1e-15 * np.log2(k)), 128),
+        ],
+        ids=["constant", "positive-limit-1/k", "positive-limit-linear", "barely-moving"],
+    )
+    def test_residual_with_a_positive_limit_stalls(self, residual, step):
+        assert self.outcome(residual) == step
 
 class TestPinnedOutputs:
     """SHA-256 prefixes of eval (gain, value) under the uniform policy and of control (gain, q,
@@ -414,11 +564,11 @@ class TestSolveCount:
         m = inventory()
         calls = self.count(monkeypatch, spec)
         ev = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec, tol=1e-9)
-        assert ev.method == "policy-iteration"
+        assert ev.damped == 0
         assert calls == {"support_and_worst": ev.iterations + 1, "support_batch": 0, "worst_row": 0}
         calls.update(dict.fromkeys(calls, 0))
         ct = robust_rvi_control(m, spec, tol=1e-9)
         # each policy's evaluation starts from the kernel its predecessor's last step found;
         # the one support_batch is the closing Q-residual certificate
-        assert ct.method == "policy-iteration"
+        assert ct.damped == 0
         assert calls == {"support_and_worst": ct.iterations + 1, "support_batch": 1, "worst_row": 0}
