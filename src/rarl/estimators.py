@@ -75,6 +75,11 @@ class MlmcConfig:
 
     For psi < 1/2, 2 (1 - psi) > 1 and the uncapped sum diverges: the cap, not
     psi, keeps the cost finite, and most samples go to estimates at the cap.
+    The cap also biases the estimate: a level drawn at the cap keeps the weight
+    1 / (psi (1 - psi)^L) of an uncapped level-L draw but occurs with probability
+    (1 - psi)^L, and no level above L is drawn, so the mean estimate is off by
+    ((1 - psi) / psi) Delta_L - sum_{N > L} Delta_N, where Delta_N is the mean
+    level-N correction.
     L is at most 61, so that the 2^(L + 1) samples of one estimate fit in int64;
     ``EstimateStream.samples`` raises ``OverflowError`` once a run's total does not.
     """

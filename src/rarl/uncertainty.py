@@ -286,53 +286,93 @@ class ChiSquare(UncertaintySet):
 def _tilt_root(p, u, delta):
     """Per row, the beta > 0 where KL(q_beta || p) = delta, with q_beta ~ p exp(-beta u) and u in [0, 1].
 
-    f(beta) = KL(q_beta || p) - delta rises from -delta with f'(beta) = beta Var_{q_beta}(u); the
-    caller ensures f(inf) = -log P_p(u = 0) - delta > 0. Safeguarded Newton (rtsafe): a step that
-    leaves the bracket [lo, hi], or is not half the step before last, becomes a bisection in log beta,
-    or while hi = inf a growth of lo by a factor that squares at each such step (2, 4, 16, ...): near
-    the boundary f stays flat up to beta ~ 1 / (smallest positive u). The first lo is
-    delta / E_p u, since KL(q_beta || p) <= beta E_p u.
+    f(beta) = KL(q_beta || p) - delta = -beta E_q u - log z - delta, with z = E_p exp(-beta u), rises
+    from -delta with f' = beta Var_q(u) and f'' = Var_q(u) - beta mu3_q(u), mu3 the third central
+    moment; the caller ensures f(inf) = -log P_p(u = 0) - delta > 0. Each round takes z and the
+    first three raw moments of q in one pass and a safeguarded Halley step under the rtsafe rules:
+    a step that leaves the bracket [lo, hi], or is not half the step before last, becomes a
+    bisection in log beta, or while hi = inf a growth of lo by a factor that squares at each such
+    step (2, 4, 16, ...): near the boundary f stays flat up to beta ~ 1 / (smallest positive u).
+    The first lo is delta / E_p u, since KL(q_beta || p) <= beta E_p u. The first beta is a Newton
+    step, capped at doubling, from the root of Var_p(u) beta^2 / 2 = delta toward that of the
+    cubic Taylor model Var_p(u) beta^2 / 2 - mu3_p(u) beta^3 / 3 = delta.
+
+    Where z > 1/2, log z = log1p(z - 1) with z - 1 = E_p expm1(-beta u) (p sums to 1): log(z)
+    there carries round-off of order 1e-16, which at tiny delta is far above the stop target
+    1e-12 delta. Elsewhere log z is read off z = E_p exp(-beta u), which keeps its relative
+    precision when little mass sits at u = 0 and 1 + expm1 would not. f comes from z and the
+    mean alone. A row that stops keeps its beta while the others go on, and leaves the arrays
+    once at least half of the live rows have stopped; rows never mix, so a row gets the same
+    bits alone as in a batch.
     Returns beta, E_{q_beta} u and f(beta) at each row's last evaluated point.
     """
     n = p.shape[0]
     mean_p = (p * u).sum(axis=1)
     lo = delta / mean_p
     hi = np.full(n, np.inf)
-    # KL(q_beta || p) ~ beta^2 Var_p(u) / 2 for small beta
-    beta = np.maximum(lo, np.sqrt(2.0 * delta / (p * (u - mean_p[:, None]) ** 2).sum(axis=1)))
     step = step_old = np.full(n, np.inf)
     grow = np.full(n, 2.0)
     live = np.arange(n)
     out = np.empty((3, n))
-    for _ in range(NEWTON_ITERS):
-        e = p * np.exp(-beta[:, None] * u)
-        z = e.sum(axis=1)
-        mean = (e * u).sum(axis=1) / z
-        var = (e * (u - mean[:, None]) ** 2).sum(axis=1) / z
-        log_z = np.log(z)
-        f = -beta * mean - log_z - delta
-        out[:, live] = beta, mean, f
-        lo = np.where(f <= 0.0, beta, lo)
-        hi = np.where(f > 0.0, beta, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = f / (beta * var)
-            nxt = beta - newton
-            take = np.isfinite(nxt) & (lo <= nxt) & (nxt <= hi) & (np.abs(newton) <= 0.5 * np.abs(step_old))
-            bisect = np.where(np.isinf(hi), grow * lo, np.sqrt(lo * hi))
-            grow = np.where(take, grow, grow * grow)  # read only while hi = inf
-        step_old, step = step, np.where(take, newton, beta - bisect)
-        # stop at |f| <= tol delta: the dual at beta then lies within about
-        # alpha |f| <= tol * span(v) of sigma, because every beta >= delta. Where |log z|
-        # is far above delta (small delta, little mass at min v), |f| cannot get below
-        # the round-off of its own terms, so stop there too.
-        live_next = (np.abs(f) > np.maximum(NEWTON_TOL * delta, -ROUNDOFF * log_z)) & (hi - lo > NEWTON_TOL * lo)
-        beta = beta - step
-        if not live_next.all():
-            if not live_next.any():
+    stopped = None  # rows that stopped but stay in the arrays, their beta held
+    pu = p * u
+    rows = np.stack([-u, p, p, pu, pu * u, pu * u * u])  # the exponent's -u, then p u^k for k = 0..3
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = u - mean_p[:, None]
+        pd2 = p * d * d
+        var_p = pd2.sum(axis=1)
+        beta0 = np.sqrt(2.0 * delta / var_p)
+        r = (pd2 * d).sum(axis=1) * beta0 / var_p
+        beta = np.maximum(lo, beta0 * np.where(r < 0.75, 1.0 + r / (3.0 - 3.0 * r), 2.0))
+        for i in range(NEWTON_ITERS):
+            x = beta[:, None] * rows[0]
+            z_m1 = np.einsum("bs,bs->b", rows[1], np.expm1(x))
+            sums = np.einsum("bs,kbs->kb", np.exp(x), rows[2:])
+            z = sums[0]
+            log_z = np.log(z)
+            np.log1p(z_m1, out=log_z, where=z > 0.5)
+            moments = sums[1:] / z
+            mean, m2, m3 = moments[0], moments[1], moments[2]
+            f = -delta - (beta * mean + log_z)
+            sq = mean * mean
+            var = m2 - sq
+            slope = beta * var
+            curve = var - beta * (m3 - mean * (3.0 * var + sq))  # f''
+            halley = f * slope / (slope * slope - 0.5 * f * curve)
+            above = f > 0.0
+            np.copyto(lo, beta, where=~above)
+            np.copyto(hi, beta, where=above)
+            nxt = beta - halley
+            take = (lo <= nxt) & (nxt < hi) & (np.abs(halley) <= 0.5 * np.abs(step_old))
+            if stopped is not None:
+                take |= stopped
+            step_old = step
+            if np.count_nonzero(take) == take.size:
+                step = halley
+            else:
+                step = np.where(take, halley, beta - np.where(np.isinf(hi), grow * lo, np.sqrt(lo * hi)))
+                np.multiply(grow, grow, out=grow, where=~take)  # read only while hi = inf
+            # stop at |f| <= tol delta: the dual at beta then lies within about
+            # alpha |f| <= tol * span(v) of sigma, because every beta >= delta. Where |log z|
+            # is far above delta (small delta, little mass at min v), |f| cannot get below
+            # the round-off of its own terms, so stop there too.
+            live_next = (np.abs(f) > np.maximum(log_z * -ROUNDOFF, NEWTON_TOL * delta)) & (hi - lo > NEWTON_TOL * lo)
+            count = np.count_nonzero(live_next)
+            if count == 0 or i == NEWTON_ITERS - 1:
                 break
-            live, p, u, lo, hi, grow, beta, step, step_old = (
-                x[live_next] for x in (live, p, u, lo, hi, grow, beta, step, step_old)
-            )
+            if 2 * count <= live.size:
+                done = ~live_next
+                out[:, live[done]] = beta[done], mean[done], f[done]
+                rows = rows[:, live_next]
+                live, lo, hi, grow, beta, step, step_old = (
+                    a[live_next] for a in (live, lo, hi, grow, beta, step, step_old)
+                )
+                stopped = None
+            elif count < live.size:
+                stopped = ~live_next
+                step = np.where(stopped, 0.0, step)
+            beta = beta - step
+    out[:, live] = beta, mean, f
     return out
 
 
@@ -344,8 +384,8 @@ class KLDivergence(UncertaintySet):
     With m = min v over supp(p), the alpha -> 0 limit is m, and it is the value when the argmin
     states of supp(p) lie in the ball: -log P_p(v = m) <= delta. Otherwise the maximizer is the
     alpha where the tilt q_alpha ~ p exp(-(v - m)/alpha) sits on the sphere KL(q_alpha || p) =
-    delta. ``solve`` finds it per row by safeguarded Newton in beta = 1/alpha on v - m rescaled
-    to [0, 1] (``_tilt_root``), and q_alpha is the worst row.
+    delta. ``solve`` finds it per row by safeguarded Halley steps in beta = 1/alpha on v - m
+    rescaled to [0, 1] (``_tilt_root``), and q_alpha is the worst row.
     """
 
     kind = "kl"

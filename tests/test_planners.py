@@ -516,12 +516,12 @@ class TestPinnedOutputs:
         ("inventory", "contamination"): ("c867f1f3dde4e34c8990a41b", "9f08a0d5671e7a444f70ff75"),
         ("inventory", "tv"): ("04f51014dc89b22ab5abd8b9", "ceb760ad775a1b4fa737acc1"),
         ("inventory", "chi2"): ("8385320aab3902a0f53ded9f", "2d0f347fc1a9a1976652f857"),
-        ("inventory", "kl"): ("8c6b2c78e7c4a93b9f84c0a1", "2c96c5d28fa9315c3e3d217f"),
+        ("inventory", "kl"): ("edc2f682036d9abfcc37060e", "04c801eb596d8a48d8da4a4b"),
         ("inventory", "wasserstein"): ("da839ef54ea99b8a01ef3e86", "5af023ce3fc17f118a8e81e0"),
         ("garnet", "contamination"): ("8c37136108fd84cac7fc3a6b", "97bbaae8f1048d82c79e2244"),
         ("garnet", "tv"): ("e7c2886c15ea876427ffd103", "11ebf298abd2312ba2d67d22"),
         ("garnet", "chi2"): ("b37ed43aa8938c7ee045d73c", "7870c5bd6b73e2cc282f4902"),
-        ("garnet", "kl"): ("068fa9aa9372e1309669a2d7", "6cf9c268c8b370fec62f836f"),
+        ("garnet", "kl"): ("d105656a079d468f343a40f2", "875422f1551746f12d287166"),
         ("garnet", "wasserstein"): ("b0149ef763bb12eecb5d9ea4", "94f4f48be72f139bcacad1b7"),
     }
 

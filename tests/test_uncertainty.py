@@ -11,7 +11,9 @@ from scipy.optimize import brentq, linprog, minimize_scalar
 from scipy.special import logsumexp
 
 from rarl import uncertainty
-from rarl.environments import example_a, garnet
+from rarl.environments import example_a, garnet, inventory
+from rarl.estimators import EstimateStream, KernelSampler
+from rarl.planners import robust_rvi_control
 from rarl.uncertainty import (
     ChiSquare,
     Contamination,
@@ -648,6 +650,56 @@ def _kl_reference(p, v, delta):
     return v.min() + (v.max() - v.min()) * (tilt(root)[0] @ u)
 
 
+def count_tilt_rounds(monkeypatch):
+    """Patch ``_tilt_root`` to record the rounds of each call; returns the list it appends to.
+
+    A round is counted by its ``np.exp`` call: every round of the root search makes exactly one."""
+
+    class CountingNumpy:
+        exp_calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            self.exp_calls += 1
+            return np.exp(x)
+
+    rounds = []
+    root = uncertainty._tilt_root
+
+    def counted(p, u, delta):
+        counting = CountingNumpy()
+        monkeypatch.setattr(uncertainty, "np", counting)
+        try:
+            return root(p, u, delta)
+        finally:
+            monkeypatch.setattr(uncertainty, "np", np)
+            rounds.append(counting.exp_calls)
+
+    monkeypatch.setattr(uncertainty, "_tilt_root", counted)
+    return rounds
+
+
+def _kl_mixed_rows(rng, n, count):
+    """Rows like the solver meets them: MLMC count rows, point masses, dense rows and rows with zeros."""
+    rows = []
+    for _ in range(count):
+        kind = rng.integers(4)
+        if kind == 0:
+            draws = rng.multinomial(2 ** int(rng.integers(1, 12)), rng.dirichlet(np.ones(n)))
+            rows.append(draws / draws.sum())
+        elif kind == 1:
+            rows.append(np.eye(n)[rng.integers(n)])
+        elif kind == 2:
+            rows.append(rng.dirichlet(np.ones(n)))
+        else:
+            row = rng.dirichlet(np.full(n, 0.5))
+            row[rng.integers(n)] = 0.0
+            rows.append(row / row.sum())
+    return np.array(rows)
+
+
 class TestKLSolve:
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.3, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -679,8 +731,8 @@ class TestKLSolve:
         assert spec.divergence(q, p) <= spec.delta
         assert spec.support(p, v) == 0.0
 
-    def test_worst_row_attains_support_in_ball(self):
-        rng = np.random.default_rng(15)
+    @staticmethod
+    def assert_worst_rows_in_ball(rng, draw_delta):
         for trial in range(300):
             n = int(rng.integers(2, 7))
             p = rng.dirichlet(np.full(n, 0.5))
@@ -692,11 +744,19 @@ class TestKLSolve:
                 v[-1] = v[0]
             if trial % 5 == 0:
                 v += 10.0 * np.abs(v).max()
-            spec = KLDivergence(float(10.0 ** rng.uniform(-3, 1)))
+            spec = KLDivergence(draw_delta())
             q = spec.worst_row(p, v)
             assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
             assert abs(q @ v - spec.support(p, v)) <= 1e-9 * max(1.0, np.abs(v).max())
             assert spec.divergence(q, p) <= spec.delta * (1.0 + 1e-9)
+
+    def test_worst_row_attains_support_in_ball(self):
+        rng = np.random.default_rng(15)
+        self.assert_worst_rows_in_ball(rng, lambda: float(10.0 ** rng.uniform(-3, 1)))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-5])
+    def test_worst_row_attains_support_in_ball_at_tiny_radius(self, delta):
+        self.assert_worst_rows_in_ball(np.random.default_rng(16), lambda: delta)
 
     def test_near_boundary_radius(self):
         # -log P(argmin) just above delta: the root beta is large and f is flat there
@@ -709,28 +769,77 @@ class TestKLSolve:
                 q = spec.worst_row(p, v)
                 assert spec.divergence(q, p) <= delta * (1.0 + 1e-9)
 
+    def test_little_mass_at_min(self):
+        # z = E_p exp(-beta u) lies near p_min at the root; 1 + expm1(-beta u) would lose the small
+        # terms z is made of, moving the value by up to 8e-4 * span at p_min = 1e-15
+        for p_min in (1e-6, 1e-9, 1e-12, 1e-15):
+            for share in (0.3, 0.9, 0.999):
+                delta = -np.log(p_min) * share
+                p, v = np.array([p_min, 0.5, 0.5 - p_min]), np.array([0.0, 0.3, 1.0])
+                assert abs(KLDivergence(delta).support(p, v) - _kl_reference(p, v, delta)) <= 1e-12, (p_min, share)
+
     def test_near_boundary_iteration_count(self, monkeypatch):
         # f stays flat up to beta ~ 1 / 1e-6 here; doubling beta from its first bracket took 26-27
-        # Newton iterations, a squaring growth factor takes at most 13. Each iteration calls exp once.
-        class CountingNumpy:
-            exp_calls = 0
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def exp(self, x):
-                self.exp_calls += 1
-                return np.exp(x)
-
+        # Newton iterations, a squaring growth factor takes at most 13.
+        rounds = count_tilt_rounds(monkeypatch)
         for delta in (1e-3, 0.3, 1.0, 10.0):
             p_min = np.exp(-delta * (1.0 + 1e-12))
             p, v = np.array([p_min, 1e-9, 1.0 - p_min - 1e-9]), np.array([0.0, 1e-6, 1.0])
-            counting = CountingNumpy()
-            monkeypatch.setattr(uncertainty, "np", counting)
+            rounds.clear()
             value = KLDivergence(delta).support(p, v)
-            monkeypatch.setattr(uncertainty, "np", np)
-            assert 1 <= counting.exp_calls <= 14, delta
+            assert len(rounds) == 1 and 1 <= rounds[0] <= 14, delta
             assert abs(value - _kl_reference(p, v, delta)) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-5])
+    def test_tiny_radius_rounds(self, delta, monkeypatch):
+        # near z = 1, log z read off log(E_p exp(-beta u)) carries round-off of order 1e-16, above
+        # the stop target 1e-12 delta: rows took 32-48 rounds. log1p(E_p expm1(-beta u)) does not.
+        rng = np.random.default_rng(17)
+        rounds = count_tilt_rounds(monkeypatch)
+        for _ in range(40):
+            n = int(rng.integers(2, 18))
+            rows = _kl_mixed_rows(rng, n, 6)
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            values = KLDivergence(delta).support_batch(rows, v)
+            span = v.max() - v.min()
+            for p, value in zip(rows, values):
+                assert abs(value - _kl_reference(p, v, delta)) <= 1e-12 * span
+        assert rounds and max(rounds) <= 6
+
+    def test_batch_invariant_on_mixed_rows(self):
+        # a row solved inside any batch gets the same bits as alone, whichever rows stop before it
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            n = int(rng.integers(2, 18))
+            rows = _kl_mixed_rows(rng, n, int(rng.integers(2, 40)))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            v[rng.integers(n)] = v[rng.integers(n)]  # tied values
+            spec = KLDivergence(float(10.0 ** rng.uniform(-6, 1)))
+            values, alphas = spec.solve(rows, v)
+            order = rng.permutation(len(rows))[: len(rows) // 2 + 1]
+            np.testing.assert_array_equal(np.stack(spec.solve(rows[order], v)), np.stack([values, alphas])[:, order])
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(np.stack(spec.solve(row, v))[:, 0], [values[i], alphas[i]])
+
+    # per-call round caps read off this solver on these inputs, so that a change that adds
+    # rounds fails here and not only in the benchmark
+    ROUND_CAPS = {"garnet": (5, 4), "inventory": (8, 4)}
+
+    @pytest.mark.parametrize("env", ["garnet", "inventory"])
+    def test_rounds_per_call_on_learner_and_planner_rows(self, env, monkeypatch):
+        m = garnet(5, 3, seed=254) if env == "garnet" else inventory()
+        spec = KLDivergence(0.3)
+        v = robust_rvi_control(m, spec, tol=1e-9).q.max(axis=1)
+        pairs = [(s, a) for s in range(m.n_states) for a in range(m.n_actions)]
+        stream = EstimateStream(KernelSampler.from_mdp(m), spec, pairs, None, np.random.default_rng(254), 20)
+        block_cap, nominal_cap = self.ROUND_CAPS[env]
+        rounds = count_tilt_rounds(monkeypatch)
+        for _ in range(20):
+            stream.next(v)
+        assert len(rounds) == 20 and max(rounds) <= block_cap, rounds
+        rounds.clear()
+        spec.support_batch(m.kernel.reshape(-1, m.n_states), v)
+        assert len(rounds) == 1 and rounds[0] <= nominal_cap, rounds
 
 
 def _transport_reference(p, v, dl, budget):
