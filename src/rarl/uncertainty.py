@@ -5,7 +5,8 @@ row p: contamination mixtures, total-variation, chi-square and KL divergence
 balls, and Wasserstein balls over a state metric. The module provides:
 
 - Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows;
-  ``solve`` also returns the chi-square, KL and Wasserstein duals.
+  ``solve`` also returns the duals: the chi-square threshold, the maximizer
+  of a concave 1-D dual, and the KL and Wasserstein multipliers.
 - Worst-case rows recovered from optimality conditions, exact for every
   family. ``worst_row`` takes one row or a batch of rows, and
   ``support_and_worst`` returns a batch's support values and worst rows from
@@ -192,60 +193,62 @@ class TotalVariation(UncertaintySet):
 class ChiSquare(UncertaintySet):
     """Ball {q : sum_i (q_i - p_i)^2 / p_i <= delta} (q_i = 0 wherever p_i = 0).
 
-    The vector dual max_{mu >= 0} p.(v-mu) - sqrt(delta Var_p(v-mu)) reduces to
-    a scalar threshold: at the optimum v - mu = min(v, t), and the reduced
-    objective phi(t) is concave between consecutive sorted entries of v. On
-    such a segment min(v, t) is affine in t, so mean and variance are
-    quadratics in t and the segment's maximizer is a closed-form stationary
-    point clipped to the segment (Iyengar 2005). ``solve`` sorts v once, scores
-    every segment from one-pass cumulative moments, O(S) per row, and re-scores
-    with the two-pass variance those within a rounding window of the row's best.
+    Evaluated through the concave one-dimensional dual sigma = max_T h(T), h(T) = T - sqrt(1 + delta)
+    ||(T - v)+||_{2,p}, the chi-square case of the Cressie-Read dual (Duchi & Namkoong 2021). With
+    a = E_p (T - v)+ and b = E_p (T - v)+^2, h' = 1 - sqrt((1 + delta) / b) a falls through 0 once:
+    ``solve`` sorts v, sums a and b at every sorted value from nonnegative increments, finds the first
+    where h falls ((1 + delta) a^2 >= b > 0), and solves h' = 0 in closed form below it, O(S) per row.
+    The maximizer T is the threshold; it exceeds max v where the worst row keeps every supported
+    state. At T, sigma = E_p min(v, T) - sqrt(delta Var_p min(v, T)), Iyengar's (2005) reduced dual,
+    and the worst row is q ~ p (T - v)+, or the argmin vertex of supp(p) where that is 0 (T = min v
+    on supp(p), exactly when (1 + delta) p_min >= 1).
     """
 
     kind = "chi2"
 
-    def solve(self, rows, v):
-        """Support values and maximizing thresholds t, one per row."""
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
-        if self.delta == 0.0 or v.max() == v.min():
-            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], v.max())
+    def _dual(self, rows, v):
+        """For delta > 0, per row: the support value, the sorted value c of v that starts the segment holding
+        the maximizer T of h, and T - c (0 for constant v)."""
         order = v.argsort(kind="stable")
         knots = v[order]
-        lo, width = knots[0], knots[-1] - knots[0]
-        u = (knots - lo) / width  # the problem is shift and scale equivariant
+        width = knots[-1] - knots[0]
+        if width == 0.0:
+            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], knots[0]), np.zeros(rows.shape[0])
         p = rows.take(order, axis=1)  # C-contiguous, so einsum sums each row as it sums it alone
-        # segment k is [u_k, u_{k+1}]: states 0..k keep their value, the rest sit at t
-        low = p.cumsum(axis=1)[:, :-1]
-        m1 = (p * u).cumsum(axis=1)[:, :-1]
-        m2 = (p * u * u).cumsum(axis=1)[:, :-1]
-        tail = p[:, ::-1].cumsum(axis=1)[:, -2::-1]
-        # phi'(t) = 0 at t = m1/low + sqrt(Var_low / (delta low - tail)), which
-        # exists iff delta low > tail; otherwise phi increases on the segment
-        gap = self.delta * low - tail
-        inside = (low > 0.0) & (gap > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            spread = np.sqrt(np.maximum(low * m2 - m1 * m1, 0.0) / gap)
-            stationary = lo + width * (m1 + spread) / low
-        cand = np.minimum(np.maximum(np.where(inside, stationary, knots[1:]), knots[:-1]), knots[1:])
-        t = (cand - lo) / width
-        mean = m1 + t * tail  # one-pass E[min(u, t)]; E[min(u, t)^2] = m2 + t^2 tail
-        score = mean - np.sqrt(self.delta * np.maximum(m2 + t * t * tail - mean * mean, 0.0))
-        # a segment with its predecessor's t, or past the row's last mass, scores as the one before it
-        score[:, 1:][(cand[:, 1:] == cand[:, :-1]) | (tail[:, :-1] == 0.0)] = -np.inf
-        # u is in [0, 1] and p sums to 1, so each cumulative moment is off by about S ulps, the one-pass variance by
-        # n = (4S + 8) eps, its square root by sqrt(delta n), and the two-pass score is as close: a segment tying the
-        # row's best two-pass score is in the window (4 is margin)
-        n = (4 * p.shape[1] + 8) * math.ulp(1.0)
-        r, k = (score >= score.max(axis=1, keepdims=True) - 4.0 * (math.sqrt(self.delta * n) + n)).nonzero()
-        q, w = p[r], np.minimum(u, t[r, k][:, None])
-        # two-pass variance: one pass E[w^2] - mean^2 cancels as var -> 0
-        mean = np.einsum("bs,bs->b", q, w)
+        # a = E (t - v)+ and b = E (t - v)+^2 at each knot t, per unit of span, summed from nonnegative increments
+        mass, gaps = p.cumsum(axis=1), np.diff(knots) / width
+        a, b = np.zeros_like(p), np.zeros_like(p)
+        np.cumsum(mass[:, :-1] * gaps, axis=1, out=a[:, 1:])
+        np.cumsum((a[:, :-1] + a[:, 1:]) * gaps, axis=1, out=b[:, 1:])
+        # h' = 1 - sqrt((1 + delta) / b) a is <= 0 from the first such knot k on, or past max v (k = S)
+        falls = ((1.0 + self.delta) * a * a >= b) & (b > 0.0)
+        k = np.where(falls.any(axis=1), falls.argmax(axis=1), p.shape[1])
+        # on x = (v - c) / span(v), c = knots[k - 1], the states below k have x <= 0, so their mean does not
+        # cancel; h' = 0 at t = mean + sqrt(var / (delta L - tail)), L their mass and tail the mass from k on,
+        # and h rises up to the segment's end where the divisor is not positive
+        c = knots[k - 1]
+        x = (knots - c[:, None]) / width
+        end = (np.append(knots, np.inf)[k] - c) / width
+        below = np.where(np.arange(p.shape[1]) < k[:, None], p, 0.0)
+        low = mass[np.arange(p.shape[0]), k - 1]
+        mean = np.einsum("bs,bs->b", below, x) / low
+        var = np.einsum("bs,bs->b", below, (x - mean[:, None]) ** 2) / low
+        gap = self.delta * low - (mass[:, -1] - low)
+        t = np.clip(mean + np.sqrt(np.divide(var, gap, out=np.full_like(gap, np.inf), where=gap > 0.0)), 0.0, end)
+        # sigma = h(T) = E w - sqrt(delta Var w) with w = min(x, t), the variance in two passes
+        w = np.minimum(x, t[:, None])
+        mean = np.einsum("bs,bs->b", p, w)
         w -= mean[:, None]
-        phi = np.full(cand.shape, -np.inf)
-        phi[r, k] = mean - np.sqrt(self.delta * np.einsum("bs,bs->b", q, w * w))
-        best = (np.arange(len(rows)), phi.argmax(axis=1))  # each row's first best segment
-        return lo + width * phi[best], cand[best]
+        return c + width * (mean - np.sqrt(self.delta * np.einsum("bs,bs->b", p, w * w))), c, width * t
+
+    def solve(self, rows, v):
+        """Support values and maximizing thresholds T, one per row; T > max v where no state is cut."""
+        rows = _as_batch(rows)
+        v = np.asarray(v, dtype=float)
+        if self.delta == 0.0:
+            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], v.max())
+        values, c, above = self._dual(rows, v)
+        return values, c + above
 
     def support_batch(self, rows, v):
         return self.solve(rows, v)[0]
@@ -254,24 +257,14 @@ class ChiSquare(UncertaintySet):
         return self.support_and_worst(p, v)[1]
 
     def _support_and_worst(self, rows, v):
-        values, thresholds = self.solve(rows, v)
         if self.delta == 0.0:
-            return values, rows.copy()
-        support = rows > 0.0
-        argmin = support & (v == np.where(support, v, np.inf).min(axis=1, keepdims=True))
-        p_min = np.where(argmin, rows, 0.0).sum(axis=1, keepdims=True)
-        w = np.minimum(v, thresholds[:, None])
-        mean = (rows * w).sum(axis=1, keepdims=True)
-        var = (rows * (w - mean) ** 2).sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):  # var = 0 only on argmin-vertex rows
-            q = np.maximum(rows * (1.0 + np.sqrt(self.delta / var) * (mean - w)), 0.0)
-            q /= q.sum(axis=1, keepdims=True)
-            # project back toward p if clipping pushed the divergence past delta
-            dist = np.where(support, (q - rows) ** 2 / np.where(support, rows, 1.0), 0.0).sum(axis=1, keepdims=True)
-            shrink = np.sqrt(self.delta / dist) * (1.0 - 1e-12)
-            q = np.where(dist > self.delta, rows + shrink * (q - rows), q)
-        # the argmin vertex of supp(p) has divergence 1/p_min - 1; it wins when that is <= delta
-        return values, np.where(1.0 - p_min <= self.delta * p_min, np.where(argmin, rows, 0.0) / p_min, q)
+            return self.solve(rows, v)[0], rows.copy()
+        values, c, above = self._dual(rows, v)
+        q = rows * np.maximum(above[:, None] + (c[:, None] - v), 0.0)  # p (T - v)+, c - v exact near c
+        # q is 0 where T = c = min v on supp(p), whose argmin vertex then lies in the ball
+        vertex = q.sum(axis=1) == 0.0
+        q[vertex] = rows[vertex] * (v <= c[vertex, None])
+        return values, q / q.sum(axis=1, keepdims=True)
 
     def distance(self, p, qs):
         """sum_i (q_i - p_i)^2 / p_i over supp(p); inf where q puts mass off it."""

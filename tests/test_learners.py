@@ -303,7 +303,7 @@ class TestStreamConsumption:
     PINNED = [
         (Contamination(0.4), "0311413664c52ac32901fba5", "eab6d9589cfcae6db404edb8"),
         (TotalVariation(0.2), "a5b97d9b1760934e4cf9c435", "62f9d02c77eef1989b4d4a52"),
-        (ChiSquare(0.3), "c355bd0643b155d3cd8bdce8", "706184ce08e6c08fbfd42929"),
+        (ChiSquare(0.3), "e18e9eff2d3af5e29c7071af", "11c4d1c0b12bc2c2852a33b6"),
         (KLDivergence(0.3), "997e987e5ca84755331ab417", "c2c895117ff20af9ff8ea5d5"),
         (Wasserstein(0.3), "972ad269267d6fd0f14fa763", "3236fa6fd6a598eedda95979"),
     ]

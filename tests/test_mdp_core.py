@@ -259,7 +259,8 @@ class TestGainVector:
         g + (I - P) h = r, where g is unique, solved by the SVD pseudo-inverse of the 2S x 2S
         system in 50-digit arithmetic. Rows are renormalised at that precision first, so the
         reference chain is stochastic to 50 digits."""
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
+
         n = len(p)
         with mpmath.workdps(50):
             rows = [[mpmath.mpf(float(x)) for x in row] for row in p]
