@@ -174,9 +174,8 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     actions cannot cycle; a repeated policy's Q residual is then at most tol. Where the current
     policy's kernel is multichain and the greedy policy differs, it switches to that policy at once.
 
-    A phase (one policy's evaluation) that stalls (``_stalled``) is where policy iteration ends.
-    Control first improves to the greedy policy there, unless that policy has stalled before. Then
-    the call starts over as damped relative value iteration from zero: the damped sweep above for
+    A phase (one policy's evaluation) that stalls (``_stalled``) is where policy iteration ends: the
+    call starts over as damped relative value iteration from zero, the damped sweep above for
     evaluation (unless every step of the phase already was one, so that it would only repeat it),
     and for control q <- y - offset(y), y = (q + H q) / 2, with the optimal operator
     H q = r + sigma(max_a q), until the Q residual certifies. If those sweeps stall too, the call
@@ -194,7 +193,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     sweeps_only = False  # whether the phase takes damped sweeps only
     solved = False  # whether an exact evaluation succeeded in the phase
     q = None  # control's Q table, once it takes damped sweeps of the optimal operator
-    marks, stalled, reason = [], set(), None
+    marks, reason = [], None
     while steps < _MAX_STEPS:
         exact = not sweeps_only
         if exact:
@@ -242,13 +241,6 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
                 raise ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual) from reason
         if not _stalled(marks, steps - start, residual, target if q is None else tol):
             continue
-        if control and not sweeps_only:
-            stalled.add(actions.tobytes())
-            greedy = _greedy(mdp.reward + sigma - g, actions, tol)
-            if greedy.tobytes() not in stalled:
-                actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
-                start, marks, solved = steps, [], False
-                continue
         if not sweeps_only and (control or solved):
             # damped relative value iteration from zero, on Q for control
             sweeps_only, start, marks, sigma = True, steps, [], sigma0
@@ -292,10 +284,9 @@ def robust_rvi_control(
 
     The outer loop improves a deterministic policy greedily on
     r + sigma(v) - g, where (g, v) is its robust evaluation, until the policy
-    repeats and the sup-norm Q residual is <= tol. Once an evaluation stalls
-    whose greedy policy has stalled before, the call starts over as damped
-    relative value iteration on Q from zero, and fails as
-    ``robust_rvi_eval`` does when that stalls too.
+    repeats and the sup-norm Q residual is <= tol. Once an evaluation stalls,
+    the call starts over as damped relative value iteration on Q from zero,
+    and fails as ``robust_rvi_eval`` does when that stalls too.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, None)
 

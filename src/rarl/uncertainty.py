@@ -2,15 +2,16 @@
 
 Each family is an (s,a)-rectangular ball of probability rows around a nominal
 row p: contamination mixtures, total-variation, chi-square and KL divergence
-balls, and Wasserstein balls over a state metric. The module provides:
+balls, and Wasserstein balls over a state metric. A family writes two hooks
+on a (B, S) batch of rows, and ``UncertaintySet`` the interface over them:
 
-- Exact (closed-form or 1-D dual) evaluation, scalar and batched over rows;
-  ``solve`` also returns the duals: the chi-square threshold, the maximizer
-  of a concave 1-D dual, and the KL and Wasserstein multipliers.
-- Worst-case rows recovered from optimality conditions, exact for every
-  family. ``worst_row`` takes one row or a batch of rows, and
-  ``support_and_worst`` returns a batch's support values and worst rows from
-  one solve.
+- ``_solve(rows, v)``: exact (closed-form or 1-D dual) support values and the
+  duals the worst rows are read from; ``solve`` returns them for chi-square
+  (the maximizer of a concave 1-D dual), KL and Wasserstein (multipliers).
+- ``_worst(rows, v, duals)``: exact worst rows from optimality conditions.
+- ``support`` (one row), ``support_batch``, ``worst_row`` (one row or a
+  batch) and ``support_and_worst`` (both from one solve). All but
+  ``support_batch``, the learners' hot path, check their rows.
 - Membership: ``distance(p, qs)`` is, per row q, the least radius whose ball
   around p holds q, so every ball is exactly {q : distance(p, q) <= delta}.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
@@ -57,14 +58,7 @@ def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
 
 def _as_batch(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    return rows
-
-
-def _worst_row_inputs(p, v) -> tuple[np.ndarray, np.ndarray]:
-    """``worst_row``'s checked rows as a (B, S) batch, and v as floats."""
-    return _as_batch(_check_simplex(p, batch=True)), np.asarray(v, dtype=float)
+    return rows[None, :] if rows.ndim == 1 else rows
 
 
 def _support_split(p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,40 +70,49 @@ def _support_split(p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class UncertaintySet:
-    """Shared interface: ``support``, ``support_batch``, ``worst_row``, ``support_and_worst``, ``distance``;
-    a ball of radius delta.
-
-    Each family keeps ``support_batch`` and ``worst_row`` as methods of its own, thin wrappers over
-    the solve it shares with ``support_and_worst``, so each can be wrapped on its class alone.
-    """
+    """A ball of radius delta. A family defines ``_solve``, ``_worst`` and ``distance``; ``support``,
+    ``support_batch``, ``worst_row`` and ``support_and_worst`` are written here once. The benchmark
+    wraps ``support_batch`` and ``worst_row`` in each family class's own ``__dict__``, so a subclass
+    that neither defines them nor inherits them from a family gets the shared ones bound on itself."""
 
     delta: float
     kind = "abstract"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__mro__[: cls.__mro__.index(UncertaintySet)]
+        for name in ("support_batch", "worst_row"):
+            if not any(name in vars(base) for base in own):
+                setattr(cls, name, vars(UncertaintySet)[name])
 
     def __post_init__(self):
         if not 0.0 <= self.delta < np.inf:
             raise ValueError(f"radius must be a finite number >= 0, got {self.delta}")
 
     def support(self, p: np.ndarray, v: np.ndarray) -> float:
-        p = _check_simplex(p)
-        return float(self.support_batch(p[None, :], v)[0])
+        return float(self.support_batch(_check_simplex(p)[None, :], v)[0])
 
     def support_batch(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Support values of a (B, S) batch or of one row, which are not checked."""
+        return self._solve(_as_batch(rows), np.asarray(v, dtype=float))[0]
 
     def worst_row(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A minimizing row in the ball around p; a (B, S) batch gives one per row."""
-        raise NotImplementedError
+        return self.support_and_worst(p, v)[1]
 
     def support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``support_batch(rows, v)`` and ``worst_row(rows, v)`` from one solve; on nonnegative rows
         both equal those calls bit for bit."""
-        checked, v = _worst_row_inputs(rows, v)
-        values, q = self._support_and_worst(checked, v)
-        return values, q.reshape(np.shape(rows))
+        checked, v = _as_batch(_check_simplex(rows, batch=True)), np.asarray(v, dtype=float)
+        values, duals = self._solve(checked, v)
+        return values, self._worst(checked, v, duals).reshape(np.shape(rows))
 
-    def _support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Support values and worst rows of a checked (B, S) batch."""
+    def _solve(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, object]:
+        """Support values of a (B, S) batch, and the duals ``_worst`` reads its worst rows from."""
+        raise NotImplementedError
+
+    def _worst(self, rows: np.ndarray, v: np.ndarray, duals) -> np.ndarray:
+        """The worst rows of a checked (B, S) batch, given ``_solve``'s duals."""
         raise NotImplementedError
 
     def distance(self, p: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -130,19 +133,14 @@ class Contamination(UncertaintySet):
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"contamination radius must be in [0, 1), got {self.delta}")
 
-    def support_batch(self, rows, v):
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
-        return (1.0 - self.delta) * rows @ v + self.delta * v.min()
-
-    def worst_row(self, p, v):
-        return self.support_and_worst(p, v)[1]
-
-    def _support_and_worst(self, rows, v):
+    def _solve(self, rows, v):
+        """Support values, and (1 - delta) p, the worst rows before delta moves onto argmin v."""
         q = (1.0 - self.delta) * rows
-        values = q @ v + self.delta * v.min()
+        return q @ v + self.delta * v.min(), q
+
+    def _worst(self, rows, v, q):
         q[:, int(np.argmin(v))] += self.delta
-        return values, q
+        return q
 
     def distance(self, p, qs):
         """max over supp(p) of (p_i - q_i) / p_i: the least delta with q >= (1 - delta) p."""
@@ -159,32 +157,26 @@ class TotalVariation(UncertaintySet):
 
     kind = "tv"
 
-    def _transfer(self, rows, v):
-        """Greedy transfer onto argmin v: the support values, the states above min v, highest v
-        first, and the mass the first i of them give, capped at delta in total; shapes (B,), (k,)
-        and (B, k)."""
+    def _solve(self, rows, v):
+        """Greedy transfer onto argmin v: the support values, then as duals the states above min v,
+        highest v first, and the mass the first i of them give, capped at delta in total; shapes
+        (B,), (k,) and (B, k)."""
         order = np.argsort(-v, kind="stable")
         order = order[: np.count_nonzero(v > v.min())]
         given = np.minimum(np.cumsum(rows[:, order], axis=1), self.delta)
         # sum_i (given_i - given_{i-1}) gap_i, summed by parts as sum_i given_i (gap_i - gap_{i+1})
         gap = v[order] - v.min()
         gap[:-1] -= gap[1:]
-        return rows @ v - given @ gap, order, given
+        return rows @ v - given @ gap, (order, given)
 
-    def support_batch(self, rows, v):
-        return self._transfer(_as_batch(rows), np.asarray(v, dtype=float))[0]
-
-    def worst_row(self, p, v):
-        """Greedy transfer: states above min v, highest first, give up to delta onto argmin v."""
-        return self.support_and_worst(p, v)[1]
-
-    def _support_and_worst(self, rows, v):
-        values, order, given = self._transfer(rows, v)
+    def _worst(self, rows, v, duals):
+        """States above min v, highest first, give up to delta onto argmin v."""
+        order, given = duals
         moved = np.diff(given, axis=1, prepend=0.0)
         q = rows.copy()
         q[:, order] -= moved
         q[:, int(np.argmin(v))] += moved.sum(axis=1)
-        return values, q
+        return q
 
     def distance(self, p, qs):
         return 0.5 * np.abs(_as_batch(qs) - np.asarray(p, dtype=float)).sum(axis=1)
@@ -207,13 +199,13 @@ class ChiSquare(UncertaintySet):
     kind = "chi2"
 
     def _dual(self, rows, v):
-        """For delta > 0, per row: the support value, the sorted value c of v that starts the segment holding
-        the maximizer T of h, and T - c (0 for constant v)."""
+        """For delta > 0, per row: the support value, then the sorted value c of v that starts the segment
+        holding the maximizer T of h, and T - c (0 for constant v)."""
         order = v.argsort(kind="stable")
         knots = v[order]
         width = knots[-1] - knots[0]
         if width == 0.0:
-            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], knots[0]), np.zeros(rows.shape[0])
+            return np.einsum("bs,s->b", rows, v), (np.full(rows.shape[0], knots[0]), np.zeros(rows.shape[0]))
         p = rows.take(order, axis=1)  # C-contiguous, so einsum sums each row as it sums it alone
         # a = E (t - v)+ and b = E (t - v)+^2 at each knot t, per unit of span, summed from nonnegative increments
         mass, gaps = p.cumsum(axis=1), np.diff(knots) / width
@@ -239,32 +231,28 @@ class ChiSquare(UncertaintySet):
         w = np.minimum(x, t[:, None])
         mean = np.einsum("bs,bs->b", p, w)
         w -= mean[:, None]
-        return c + width * (mean - np.sqrt(self.delta * np.einsum("bs,bs->b", p, w * w))), c, width * t
+        return c + width * (mean - np.sqrt(self.delta * np.einsum("bs,bs->b", p, w * w))), (c, width * t)
+
+    def _solve(self, rows, v):
+        """``_dual``, and at delta = 0 the nominal values with T = max v (T - c is -0.0: c + -0.0 is c)."""
+        if self.delta == 0.0:
+            return np.einsum("bs,s->b", rows, v), (np.full(rows.shape[0], v.max()), np.full(rows.shape[0], -0.0))
+        return self._dual(rows, v)
 
     def solve(self, rows, v):
         """Support values and maximizing thresholds T, one per row; T > max v where no state is cut."""
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
-        if self.delta == 0.0:
-            return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], v.max())
-        values, c, above = self._dual(rows, v)
+        values, (c, above) = self._solve(_as_batch(rows), np.asarray(v, dtype=float))
         return values, c + above
 
-    def support_batch(self, rows, v):
-        return self.solve(rows, v)[0]
-
-    def worst_row(self, p, v):
-        return self.support_and_worst(p, v)[1]
-
-    def _support_and_worst(self, rows, v):
+    def _worst(self, rows, v, duals):
         if self.delta == 0.0:
-            return self.solve(rows, v)[0], rows.copy()
-        values, c, above = self._dual(rows, v)
+            return rows.copy()
+        c, above = duals
         q = rows * np.maximum(above[:, None] + (c[:, None] - v), 0.0)  # p (T - v)+, c - v exact near c
         # q is 0 where T = c = min v on supp(p), whose argmin vertex then lies in the ball
         vertex = q.sum(axis=1) == 0.0
         q[vertex] = rows[vertex] * (v <= c[vertex, None])
-        return values, q / q.sum(axis=1, keepdims=True)
+        return q / q.sum(axis=1, keepdims=True)
 
     def distance(self, p, qs):
         """sum_i (q_i - p_i)^2 / p_i over supp(p); inf where q puts mass off it."""
@@ -389,8 +377,9 @@ class KLDivergence(UncertaintySet):
         alpha is 0 where the boundary value m wins and inf where sigma = p.v (delta = 0 or v
         constant).
         """
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
+        return self._solve(_as_batch(rows), np.asarray(v, dtype=float))
+
+    def _solve(self, rows, v):
         if self.delta == 0.0 or v.max() == v.min():
             return np.einsum("bs,s->b", rows, v), np.full(rows.shape[0], np.inf)
         support = rows > 0.0
@@ -408,22 +397,14 @@ class KLDivergence(UncertaintySet):
             alphas[inner] = width / beta
         return values, alphas
 
-    def support_batch(self, rows, v):
-        return self.solve(rows, v)[0]
-
-    def worst_row(self, p, v):
+    def _worst(self, rows, v, alphas):
         """The tilt q_alpha at the optimal alpha; p on the argmin states of supp(p) at alpha = 0."""
-        return self.support_and_worst(p, v)[1]
-
-    def _support_and_worst(self, rows, v):
-        values, alphas = self.solve(rows, v)
         support = rows > 0.0
         m = np.where(support, v, np.inf).min(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.where(support & (v > m), (v - m) / alphas[:, None], 0.0)
         q = rows * np.exp(-gap)
-        q /= q.sum(axis=1, keepdims=True)
-        return values, q
+        return q / q.sum(axis=1, keepdims=True)
 
     def distance(self, p, qs):
         """KL(q || p), with 0 log 0 = 0; inf where q puts mass off supp(p)."""
@@ -459,7 +440,7 @@ class Wasserstein(UncertaintySet):
 
     order: float = 1.0
     metric: np.ndarray | None = None
-    _pow_cache: dict = field(default_factory=dict, repr=False)
+    _pow_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     kind = "wasserstein"
     __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity: metric is an array
@@ -513,8 +494,9 @@ class Wasserstein(UncertaintySet):
 
     def solve(self, rows, v):
         """Support values and maximizing duals lambda, one per row."""
-        rows = _as_batch(rows)
-        v = np.asarray(v, dtype=float)
+        return self._solve(_as_batch(rows), np.asarray(v, dtype=float))
+
+    def _solve(self, rows, v):
         if self.delta == 0.0:
             return rows @ v, np.zeros(rows.shape[0])
         lo = v.min()
@@ -530,17 +512,10 @@ class Wasserstein(UncertaintySet):
         best = g.argmax(axis=1)
         return lo + g[np.arange(rows.shape[0]), best], lam[best]
 
-    def support_batch(self, rows, v):
-        return self.solve(rows, v)[0]
-
-    def worst_row(self, p, v):
+    def _worst(self, rows, v, lambdas):
         """Each p_x split between the argmin lines of phi_x at the optimal lambda."""
-        return self.support_and_worst(p, v)[1]
-
-    def _support_and_worst(self, rows, v):
-        values, lambdas = self.solve(rows, v)
         if self.delta == 0.0:
-            return values, rows.copy()
+            return rows.copy()
         b, n = rows.shape
         dl = self._dl(n)
         u = v - v.min()
@@ -564,7 +539,7 @@ class Wasserstein(UncertaintySet):
         flat = np.arange(b)[:, None] * n
         q = np.bincount((flat + y_lo).ravel(), ((1.0 - theta)[:, None] * rows).ravel(), b * n)
         q += np.bincount((flat + y_hi).ravel(), (theta[:, None] * rows).ravel(), b * n)
-        return values, q.reshape(b, n)
+        return q.reshape(b, n)
 
     def distance(self, p, qs):
         """W_l(p, q) per row: the CDF formula on the line metric, else one transport LP per row."""

@@ -121,10 +121,25 @@ def test_every_family_defines_the_set_interface():
     missing = [
         f"{cls.__name__}.{method}"
         for cls in FAMILIES.values()
-        for method in ("_support_and_worst", "distance")
+        for method in ("_solve", "_worst", "distance")
         if method not in vars(cls)
     ]
     assert not missing
+
+
+def test_a_family_subclass_keeps_its_own_methods_and_inherits_the_rest():
+    # the shared methods are bound on each family only: a subclass's own ``support_batch`` stays, and
+    # its ``worst_row`` is the family's, so wrapping the family's method reaches the subclass too
+    family = FAMILIES["tv"]
+
+    class Shifted(family):
+        def support_batch(self, rows, v):
+            return super().support_batch(rows, v) + 1.0
+
+    assert set(vars(Shifted)) & {"support", "worst_row", "support_and_worst"} == set()
+    assert Shifted.worst_row is family.worst_row
+    rows, v = np.array([[0.2, 0.5, 0.3]]), np.array([0.0, 1.0, -1.0])
+    assert Shifted(0.3).support_batch(rows, v)[0] == family(0.3).support_batch(rows, v)[0] + 1.0
 
 
 IMPORT_PATH_SCRIPT = """

@@ -392,16 +392,15 @@ class TestPolicyIterationAgainstRvi:
         hq = m.reward + support_table(m, spec, ct.q.max(axis=1))
         assert ct.residual == np.abs(hq - ct.gain - ct.q).max() <= tol
 
-    def test_stalled_evaluation_improves_from_where_it_stopped(self, monkeypatch):
-        # no control call of the planner grids stalls in a phase whose greedy policy then certifies, so the
-        # stall rule is forced at its first reading: control improves to the greedy policy there, and that
-        # certifies without starting over (every sweep of the restart would count as damped)
+    def test_stalled_control_starts_over_as_rvi(self, monkeypatch):
+        # the stall rule forced at its first reading: control starts over at once as damped RVI on Q from
+        # zero, every sweep but the first exact step counted as damped, and certifies the same policy
         m, spec, tol = garnet(5, 3, seed=251), KLDivergence(0.3), 1e-9
         plain = robust_rvi_control(m, spec, tol=tol)
         readings = []
         monkeypatch.setattr(planners, "_stalled", lambda *args: readings.append(args[1]) or len(readings) == 1)
         ct = robust_rvi_control(m, spec, tol=tol)
-        assert readings[0] == 1 and (plain.iterations, ct.iterations, ct.damped) == (9, 8, 0)
+        assert readings[0] == 1 and (plain.iterations, plain.damped, ct.iterations, ct.damped) == (9, 0, 48, 47)
         np.testing.assert_array_equal(ct.policy.actions(), plain.policy.actions())
         assert abs(ct.gain - plain.gain) <= 1e-9
         hq = m.reward + support_table(m, spec, ct.q.max(axis=1))

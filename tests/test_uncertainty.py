@@ -1,5 +1,6 @@
 """Tests for the ambiguity-set support functions, duals, and the grid oracle."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -99,6 +100,13 @@ class TestClosedFormExamples:
         for order in (np.nan, np.inf):
             with pytest.raises(ValueError, match="order"):
                 Wasserstein(0.1, order=order)
+
+    def test_wasserstein_takes_no_cache_argument(self):
+        # a cache passed to the constructor would stand in for the metric and skip its checks
+        assert [f.name for f in dataclasses.fields(Wasserstein) if f.init] == ["delta", "order", "metric"]
+        with pytest.raises(TypeError):
+            Wasserstein(0.3, 1.0, None, {3: np.zeros((3, 3))})
+        assert Wasserstein(0.3, 1.0, None).support([0.2, 0.3, 0.5], [0.0, 1.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAxioms:
