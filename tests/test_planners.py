@@ -392,7 +392,7 @@ class TestPolicyIterationAgainstRvi:
         hq = m.reward + support_table(m, spec, ct.q.max(axis=1))
         assert ct.residual == np.abs(hq - ct.gain - ct.q).max() <= tol
 
-    def test_stalled_control_starts_over_as_rvi(self, monkeypatch):
+    def test_forced_control_stall_starts_over_as_rvi(self, monkeypatch):
         # the stall rule forced at its first reading: control starts over at once as damped RVI on Q from
         # zero, every sweep but the first exact step counted as damped, and certifies the same policy
         m, spec, tol = garnet(5, 3, seed=251), KLDivergence(0.3), 1e-9
