@@ -15,7 +15,8 @@ counts, which follow the same law as tallying individual draws, so the cost of
 a level-N estimate is O(S) rather than O(2^N).
 
 The draws never depend on v, so an ``EstimateStream`` draws many iterations'
-worth at once and runs one support solve per iteration over its 4n rows.
+worth at once and runs one support solve per live seed and iteration, over
+that seed's 4n rows.
 Estimators are pure given an RNG; callers own their seeded streams.
 """
 
@@ -101,8 +102,6 @@ def default_psi(spec: UncertaintySet) -> float:
 
 def default_mlmc_config(spec: UncertaintySet) -> MlmcConfig:
     return MlmcConfig(psi=default_psi(spec))
-
-
 
 
 class EstimateStream:

@@ -10,7 +10,8 @@ This module provides:
 - Relative-value-iteration offset functionals (reference state, mean).
 - The span seminorm, the support table sigma(s, a, v) shared with the
   planners, and the worst-case Bellman residual check used to certify
-  solutions of the worst-case average-reward fixed-point equation.
+  solutions of the worst-case average-reward fixed-point equation. They solve
+  each distinct nominal row once and copy its answer to every pair that has it.
 
 All containers are immutable after construction; the operations are pure
 functions and safe to call concurrently.
@@ -20,9 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .uncertainty import UncertaintySet
 
 ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
@@ -59,6 +63,22 @@ class TabularMDP:
         object.__setattr__(self, "reward", np.ascontiguousarray(self.reward, dtype=float))
         self.kernel.setflags(write=False)
         self.reward.setflags(write=False)
+
+    @cached_property
+    def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The distinct nominal rows in order of first appearance, and each (s, a) pair's index into
+        them, s-major; rows are the same when their bits are. Where every row is distinct, the S*A
+        rows as they are and no index. Computed on first use, once per instance."""
+        rows = self.kernel.reshape(-1, self.n_states)
+        first: dict[bytes, int] = {}
+        pairs = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
+        if len(first) == len(rows):
+            return rows, None
+        keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        distinct, index = rows[keep], np.searchsorted(keep, pairs)
+        distinct.setflags(write=False)  # shared by every later solve, like the kernel it is read from
+        index.setflags(write=False)
+        return distinct, index
 
     def with_kernel(self, kernel: np.ndarray) -> "TabularMDP":
         """Copy of this MDP with a replacement transition kernel."""
@@ -330,10 +350,25 @@ def span(v: np.ndarray) -> float:
     return float(v.max() - v.min())
 
 
+def _nominal_rows(mdp: TabularMDP, uset) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows ``uset`` solves for the MDP's S*A pairs, and the pair -> row index that copies its
+    answers back to the pairs (None: the rows are the pairs' own, s-major). A family's ball at a
+    pair depends on the pair's nominal row only, so an ``UncertaintySet`` gets each distinct row
+    once; any other set gets all S*A rows, since its per-pair collections need not repeat where
+    the nominal rows do."""
+    if isinstance(uset, UncertaintySet):
+        return mdp._distinct_rows
+    return mdp.kernel.reshape(-1, mdp.n_states), None
+
+
 def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """sigma(s, a, v) for every pair: one ``support_batch`` call over the S*A nominal rows, s-major."""
-    n_s = mdp.n_states
-    return uset.support_batch(mdp.kernel.reshape(-1, n_s), np.asarray(v, dtype=float)).reshape(n_s, mdp.n_actions)
+    """sigma(s, a, v) for every pair: one ``support_batch`` call over the MDP's distinct nominal
+    rows (``_nominal_rows``), each solved once."""
+    rows, index = _nominal_rows(mdp, uset)
+    values = uset.support_batch(rows, np.asarray(v, dtype=float))
+    if index is not None:
+        values = values[index]
+    return values.reshape(mdp.n_states, mdp.n_actions)
 
 
 def robust_bellman_residual(

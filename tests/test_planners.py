@@ -1,5 +1,6 @@
 """Tests for the model-based planning oracles."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -557,34 +558,157 @@ class TestPinnedOutputs:
 
 
 class TestSolveCount:
-    """Each policy-iteration step makes one ``support_and_worst`` call, and nothing else of the set."""
+    """Each policy-iteration step makes one ``support_and_worst`` call, and nothing else of the set,
+    over the MDP's distinct nominal rows: 25 on inventory(), all 15 on garnet(5, 3, 254)."""
 
     @staticmethod
     def count(monkeypatch, spec):
-        calls = {name: 0 for name in ("support_and_worst", "support_batch", "worst_row")}
+        """Per method of the set, the row count of each call made from outside the set (its
+        ``worst_row`` calls its own ``support_and_worst``, which is not counted again)."""
+        calls = {name: [] for name in ("support_and_worst", "support_batch", "worst_row")}
+        depth = [0]
         for name in calls:
 
-            def counted(*args, _name=name, _method=getattr(spec, name)):
-                calls[_name] += 1
-                return _method(*args)
+            def counted(rows, v, _name=name, _method=getattr(spec, name)):
+                if not depth[0]:
+                    calls[_name].append(len(rows))
+                depth[0] += 1
+                try:
+                    return _method(rows, v)
+                finally:
+                    depth[0] -= 1
 
             monkeypatch.setattr(spec, name, counted)
         return calls
 
-    @pytest.mark.parametrize(
-        "spec",
-        [Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)],
-        ids=lambda spec: spec.kind,
-    )
-    def test_k_steps_make_k_plus_one_calls(self, spec, monkeypatch):
-        m = inventory()
+    def check(self, m, n_rows, spec, monkeypatch):
         calls = self.count(monkeypatch, spec)
         ev = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec, tol=1e-9)
         assert ev.damped == 0
-        assert calls == {"support_and_worst": ev.iterations + 1, "support_batch": 0, "worst_row": 0}
-        calls.update(dict.fromkeys(calls, 0))
+        assert calls == {"support_and_worst": [n_rows] * (ev.iterations + 1), "support_batch": [], "worst_row": []}
+        for rows in calls.values():
+            rows.clear()
         ct = robust_rvi_control(m, spec, tol=1e-9)
         # each policy's evaluation starts from the kernel its predecessor's last step found;
         # the one support_batch is the closing Q-residual certificate
         assert ct.damped == 0
-        assert calls == {"support_and_worst": ct.iterations + 1, "support_batch": 1, "worst_row": 0}
+        steps = [n_rows] * (ct.iterations + 1)
+        assert calls == {"support_and_worst": steps, "support_batch": [n_rows], "worst_row": []}
+        for rows in calls.values():
+            rows.clear()
+        robust_bellman_residual(m, ct.policy, spec, ct.gain, ct.q.max(axis=1))
+        assert calls == {"support_and_worst": [], "support_batch": [n_rows], "worst_row": []}
+        calls["support_batch"].clear()
+        worst_case_kernel(m, spec, ct.q.max(axis=1))
+        assert calls == {"support_and_worst": [], "support_batch": [], "worst_row": [n_rows]}
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    def test_k_steps_make_k_plus_one_calls(self, spec, monkeypatch):
+        self.check(inventory(), 25, spec, monkeypatch)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    def test_distinct_rows_pass_whole(self, spec, monkeypatch):
+        self.check(garnet(5, 3, seed=254), 15, spec, monkeypatch)
+
+
+class FullRows:
+    """A family seen through a plain wrapper, which is no ``UncertaintySet`` and so gets all S*A
+    nominal rows, repeated ones included: the reference the distinct-row solves are checked against."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+
+def repeated_rows_mdp():
+    """4 states and 3 actions whose 12 pairs share 3 nominal rows, one of them sparse."""
+    rng = np.random.default_rng(5)
+    pool = np.vstack([rng.dirichlet(np.ones(4), size=2), [0.5, 0.0, 0.5, 0.0]])
+    return TabularMDP(4, 3, pool[[0, 1, 2, 1, 2, 0, 2, 2, 1, 0, 0, 2]].reshape(4, 3, 4), rng.normal(size=(4, 3)))
+
+
+class TestDistinctNominalRows:
+    """The planners and certificates solve each distinct nominal row once and copy its answers to
+    every pair that has it. Chi-square and KL solve a row to the same bits in any batch, so they
+    match a solve over all S*A rows exactly; contamination, TV and Wasserstein reduce rows with
+    BLAS products, whose last bits may depend on the batch, and match within 1e-15 span(v)."""
+
+    def test_row_map(self):
+        m = inventory()
+        rows, index = m._distinct_rows
+        assert rows.shape == (25, 17) and index.shape == (153,)
+        assert not rows.flags.writeable and not index.flags.writeable
+        assert np.array_equal(rows[index], m.kernel.reshape(-1, 17))
+        _, first = np.unique(index, return_index=True)
+        assert np.all(np.diff(first) > 0)  # rows numbered in order of first appearance
+        assert m._distinct_rows is m._distinct_rows
+        _, index = repeated_rows_mdp()._distinct_rows
+        assert np.array_equal(index, [0, 1, 2, 1, 2, 0, 2, 2, 1, 0, 0, 2])
+
+    def test_distinct_rows_pass_through(self):
+        m = garnet(5, 3, seed=254)
+        rows, index = m._distinct_rows
+        assert index is None and rows.shape == (15, 5) and np.shares_memory(rows, m.kernel)
+
+    def test_container_unchanged_by_the_map(self):
+        m = inventory()
+        before = (repr(m), m.to_json())
+        support_table(m, KLDivergence(0.3), m.reward.max(axis=1))
+        assert "_distinct_rows" in vars(m)
+        assert (repr(m), m.to_json()) == before
+        assert [f.name for f in dataclasses.fields(m)] == ["n_states", "n_actions", "kernel", "reward"]
+        twin = TabularMDP.from_json(m.to_json())
+        assert np.array_equal(twin.kernel, m.kernel) and "_distinct_rows" not in vars(twin)
+
+    def test_kernel_copies_never_compute_the_map(self, monkeypatch):
+        m = inventory()
+        copies, with_kernel = [], TabularMDP.with_kernel
+
+        def recorded(self, kernel):
+            copies.append(with_kernel(self, kernel))
+            return copies[-1]
+
+        monkeypatch.setattr(TabularMDP, "with_kernel", recorded)
+        robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), KLDivergence(0.3), tol=1e-9)
+        robust_rvi_control(m, TotalVariation(0.2), tol=1e-9)
+        assert copies and not any("_distinct_rows" in vars(c) for c in copies)
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("env", ["inventory", "repeated"])
+    def test_matches_a_solve_over_all_rows(self, env, spec):
+        m = inventory() if env == "inventory" else repeated_rows_mdp()
+        assert m._distinct_rows[1] is not None
+        exact = spec.kind in ("chi2", "kl")
+
+        def same(a, b, v):
+            if exact:
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-15 * span(v))
+
+        full = FullRows(spec)
+        policy = Policy.uniform(m.n_states, m.n_actions)
+        ev, ev_full = robust_rvi_eval(m, policy, spec, tol=1e-9), robust_rvi_eval(m, policy, full, tol=1e-9)
+        same(ev.gain, ev_full.gain, ev.value)
+        same(ev.value, ev_full.value, ev.value)
+        ct, ct_full = robust_rvi_control(m, spec, tol=1e-9), robust_rvi_control(m, full, tol=1e-9)
+        same(ct.gain, ct_full.gain, ct.q)
+        same(ct.q, ct_full.q, ct.q)
+        assert np.array_equal(ct.policy.probs, ct_full.policy.probs)
+        rng = np.random.default_rng(3)
+        for v in (ev.value, ct.q.max(axis=1), 100 * rng.normal(size=m.n_states)):
+            same(support_table(m, spec, v), support_table(m, full, v), v)
+            same(worst_case_kernel(m, spec, v), worst_case_kernel(m, full, v), v)
+
+    def test_finite_kernel_set_answers_from_its_full_batch(self):
+        # nominal rows 0 and 2 repeat, but the pairs' kernel collections differ
+        ex = example_a(1.0, 2.0, 4.0)
+        assert len(ex.mdp._distinct_rows[0]) == 2
+        v = np.array([0.0, 1.0, -1.0])
+        rows = ex.mdp.kernel.reshape(3, 3)
+        sigma = support_table(ex.mdp, ex.uset, v)
+        assert np.array_equal(sigma.ravel(), ex.uset.support_batch(rows, v))
+        assert np.array_equal(worst_case_kernel(ex.mdp, ex.uset, v).reshape(3, 3), ex.uset.worst_row(rows, v))
+        assert sigma[0, 0] == -1.0 and sigma[2, 0] == 1.0
