@@ -216,18 +216,17 @@ def build_policy(doc, mdp: TabularMDP) -> Policy:
     return policy
 
 
-def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig | None:
-    """The MLMC settings; fields are checked for every family, though contamination uses none."""
+def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig:
+    """The MLMC settings, checked for every family; the contamination estimator reads none of them."""
     _known_fields("estimator", doc, ("psi", "max_level"))
     psi = doc.get("psi")
     if psi is not None and _positive_number("estimator.psi", psi) >= 1.0:
         raise ConfigError(f"estimator.psi must lie in (0, 1), got {psi!r}")
     max_level = _integer("estimator.max_level", doc.get("max_level", 20), 0)
     try:
-        mlmc = MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
+        return MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
     except ValueError as exc:
         raise ConfigError(f"estimator.{exc}") from exc  # psi is checked above, so this names max_level
-    return None if isinstance(spec, Contamination) else mlmc
 
 
 def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
@@ -235,14 +234,14 @@ def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((base_seed, seed_index)))
 
 
-def _run_seeds(cfg: ExperimentConfig, learner) -> tuple[list[RunTrace], list[str]]:
-    """Every seed in one batched learner call; returns the finished seeds' traces in seed order
-    and the errors of the seeds that diverged."""
+def _run_seeds(cfg: ExperimentConfig, learner) -> tuple[RunTrace, list[str]]:
+    """Every seed in one batched learner call; returns its trace, which holds the finished seeds in
+    seed order, and the errors of the seeds that diverged."""
     batch = learner([seed_stream(cfg.base_seed, i) for i in range(cfg.n_seeds)])
     errors = [f"seed {i}: {message}" for i, message in batch.errors.items()]
     if len(errors) > 0.1 * cfg.n_seeds:
         raise RunFailure(f"{len(errors)}/{cfg.n_seeds} seeds failed: {errors[:3]}")
-    return batch.runs(), errors
+    return batch, errors
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> np.ndarray:
@@ -260,17 +259,16 @@ def _write_trace_csv(path, iters, mean, p95, p05, baseline) -> None:
             fh.write(f"{int(i)},{float(m)!r},{float(hi)!r},{float(lo)!r},{float(baseline)!r}\n")
 
 
-def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline: float, out_dir, title: str):
-    """Write ``trace.csv`` and ``plot.svg`` across seeds; returns each seed's tail mean."""
-    iters = traces[0].iters
-    stack = np.stack([t.f_values for t in traces])
-    mean = stack.mean(axis=0)
-    p95 = nearest_rank_percentile(stack, 95.0)
-    p05 = nearest_rank_percentile(stack, 5.0)
-    _write_trace_csv(os.path.join(out_dir, "trace.csv"), iters, mean, p95, p05, baseline)
+def _aggregate_and_emit(cfg: ExperimentConfig, batch: RunTrace, baseline: float, out_dir, title: str):
+    """Write ``trace.csv`` and ``plot.svg`` across the seeds of a batched trace; returns each seed's
+    tail mean."""
+    mean = batch.f_values.mean(axis=0)
+    p95 = nearest_rank_percentile(batch.f_values, 95.0)
+    p05 = nearest_rank_percentile(batch.f_values, 5.0)
+    _write_trace_csv(os.path.join(out_dir, "trace.csv"), batch.iters, mean, p95, p05, baseline)
     line_plot_svg(
         os.path.join(out_dir, "plot.svg"),
-        iters,
+        batch.iters,
         {"mean over seeds": mean},
         band=(p05, p95),
         baseline=baseline,
@@ -278,7 +276,7 @@ def _aggregate_and_emit(cfg: ExperimentConfig, traces: list[RunTrace], baseline:
         xlabel="iteration",
         ylabel="offset value",
     )
-    return [t.tail_mean(cfg.tail_fraction) for t in traces]
+    return batch.tail_mean(cfg.tail_fraction).tolist()
 
 
 def _planner_stats(plan) -> dict:
@@ -310,9 +308,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
         learner = functools.partial(robust_rvi_td, source, mdp, policy, spec)
         plan = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
     learner = functools.partial(learner, offset, schedule, cfg.n_iters, mlmc, record_every=cfg.record_every)
-    done, errors = _run_seeds(cfg, learner)
+    batch, errors = _run_seeds(cfg, learner)
     title = "worst-case optimal control" if control else "worst-case policy evaluation"
-    tails = _aggregate_and_emit(cfg, done, plan.gain, out_dir, title)
+    tails = _aggregate_and_emit(cfg, batch, plan.gain, out_dir, title)
     summary = {
         "baseline_gain": plan.gain,
         "final_mean": float(np.mean(tails)),
@@ -320,7 +318,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
         "per_seed_tail": tails,
     }
     if control:
-        per_seed_actions = [greedy_policy(t.final).actions().tolist() for t in done]
+        per_seed_actions = [greedy_policy(q).actions().tolist() for q in batch.final]
         modal, modal_count = Counter(map(tuple, per_seed_actions)).most_common(1)[0]  # first seen wins a tie
         planner_policy = plan.policy.actions().tolist()
         policy_doc = {
@@ -334,7 +332,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
         summary.update(
             modal_policy=list(modal), planner_policy=planner_policy, modal_matches_planner=list(modal) == planner_policy
         )
-    summary.update(seed_errors=errors, n_seeds_done=len(done), planner=_planner_stats(plan))
+    summary.update(seed_errors=errors, n_seeds_done=len(batch.final), planner=_planner_stats(plan))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary

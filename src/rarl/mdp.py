@@ -65,17 +65,16 @@ class TabularMDP:
         self.reward.setflags(write=False)
 
     @cached_property
-    def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct nominal rows in order of first appearance, and each (s, a) pair's index into
         them, s-major; rows are the same when their bits are. Where every row is distinct, the S*A
-        rows as they are and no index. Computed on first use, once per instance."""
+        rows as they are (a view of the kernel) and the identity index. Computed on first use, once
+        per instance."""
         rows = self.kernel.reshape(-1, self.n_states)
         first: dict[bytes, int] = {}
         pairs = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
-        if len(first) == len(rows):
-            return rows, None
         keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-        distinct, index = rows[keep], np.searchsorted(keep, pairs)
+        distinct, index = (rows[keep] if len(keep) < len(rows) else rows), np.searchsorted(keep, pairs)
         distinct.setflags(write=False)  # shared by every later solve, like the kernel it is read from
         index.setflags(write=False)
         return distinct, index
@@ -139,43 +138,35 @@ class GainBias:
     bias: np.ndarray
 
 
+@dataclass(frozen=True)
 class OffsetFn:
-    """Normalizing functional used by relative value iteration.
+    """Normalizing functional used by relative value iteration: the value at the reference
+    ``state``, or the mean where ``state`` is None.
 
     Satisfies f(e) = 1, f(x + c e) = f(x) + c and f(c x) = c f(x); both
-    variants are 1-Lipschitz in the sup norm. Arrays are read through
-    ``ravel()`` so the same functional applies to value vectors and Q tables.
+    variants are 1-Lipschitz in the sup norm. Arrays are read flattened, so
+    the same functional applies to value vectors and Q tables.
     """
 
-    def __init__(self, kind: str, state: int = 0):
-        if kind not in ("mean", "state"):
-            raise ValueError(f"unknown offset kind {kind!r}")
-        self.kind = kind
-        self.state = int(state)
+    state: int | None = None
 
     @staticmethod
     def mean() -> "OffsetFn":
-        return OffsetFn("mean")
+        return OffsetFn()
 
     @staticmethod
     def reference_state(state: int) -> "OffsetFn":
-        return OffsetFn("state", state)
+        return OffsetFn(int(state))
 
     def __call__(self, x: np.ndarray) -> float:
-        flat = np.asarray(x, dtype=float).ravel()
-        if self.kind == "mean":
-            return float(flat.mean())
-        return float(flat[self.state])
+        return float(self.batch(np.asarray(x)[None])[0])
 
     def batch(self, x: np.ndarray) -> np.ndarray:
         """The offset of each x[i] of a stacked batch, shape (B,); each equals ``self(x[i])``."""
         flat = np.asarray(x, dtype=float).reshape(len(x), -1)
-        if self.kind == "mean":
+        if self.state is None:
             return np.add.reduce(flat, axis=1) / flat.shape[1]  # the sum and divide of ndarray.mean
         return flat[:, self.state]
-
-    def __repr__(self):
-        return f"OffsetFn({self.kind!r}, state={self.state})" if self.kind == "state" else "OffsetFn('mean')"
 
 
 def validate(mdp: TabularMDP) -> str | None:
@@ -274,16 +265,22 @@ def is_unichain(p: np.ndarray) -> bool:
     return bool(_reach(p).all(axis=0).any())
 
 
+def _recurrent(p: np.ndarray) -> np.ndarray:
+    """The recurrent states of a unichain transition matrix, those every state reaches, as a state
+    mask. Raises MultichainError if more than one class is closed."""
+    reach = _reach(p)
+    recurrent = reach.all(axis=0)
+    if not recurrent.any():
+        raise MultichainError(f"induced chain has {len(_closed_classes(reach))} closed recurrent classes")
+    return recurrent
+
+
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Stationary distribution of a unichain transition matrix, exact on periodic and slowly
     mixing chains alike: one solve on the closed class (the states every state reaches), 0 on
     transient states. Raises MultichainError if more than one class is closed."""
     p = np.asarray(p, dtype=float)
-    reach = _reach(p)
-    recurrent = reach.all(axis=0)
-    if not recurrent.any():
-        raise MultichainError(f"chain has {len(_closed_classes(reach))} closed recurrent classes")
-    return _class_distribution(p, recurrent)
+    return _class_distribution(p, _recurrent(p))
 
 
 def gain_and_bias(
@@ -299,10 +296,7 @@ def gain_and_bias(
     the cumulative-deviation sense; an OffsetFn pins f(v) = 0 instead.
     """
     p_pi, r_pi = induced_chain(mdp, policy)
-    reach = _reach(p_pi)
-    recurrent = reach.all(axis=0)
-    if not recurrent.any():
-        raise MultichainError(f"induced chain has {len(_closed_classes(reach))} closed recurrent classes")
+    recurrent = _recurrent(p_pi)
     n = mdp.n_states
     a = np.zeros((n + 1, n + 1))
     b = np.zeros(n + 1)
@@ -311,7 +305,7 @@ def gain_and_bias(
     b[:n] = r_pi
     if normalization is None:
         a[n, :n] = _class_distribution(p_pi, recurrent)
-    elif normalization.kind == "mean":
+    elif normalization.state is None:
         a[n, :n] = 1.0 / n
     else:
         a[n, normalization.state] = 1.0
@@ -350,25 +344,21 @@ def span(v: np.ndarray) -> float:
     return float(v.max() - v.min())
 
 
-def _nominal_rows(mdp: TabularMDP, uset) -> tuple[np.ndarray, np.ndarray | None]:
+def _nominal_rows(mdp: TabularMDP, uset) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``uset`` solves for the MDP's S*A pairs, and the pair -> row index that copies its
-    answers back to the pairs (None: the rows are the pairs' own, s-major). A family's ball at a
-    pair depends on the pair's nominal row only, so an ``UncertaintySet`` gets each distinct row
-    once; any other set gets all S*A rows, since its per-pair collections need not repeat where
-    the nominal rows do."""
+    answers back to the pairs, s-major. A family's ball at a pair depends on the pair's nominal row
+    only, so an ``UncertaintySet`` gets each distinct row once; any other set gets all S*A rows and
+    the identity index, since its per-pair collections need not repeat where the nominal rows do."""
     if isinstance(uset, UncertaintySet):
         return mdp._distinct_rows
-    return mdp.kernel.reshape(-1, mdp.n_states), None
+    return mdp.kernel.reshape(-1, mdp.n_states), np.arange(mdp.n_states * mdp.n_actions)
 
 
 def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
     """sigma(s, a, v) for every pair: one ``support_batch`` call over the MDP's distinct nominal
     rows (``_nominal_rows``), each solved once."""
     rows, index = _nominal_rows(mdp, uset)
-    values = uset.support_batch(rows, np.asarray(v, dtype=float))
-    if index is not None:
-        values = values[index]
-    return values.reshape(mdp.n_states, mdp.n_actions)
+    return uset.support_batch(rows, np.asarray(v, dtype=float))[index].reshape(mdp.n_states, mdp.n_actions)
 
 
 def robust_bellman_residual(

@@ -80,19 +80,15 @@ def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
     """Kernel assembled from worst-case rows for the given value vector, in one ``worst_row`` call
     over the MDP's distinct nominal rows, each solved once."""
     rows, index = _nominal_rows(mdp, uset)
-    worst = uset.worst_row(rows, np.asarray(v, dtype=float))
-    if index is not None:
-        worst = worst.take(index, axis=0)
-    return worst.reshape(mdp.kernel.shape)
+    return uset.worst_row(rows, np.asarray(v, dtype=float)).take(index, axis=0).reshape(mdp.kernel.shape)
 
 
 def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``support_table`` and ``worst_case_kernel`` at v, from one ``support_and_worst`` call."""
     rows, index = _nominal_rows(mdp, uset)
     sigma, worst = uset.support_and_worst(rows, np.asarray(v, dtype=float))
-    if index is not None:  # take copies whole rows, about 3x faster than indexing a 2-D array with index
-        sigma, worst = sigma[index], worst.take(index, axis=0)
-    return sigma.reshape(mdp.n_states, mdp.n_actions), worst.reshape(mdp.kernel.shape)
+    # take copies whole rows, about 3x faster than indexing a 2-D array with index
+    return sigma[index].reshape(mdp.n_states, mdp.n_actions), worst.take(index, axis=0).reshape(mdp.kernel.shape)
 
 
 # Steps a planner call may spend; the stall rule of ``_stalled`` stops a failing call long before.

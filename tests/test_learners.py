@@ -9,7 +9,7 @@ from rarl import estimators
 from rarl.environments import garnet, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig
 from rarl.learners import Constant, RobbinsMonro, greedy_policy, robust_rvi_q, robust_rvi_td
-from rarl.mdp import OffsetFn, Policy, gain_and_bias
+from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias
 from rarl.planners import robust_rvi_control, robust_rvi_eval
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 
@@ -106,6 +106,14 @@ class TestRobustRviTd:
         )
         np.testing.assert_array_equal(trace.iters, np.arange(1, 501))
         assert offset(trace.final) == trace.f_values[-1]
+
+    def test_multichain_policy_warns(self):
+        m = TabularMDP(2, 1, np.eye(2)[:, None, :], np.zeros((2, 1)))  # each state keeps itself: two closed classes
+        with pytest.warns(UserWarning, match="^policy induces a multichain on the nominal kernel$"):
+            robust_rvi_td(
+                KernelSampler.from_mdp(m), m, Policy.uniform(2, 1), Contamination(0.2), OffsetFn.mean(),
+                Constant(0.01), 10, None, stream(6),
+            )
 
     def test_costs_monotone_and_iters_increasing(self):
         m = garnet(3, 2, seed=5)

@@ -242,6 +242,26 @@ class TestGainAndBias:
         with pytest.raises(MultichainError, match="has 2 closed recurrent classes"):
             gain_and_bias(m, Policy.deterministic([0, 0], 1))
 
+    def test_singular_solve_is_named(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("rarl.mdp.np.linalg.solve", singular)
+        m = random_unichain_mdp(np.random.default_rng(7), 4, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="^singular gain/bias system: Singular matrix$"):
+            gain_and_bias(m, Policy.uniform(4, 2), OffsetFn.mean())
+
+    def test_large_residual_rejected(self, monkeypatch):
+        # shifting the bias and the gain by c leaves a residual of exactly c in every state; the
+        # bound is _GAIN_BIAS_RTOL (1 + max |r_pi|) >= 1e-7, so a shift of 1e-9 passes and 1e-3 fails
+        solve, m, policy = np.linalg.solve, random_unichain_mdp(np.random.default_rng(7), 4, 2), Policy.uniform(4, 2)
+        monkeypatch.setattr("rarl.mdp.np.linalg.solve", lambda a, b: solve(a, b) + 1e-9)
+        gain_and_bias(m, policy, OffsetFn.mean())
+        monkeypatch.setattr("rarl.mdp.np.linalg.solve", lambda a, b: solve(a, b) + 1e-3)
+        with pytest.raises(ConvergenceError, match="^gain/bias solve left a large residual") as failure:
+            gain_and_bias(m, policy, OffsetFn.mean())
+        assert failure.value.residual == pytest.approx(1e-3, rel=1e-6)
+
     def test_stationary_normalization_on_slowly_switching_chain(self):
         a, b = 1e-6, 5e-6
         m = make_mdp([[[1.0 - a, a]], [[b, 1.0 - b]]], [[1.0], [-2.0]])

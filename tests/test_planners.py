@@ -650,7 +650,7 @@ class TestDistinctNominalRows:
     def test_distinct_rows_pass_through(self):
         m = garnet(5, 3, seed=254)
         rows, index = m._distinct_rows
-        assert index is None and rows.shape == (15, 5) and np.shares_memory(rows, m.kernel)
+        assert np.array_equal(index, np.arange(15)) and rows.shape == (15, 5) and np.shares_memory(rows, m.kernel)
 
     def test_container_unchanged_by_the_map(self):
         m = inventory()
