@@ -27,22 +27,64 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import TabularMDP
+from .mdp import ROW_SUM_TOL, TabularMDP
 from .uncertainty import ChiSquare, Contamination, UncertaintySet
 
 _BLOCK_FLOATS = 1 << 17  # floats in a block's row buffer: 1 MiB
+_CELLS = 256  # guide-table cells per pair over [0, 1); a power of two, so the cell of u is exact
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of ``KernelSampler``, flat and pair-major, from each pair's first S - 1 CDF
+    entries (pairs, S - 1): entry (p, b) is the count of p's entries below b / _CELLS, or -1 where
+    an entry lies in the cell [b, b + 1) / _CELLS."""
+    n_pairs, width = len(cdf), _CELLS + 1
+    n_states = cdf.shape[1] + 1
+    # edges[p, j + 1] is the first cell edge that p's entry j lies below: that entry's cell + 1
+    edges = np.empty((n_pairs, n_states + 1), dtype=np.int64)
+    edges[:, 0], edges[:, n_states] = 0, width
+    np.minimum(cdf * _CELLS, _CELLS, out=edges[:, 1:n_states], casting="unsafe")
+    edges[:, 1:n_states] += 1
+    # the count below edge b is j for b in [edges[p, j], edges[p, j + 1]): repeat each j that often,
+    # in the smallest type that holds -1 .. S - 1 (a wide temporary raised the peak RSS of a run)
+    counts = (np.arange(n_pairs * n_states) % n_states).astype(np.min_scalar_type(-n_states))
+    table = counts.repeat((edges[:, 1:] - edges[:, :-1]).ravel())
+    table[(edges[:, 1:n_states] - 1 + np.arange(0, n_pairs * width, width)[:, None]).ravel()] = -1
+    return table.reshape(n_pairs, width)[:, :_CELLS].ravel()
 
 
 class KernelSampler:
-    """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a)."""
+    """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a).
+
+    Every row must be a distribution: nonnegative, summing to 1 within ``ROW_SUM_TOL``. A
+    draw inverts the pair's CDF at one uniform u, returning the count of its first S - 1
+    entries below u, which is min(#(cdf < u), S - 1). A guide table (Chen & Asau 1974) splits
+    [0, 1) into ``_CELLS`` equal cells and holds that count for each cell that no CDF entry
+    falls in, so a draw is one table lookup; only a u in a cell holding an entry (about
+    (S - 1) / _CELLS of draws) counts the entries outright. The cell count is a power of two,
+    so the cell of u is exact and every draw is bit-identical to plain inversion. The table is
+    built once per kernel, when the draws so far would have compared as many CDF entries as it
+    holds; until then draws count the entries, so a short run does not pay for the table.
+    """
 
     def __init__(self, kernel: np.ndarray):
         kernel = np.asarray(kernel, dtype=float)
-        if kernel.ndim != 3 or kernel.shape[2] != kernel.shape[0]:
+        if kernel.ndim != 3 or kernel.shape[2] != kernel.shape[0] or not kernel.size:
             raise ValueError(f"expected kernel of shape (S, A, S), got {kernel.shape}")
         self.kernel = kernel
-        self.n_states = kernel.shape[0]
-        self._cdf = np.cumsum(kernel, axis=2)
+        self.n_states, self._n_actions = kernel.shape[:2]
+        rows = kernel.reshape(-1, self.n_states)
+        cdf = np.cumsum(rows, axis=1)
+        ok = (np.minimum.reduce(rows, axis=1) >= 0.0) & (np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
+        if not ok.all():
+            s, a = divmod(int(ok.argmin()), self._n_actions)
+            raise ValueError(
+                f"kernel row at (s={s},a={a}) is not a distribution "
+                f"(sum {kernel[s, a].sum():.6g}, min {kernel[s, a].min():.6g})"
+            )
+        self._cdf = cdf[:, :-1]  # per pair, the first S - 1 entries
+        self._table = None
+        self._compared = 0  # CDF entries the draws have compared before the table is built
 
     @staticmethod
     def from_mdp(mdp: TabularMDP) -> "KernelSampler":
@@ -51,8 +93,21 @@ class KernelSampler:
     def draw_one_each(self, s_idx: np.ndarray, a_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One independent next state per (s_idx[i], a_idx[i])."""
         u = rng.random(len(s_idx))
-        idx = (self._cdf[s_idx, a_idx] < u[:, None]).sum(axis=1)
-        return np.minimum(idx, self.n_states - 1)
+        pair = np.asarray(s_idx) * self._n_actions + a_idx
+        if self._table is None:
+            self._compared += self._cdf.shape[1] * len(u)
+            if self._compared < self._cdf.shape[0] * _CELLS:
+                return self._invert(pair, u)
+            self._table = _guide_table(self._cdf)
+        draws = self._table[pair * _CELLS + (u * _CELLS).astype(np.int64)].astype(np.int64)
+        split = np.flatnonzero(draws < 0)
+        if split.size:
+            draws[split] = self._invert(pair[split], u[split])
+        return draws
+
+    def _invert(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The count of each pair's first S - 1 CDF entries below its u."""
+        return (self._cdf[pair] < u[:, None]).sum(axis=1)
 
     def draw_counts_each(self, s_idx: np.ndarray, a_idx: np.ndarray, count, rng: np.random.Generator) -> np.ndarray:
         """Occurrence counts of ``count`` i.i.d. draws per (s_idx[i], a_idx[i]), shape (..., S).
@@ -115,7 +170,9 @@ class EstimateStream:
     counts), spawned once. Each stream is read in iteration order, so a seed's values depend
     neither on the block size nor on the other seeds in the batch. A block holds the 4n
     empirical rows of each seed and iteration in one buffer of at most ``_BLOCK_FLOATS``
-    floats, or of one iteration's rows where those alone exceed it.
+    floats, or of one iteration's rows where those alone exceed it. Its first draws are the
+    sampler's guide-table lookups, the same states as CDF inversion, and its running sample
+    counts are converted to int64 once per block, so ``samples`` is an index.
     """
 
     def __init__(self, sampler, spec, pairs, cfg, rng, n_iters):
@@ -135,8 +192,10 @@ class EstimateStream:
         self.costs = np.zeros((0, len(rngs) * len(self.s_idx)), dtype=np.int64)
         self.next_states = self.rows = self.p_level = None
         # each seed's samples after the first j iterations of the block, (block + 1, seeds), in
-        # float64: exact below 2^53, and a total past int64 cannot wrap negative
+        # float64: exact below 2^53, and a total past int64 cannot wrap negative; converted once
+        # per block to int64, up to the first row past int64
         self._spent = np.zeros((1, len(rngs)))
+        self._count_samples()
 
     def _draw_block(self):
         n, n_seeds = len(self.s_idx), len(self._streams)
@@ -155,6 +214,14 @@ class EstimateStream:
         self.costs = costs.reshape(block, -1)
         spent = np.cumsum(costs.sum(axis=2, dtype=float), axis=0)
         self._spent = self._spent[-1] + np.concatenate([np.zeros((1, n_seeds)), spent])
+        self._count_samples()
+
+    def _count_samples(self):
+        """The block's sample counts as int64, up to ``_past``, the first row past int64 (each seed's
+        count only grows down the block)."""
+        self._past = int(np.count_nonzero(np.maximum.reduce(self._spent, axis=1, initial=0.0) < 2.0**63))
+        self._samples = self._spent[: self._past].astype(np.int64)
+        self._samples.flags.writeable = False
 
     def _draw_rows(self, firsts):
         """The MLMC rows and level probabilities of a block with these first draws; returns the
@@ -184,12 +251,12 @@ class EstimateStream:
         return 2 * half
 
     def samples(self) -> np.ndarray:
-        """Samples behind the estimates returned so far, per live seed, as int64; raises
-        ``OverflowError`` once a seed's count no longer fits."""
-        spent = self._spent[self._at]
-        if spent.max(initial=0.0) >= 2.0**63:
-            raise OverflowError(f"a run's sample count reached {spent.max():.3g}, past int64; lower max_level")
-        return spent.astype(np.int64)
+        """Samples behind the estimates returned so far, per live seed, as a read-only int64 row;
+        raises ``OverflowError`` once a seed's count no longer fits."""
+        if self._at >= self._past:
+            spent = self._spent[self._at].max()
+            raise OverflowError(f"a run's sample count reached {spent:.3g}, past int64; lower max_level")
+        return self._samples[self._at]
 
     def drop(self, keep: np.ndarray) -> None:
         """Stop estimating for the live seeds where the boolean mask ``keep`` is False."""
@@ -198,6 +265,7 @@ class EstimateStream:
         block = len(self.costs)
         self.costs = self.costs.reshape(block, n_seeds, n)[:, keep].reshape(block, -1)
         self._spent = self._spent[:, keep]
+        self._count_samples()
         if self.linear:
             self.next_states = self.next_states[:, keep] % n_states + n_states * np.arange(len(self._streams))[:, None]
         else:
@@ -216,7 +284,8 @@ class EstimateStream:
         self._at += 1
         v = v.reshape(len(self._streams), -1)
         if self.linear:
-            sigma = (1.0 - self.spec.delta) * v.ravel()[self.next_states[k]] + self.spec.delta * v.min(axis=1)[:, None]
+            low = np.minimum.reduce(v, axis=1)[:, None]
+            sigma = (1.0 - self.spec.delta) * v.ravel()[self.next_states[k]] + self.spec.delta * low
             return sigma.ravel(), self.costs[k]
         n = len(self.s_idx)
         rows = self.rows[k].reshape(len(v), 4 * n, -1)

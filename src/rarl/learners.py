@@ -118,8 +118,12 @@ def _learn(draws, x, target, offset, schedule, n_iters, record_every, solo) -> R
     f = offset.batch(x)  # of the current iterates: the next update's offsets and their record
     recorded = 0
     for n in range(n_iters):
-        x = x + schedule(n) * (target(x) - f.reshape(f_shape) - x)
-        if not np.abs(x).max() <= DIVERGENCE_BOUND:
+        step = target(x)  # a fresh array: the update runs in place, in the order of x + a (t - f - x)
+        step -= f.reshape(f_shape)
+        step -= x
+        step *= schedule(n)
+        x += step
+        if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_BOUND:
             failures = [_divergence(row, n) for row in x]
             if solo:
                 raise FloatingPointError(failures[0])
@@ -178,6 +182,8 @@ def robust_rvi_td(
     solo, n_seeds = _seed_batch(rng)
     n_states = mdp.n_states
     v = np.zeros(n_states) if v0 is None else np.array(v0, dtype=float)
+    if v.shape != (n_states,):
+        raise ValueError(f"v0 must have shape {(n_states,)}, got {v.shape}")
     pairs = np.argwhere(policy.probs > 0.0)  # (n, 2) int64, row-major like the (s, a) loop
     state_of, action_of = pairs.T
     weights = policy.probs[state_of, action_of]
@@ -212,12 +218,15 @@ def robust_rvi_q(
     ``robust_rvi_td``; a batch runs over a (B, S, A) iterate.
     """
     solo, n_seeds = _seed_batch(rng)
-    q = np.zeros((mdp.n_states, mdp.n_actions)) if q0 is None else np.array(q0, dtype=float)
-    pairs = np.argwhere(np.ones((mdp.n_states, mdp.n_actions), dtype=bool))
+    shape = (mdp.n_states, mdp.n_actions)
+    q = np.zeros(shape) if q0 is None else np.array(q0, dtype=float)
+    if q.shape != shape:
+        raise ValueError(f"q0 must have shape {shape}, got {q.shape}")
+    pairs = np.argwhere(np.ones(shape, dtype=bool))
     draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
 
     def target(q):
-        sigma, _ = sigma_hat_for_pairs(draws, spec, pairs, q.max(axis=2), cfg, rng)
+        sigma, _ = sigma_hat_for_pairs(draws, spec, pairs, np.maximum.reduce(q, axis=2), cfg, rng)
         return mdp.reward + sigma.reshape(q.shape)
 
     return _learn(draws, np.tile(q, (n_seeds, 1, 1)), target, offset, schedule, n_iters, record_every, solo)

@@ -58,7 +58,9 @@ def line_plot_svg(
         return HEIGHT - MARGIN_B - (yv - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def poly(xs, ys_):
-        return " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys_))
+        # one array pass per axis; tolist() gives Python floats, which format like the numpy scalars
+        pts = zip(px(xs).tolist(), py(np.asarray(ys_, dtype=float)).tolist())
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in pts)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [

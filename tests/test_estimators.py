@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rarl import estimators
 from rarl.estimators import EstimateStream, KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.environments import garnet, inventory
 from rarl.learners import Constant, robust_rvi_q, robust_rvi_td
@@ -327,3 +328,124 @@ class TestSampleSource:
         a = src.draw_counts_each(s_idx, a_idx, 5, np.random.default_rng(42))
         b = src.draw_counts_each(s_idx, a_idx, 5, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "row", [[0.25, 0.25, 0.0], [0.6, 0.5, -0.1], [0.5, np.nan, 0.5], [0.5, 0.5, 1e-8]],
+        ids=["short", "negative", "nan", "long"],
+    )
+    def test_kernel_rows_must_be_distributions(self, row):
+        kernel = np.tile(P3, (3, 2, 1))
+        kernel[2, 1] = row
+        with pytest.raises(ValueError, match=r"\(s=2,a=1\) is not a distribution"):
+            KernelSampler(kernel)
+        kernel[2, 1] = [0.5, 0.5, 1e-10]  # off by less than ROW_SUM_TOL
+        KernelSampler(kernel)
+
+
+def kernel_of(*rows):
+    """An (S, 1, S) kernel whose rows cycle through ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    return np.resize(rows, (n, n))[:, None, :]
+
+
+def edge_rows(n, count):
+    """Rows of n states whose CDF entries all lie on cell edges k / 256."""
+    rng = np.random.default_rng(n)
+    cuts = [np.sort(rng.choice(np.arange(1, 256), n - 1, replace=False)) / 256 for _ in range(count)]
+    return [np.diff(np.concatenate([[0.0], c, [1.0]])) for c in cuts]
+
+
+ADVERSARIAL = {
+    "cell_edges": kernel_of(*edge_rows(9, 9)),
+    "edge_and_zero": kernel_of([1 / 256, 0.0, 127 / 256, 0.0, 0.5], [0.5, 0.25, 0.0, 0.125, 0.125]),
+    "zero_runs": kernel_of([0, 0.5, 0, 0, 0.5, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]),
+    "sum_above_1": kernel_of([0.7, 0.3 + 1e-10, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3 + 1e-12, 0.0]),
+    "sum_below_1": kernel_of(*[[0.1] * 10] * 2, [0.5, 0.5 - 1e-10] + [0.0] * 8),
+    "one_state": np.ones((1, 3, 1)),
+    "two_states": np.array([[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]]]),
+}
+
+
+class Uniforms:
+    """A stand-in generator whose ``random(n)`` returns the next n of the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        out, self.u = self.u[:n], self.u[n:]
+        return out
+
+
+class TestTableDraws:
+    """A draw reads a guide table, or counts CDF entries before the table is built; either way
+    it must equal plain inversion, min(#(cdf < u), S - 1), for the same u, bit for bit."""
+
+    @staticmethod
+    def inversion(kernel, s_idx, a_idx, u):
+        idx = (np.cumsum(kernel, axis=2)[s_idx, a_idx] < u[:, None]).sum(axis=1)
+        return np.minimum(idx, kernel.shape[0] - 1)
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_table_draws_equal_inversion(self, name):
+        kernel = ADVERSARIAL[name]
+        src = KernelSampler(kernel)
+        edges = np.arange(257) / 256
+        near_edges = [edges[:-1], np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], 1.0)]
+        random = np.random.default_rng(1).random(2_000)
+        for s, a in np.ndindex(kernel.shape[:2]):
+            cdf = np.cumsum(kernel[s, a])
+            cdf = cdf[cdf < 1.0]  # u on each CDF entry and on its neighbours
+            u = np.concatenate(near_edges + [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), random])
+            u = u[u < 1.0]  # the range of Generator.random
+            s_idx, a_idx = np.full(len(u), s), np.full(len(u), a)
+            got = src.draw_one_each(s_idx, a_idx, Uniforms(u))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, self.inversion(kernel, s_idx, a_idx, u))
+        assert (src._table is None) == (kernel.shape[0] == 1)  # one state: nothing to compare, no table
+
+    def test_draws_before_and_after_the_table_is_built(self):
+        # garnet(5, 3): 15 pairs * 256 cells; a call of 20 draws compares 80 CDF entries, so the
+        # table is built on the 48th call
+        m = garnet(5, 3, seed=254)
+        src = KernelSampler.from_mdp(m)
+        rng = np.random.default_rng(4)
+        for call in range(1, 101):
+            s_idx, a_idx, u = rng.integers(0, 5, 20), rng.integers(0, 3, 20), rng.random(20)
+            got = src.draw_one_each(s_idx, a_idx, Uniforms(u))
+            np.testing.assert_array_equal(got, self.inversion(m.kernel, s_idx, a_idx, u))
+            assert (src._table is None) == (call < 48)
+
+    def test_mixed_pairs_in_one_call(self):
+        m = inventory()
+        src = KernelSampler.from_mdp(m)
+        rng = np.random.default_rng(2)
+        s_idx, a_idx = rng.integers(0, 17, 50_000), rng.integers(0, 9, 50_000)
+        u = np.random.default_rng(3).random(50_000)
+        got = src.draw_one_each(s_idx, a_idx, np.random.default_rng(3))
+        np.testing.assert_array_equal(got, self.inversion(m.kernel, s_idx, a_idx, u))
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("spec", [Contamination(0.2), TotalVariation(0.2)], ids=["linear", "mlmc"])
+    def test_samples_track_costs_across_blocks_and_drops(self, spec, monkeypatch):
+        # three iterations per block with three seeds, four once a seed is dropped at iteration 4
+        n_pairs, n_states = 2, 3
+        monkeypatch.setattr(estimators, "_BLOCK_FLOATS", 3 * 3 * 4 * n_pairs * n_states)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        stream = EstimateStream(row_sampler(P3), spec, [(0, 0), (1, 0)], MlmcConfig(0.25), rngs, 9)
+        totals = np.zeros(3, dtype=np.int64)
+        blocks = 0
+        for k in range(9):
+            if k == 4:
+                keep = np.array([True, False, True])
+                stream.drop(keep)
+                totals = totals[keep]
+            blocks += stream._at == len(stream.costs)
+            _, costs = stream.next(np.tile(V3, (len(totals), 1)))
+            totals += costs.reshape(len(totals), n_pairs).sum(axis=1)
+            got = stream.samples()
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, totals)
+        assert blocks == 3  # iterations 0-2, 3-5 (seed dropped at 4) and 6-8

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and CLI."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -168,6 +169,28 @@ class TestEvalExperiment:
         assert planner["damped"] == 0
         assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
         assert (out_a / "plot.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "kind, plot_sha, trace_sha",
+        [
+            (
+                "contamination",
+                "9e0ee34e8386219368647d5da2e979d1f412ff6b3527c6174f51b42b2803c1bb",
+                "3e58473016c98a2715f427d129acf0c718acf12ae6a20b38f8ae3f67f7d776b9",
+            ),
+            (
+                "tv",
+                "dd3f3b52480a8e5c86b3c30d3e6d9bdd0aaf7952e54a71b2c0ed7813abde0cca",
+                "efe708c0eaeb26a0774c92aca1c72160687ffce2db6b248ad1b492ab55552170",
+            ),
+        ],
+    )
+    def test_output_bytes_pinned(self, tmp_path, kind, plot_sha, trace_sha):
+        # SHA-256 of plot.svg (band, baseline and polyline) and trace.csv for the default eval
+        # config; a change to either file's bytes must say so
+        run_eval_experiment(eval_config(uncertainty={"kind": kind, "delta": 0.3}), tmp_path)
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("plot.svg", "trace.csv")]
+        assert digests == [plot_sha, trace_sha]
 
     def test_single_seed_band_degenerates(self, tmp_path):
         cfg = eval_config(n_seeds=1)

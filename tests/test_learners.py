@@ -204,6 +204,37 @@ class TestRobustRviQ:
         np.testing.assert_array_equal(runs[0].final, runs[1].final)
 
 
+class TestStartShapes:
+    """A start iterate of the wrong shape is rejected before any sample is drawn."""
+
+    @pytest.mark.parametrize("v0", [np.zeros(6), np.zeros(4), np.zeros((5, 1)), np.zeros((1, 5))])
+    def test_td_rejects_v0_of_another_shape(self, v0):
+        m = garnet(5, 3, seed=2)
+        with pytest.raises(ValueError, match=r"v0 must have shape \(5,\)"):
+            robust_rvi_td(
+                KernelSampler.from_mdp(m), m, Policy.uniform(5, 3), Contamination(0.2), OffsetFn.mean(),
+                Constant(0.1), 5, None, stream(0), v0=v0,
+            )
+
+    @pytest.mark.parametrize("q0", [np.zeros(3), np.zeros((1, 3)), np.zeros((5, 2)), np.zeros((5, 3, 1))])
+    def test_q_rejects_q0_of_another_shape(self, q0):
+        m = garnet(5, 3, seed=2)
+        with pytest.raises(ValueError, match=r"q0 must have shape \(5, 3\)"):
+            robust_rvi_q(
+                KernelSampler.from_mdp(m), m, Contamination(0.2), OffsetFn.mean(), Constant(0.1), 5, None, stream(0),
+                q0=q0,
+            )
+
+    def test_matching_shapes_run(self):
+        m = garnet(5, 3, seed=2)
+        src, spec = KernelSampler.from_mdp(m), Contamination(0.2)
+        td = robust_rvi_td(
+            src, m, Policy.uniform(5, 3), spec, OffsetFn.mean(), Constant(0.1), 5, None, stream(0), v0=[1.0] * 5
+        )
+        q = robust_rvi_q(src, m, spec, OffsetFn.mean(), Constant(0.1), 5, None, stream(0), q0=np.ones((5, 3)))
+        assert td.final.shape == (5,) and q.final.shape == (5, 3)
+
+
 SPECS = [Contamination(0.3), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)]
 
 
