@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import ROW_SUM_TOL, TabularMDP
+from .mdp import TabularMDP, kernel_violation
 from .uncertainty import ChiSquare, Contamination, UncertaintySet
 
 _BLOCK_FLOATS = 1 << 17  # floats in a block's row buffer: 1 MiB
@@ -56,15 +56,14 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 class KernelSampler:
     """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a).
 
-    Every row must be a distribution: nonnegative, summing to 1 within ``ROW_SUM_TOL``. A
+    Every row must be a distribution: nonnegative, summing to 1 within ``mdp.ROW_SUM_TOL``. A
     draw inverts the pair's CDF at one uniform u, returning the count of its first S - 1
     entries below u, which is min(#(cdf < u), S - 1). A guide table (Chen & Asau 1974) splits
     [0, 1) into ``_CELLS`` equal cells and holds that count for each cell that no CDF entry
     falls in, so a draw is one table lookup; only a u in a cell holding an entry (about
     (S - 1) / _CELLS of draws) counts the entries outright. The cell count is a power of two,
     so the cell of u is exact and every draw is bit-identical to plain inversion. The table is
-    built once per kernel, when the draws so far would have compared as many CDF entries as it
-    holds; until then draws count the entries, so a short run does not pay for the table.
+    built once, with the sampler.
     """
 
     def __init__(self, kernel: np.ndarray):
@@ -73,18 +72,11 @@ class KernelSampler:
             raise ValueError(f"expected kernel of shape (S, A, S), got {kernel.shape}")
         self.kernel = kernel
         self.n_states, self._n_actions = kernel.shape[:2]
-        rows = kernel.reshape(-1, self.n_states)
-        cdf = np.cumsum(rows, axis=1)
-        ok = (np.minimum.reduce(rows, axis=1) >= 0.0) & (np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
-        if not ok.all():
-            s, a = divmod(int(ok.argmin()), self._n_actions)
-            raise ValueError(
-                f"kernel row at (s={s},a={a}) is not a distribution "
-                f"(sum {kernel[s, a].sum():.6g}, min {kernel[s, a].min():.6g})"
-            )
-        self._cdf = cdf[:, :-1]  # per pair, the first S - 1 entries
-        self._table = None
-        self._compared = 0  # CDF entries the draws have compared before the table is built
+        problem = kernel_violation(kernel)
+        if problem is not None:
+            raise ValueError(f"kernel rows must be distributions: {problem}")
+        self._cdf = np.cumsum(kernel.reshape(-1, self.n_states)[:, :-1], axis=1)  # per pair, the first S - 1 entries
+        self._table = _guide_table(self._cdf)
 
     @staticmethod
     def from_mdp(mdp: TabularMDP) -> "KernelSampler":
@@ -94,20 +86,11 @@ class KernelSampler:
         """One independent next state per (s_idx[i], a_idx[i])."""
         u = rng.random(len(s_idx))
         pair = np.asarray(s_idx) * self._n_actions + a_idx
-        if self._table is None:
-            self._compared += self._cdf.shape[1] * len(u)
-            if self._compared < self._cdf.shape[0] * _CELLS:
-                return self._invert(pair, u)
-            self._table = _guide_table(self._cdf)
         draws = self._table[pair * _CELLS + (u * _CELLS).astype(np.int64)].astype(np.int64)
         split = np.flatnonzero(draws < 0)
         if split.size:
-            draws[split] = self._invert(pair[split], u[split])
+            draws[split] = (self._cdf[pair[split]] < u[split, None]).sum(axis=1)
         return draws
-
-    def _invert(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The count of each pair's first S - 1 CDF entries below its u."""
-        return (self._cdf[pair] < u[:, None]).sum(axis=1)
 
     def draw_counts_each(self, s_idx: np.ndarray, a_idx: np.ndarray, count, rng: np.random.Generator) -> np.ndarray:
         """Occurrence counts of ``count`` i.i.d. draws per (s_idx[i], a_idx[i]), shape (..., S).
@@ -192,8 +175,8 @@ class EstimateStream:
         self.costs = np.zeros((0, len(rngs) * len(self.s_idx)), dtype=np.int64)
         self.next_states = self.rows = self.p_level = None
         # each seed's samples after the first j iterations of the block, (block + 1, seeds), in
-        # float64: exact below 2^53, and a total past int64 cannot wrap negative; converted once
-        # per block to int64, up to the first row past int64
+        # float64: exact below 2^53, and a total past int64 cannot wrap negative; converted to int64
+        # once per block (``_count_samples``), since the learners read them at every recorded iteration
         self._spent = np.zeros((1, len(rngs)))
         self._count_samples()
 
@@ -219,7 +202,7 @@ class EstimateStream:
     def _count_samples(self):
         """The block's sample counts as int64, up to ``_past``, the first row past int64 (each seed's
         count only grows down the block)."""
-        self._past = int(np.count_nonzero(np.maximum.reduce(self._spent, axis=1, initial=0.0) < 2.0**63))
+        self._past = int(np.count_nonzero(self._spent.max(axis=1, initial=0.0) < 2.0**63))
         self._samples = self._spent[: self._past].astype(np.int64)
         self._samples.flags.writeable = False
 
@@ -284,8 +267,7 @@ class EstimateStream:
         self._at += 1
         v = v.reshape(len(self._streams), -1)
         if self.linear:
-            low = np.minimum.reduce(v, axis=1)[:, None]
-            sigma = (1.0 - self.spec.delta) * v.ravel()[self.next_states[k]] + self.spec.delta * low
+            sigma = (1.0 - self.spec.delta) * v.ravel()[self.next_states[k]] + self.spec.delta * v.min(axis=1)[:, None]
             return sigma.ravel(), self.costs[k]
         n = len(self.s_idx)
         rows = self.rows[k].reshape(len(v), 4 * n, -1)

@@ -118,12 +118,8 @@ def _learn(draws, x, target, offset, schedule, n_iters, record_every, solo) -> R
     f = offset.batch(x)  # of the current iterates: the next update's offsets and their record
     recorded = 0
     for n in range(n_iters):
-        step = target(x)  # a fresh array: the update runs in place, in the order of x + a (t - f - x)
-        step -= f.reshape(f_shape)
-        step -= x
-        step *= schedule(n)
-        x += step
-        if not np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_BOUND:
+        x = x + schedule(n) * (target(x) - f.reshape(f_shape) - x)
+        if not np.abs(x).max() <= DIVERGENCE_BOUND:
             failures = [_divergence(row, n) for row in x]
             if solo:
                 raise FloatingPointError(failures[0])
@@ -226,7 +222,7 @@ def robust_rvi_q(
     draws = EstimateStream(source, spec, pairs, cfg, rng, n_iters)
 
     def target(q):
-        sigma, _ = sigma_hat_for_pairs(draws, spec, pairs, np.maximum.reduce(q, axis=2), cfg, rng)
+        sigma, _ = sigma_hat_for_pairs(draws, spec, pairs, q.max(axis=2), cfg, rng)
         return mdp.reward + sigma.reshape(q.shape)
 
     return _learn(draws, np.tile(q, (n_seeds, 1, 1)), target, offset, schedule, n_iters, record_every, solo)

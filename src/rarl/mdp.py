@@ -180,19 +180,25 @@ def validate(mdp: TabularMDP) -> str | None:
     if not np.all(np.isfinite(mdp.reward)):
         s, a = np.argwhere(~np.isfinite(mdp.reward))[0]
         return f"non-finite reward at (s={s},a={a})"
-    if not np.all(np.isfinite(mdp.kernel)):
-        s, a, _ = np.argwhere(~np.isfinite(mdp.kernel))[0]
+    return kernel_violation(mdp.kernel)
+
+
+def kernel_violation(kernel: np.ndarray) -> str | None:
+    """Return None if every row of the (S, A, S) kernel is a distribution (finite, nonnegative,
+    summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad (s, a) row."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
+        sums = kernel.sum(axis=2)
+    ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) & (kernel.min(axis=2) >= 0.0)
+    if ok.all():
+        return None
+    s, a = np.argwhere(~ok)[0]
+    row = kernel[s, a]
+    if not np.all(np.isfinite(row)):
         return f"non-finite kernel entry at (s={s},a={a})"
-    neg = np.argwhere(mdp.kernel < 0)
-    if neg.size:
-        s, a, j = neg[0]
-        return f"negative entry {mdp.kernel[s, a, j]:.6g} at (s={s},a={a},s'={j})"
-    sums = mdp.kernel.sum(axis=2)
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        s, a = bad[0]
-        return f"row sum {sums[s, a]:.6g} at (s={s},a={a})"
-    return None
+    if row.min() < 0:
+        j = int(np.flatnonzero(row < 0)[0])
+        return f"negative entry {row[j]:.6g} at (s={s},a={a},s'={j})"
+    return f"row sum {sums[s, a]:.6g} at (s={s},a={a})"
 
 
 def validate_policy(policy: Policy, mdp: TabularMDP | None = None) -> str | None:

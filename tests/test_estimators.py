@@ -7,7 +7,7 @@ from rarl import estimators
 from rarl.estimators import EstimateStream, KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.environments import garnet, inventory
 from rarl.learners import Constant, robust_rvi_q, robust_rvi_td
-from rarl.mdp import OffsetFn, Policy
+from rarl.mdp import OffsetFn, Policy, TabularMDP, kernel_violation, validate
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 
 P3 = np.array([0.2, 0.3, 0.5])
@@ -336,10 +336,20 @@ class TestSampleSource:
     def test_kernel_rows_must_be_distributions(self, row):
         kernel = np.tile(P3, (3, 2, 1))
         kernel[2, 1] = row
-        with pytest.raises(ValueError, match=r"\(s=2,a=1\) is not a distribution"):
+        with pytest.raises(ValueError, match=r"kernel rows must be distributions: .* at \(s=2,a=1"):
             KernelSampler(kernel)
         kernel[2, 1] = [0.5, 0.5, 1e-10]  # off by less than ROW_SUM_TOL
         KernelSampler(kernel)
+
+    def test_sampler_and_validate_name_the_same_first_bad_row(self):
+        # a short row at (0, 1) comes before a negative entry at (2, 0) in (s, a) order
+        kernel = np.tile(P3, (3, 2, 1))
+        kernel[0, 1], kernel[2, 0] = [0.25, 0.25, 0.0], [0.6, 0.5, -0.1]
+        problem = validate(TabularMDP(3, 2, kernel, np.zeros((3, 2))))
+        assert problem == kernel_violation(kernel) == "row sum 0.5 at (s=0,a=1)"
+        with pytest.raises(ValueError) as exc:
+            KernelSampler(kernel)
+        assert str(exc.value).endswith(problem)
 
 
 def kernel_of(*rows):
@@ -379,8 +389,8 @@ class Uniforms:
 
 
 class TestTableDraws:
-    """A draw reads a guide table, or counts CDF entries before the table is built; either way
-    it must equal plain inversion, min(#(cdf < u), S - 1), for the same u, bit for bit."""
+    """A draw reads a guide table, or counts CDF entries where one lies in u's cell; either way it
+    must equal plain inversion, min(#(cdf < u), S - 1), for the same u, bit for bit."""
 
     @staticmethod
     def inversion(kernel, s_idx, a_idx, u):
@@ -403,19 +413,6 @@ class TestTableDraws:
             got = src.draw_one_each(s_idx, a_idx, Uniforms(u))
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, self.inversion(kernel, s_idx, a_idx, u))
-        assert (src._table is None) == (kernel.shape[0] == 1)  # one state: nothing to compare, no table
-
-    def test_draws_before_and_after_the_table_is_built(self):
-        # garnet(5, 3): 15 pairs * 256 cells; a call of 20 draws compares 80 CDF entries, so the
-        # table is built on the 48th call
-        m = garnet(5, 3, seed=254)
-        src = KernelSampler.from_mdp(m)
-        rng = np.random.default_rng(4)
-        for call in range(1, 101):
-            s_idx, a_idx, u = rng.integers(0, 5, 20), rng.integers(0, 3, 20), rng.random(20)
-            got = src.draw_one_each(s_idx, a_idx, Uniforms(u))
-            np.testing.assert_array_equal(got, self.inversion(m.kernel, s_idx, a_idx, u))
-            assert (src._table is None) == (call < 48)
 
     def test_mixed_pairs_in_one_call(self):
         m = inventory()
