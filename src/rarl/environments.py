@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, TabularMDP, gain_and_bias, gain_vector, induced_chain
+from .mdp import Policy, TabularMDP, _row_violation, gain_and_bias, gain_vector, induced_chain
 from .planners import FiniteKernelSet
 
 
@@ -123,8 +123,9 @@ def inventory(
     if demand is None:
         demand = np.full(n_states, 1.0 / n_states)
     demand = np.asarray(demand, dtype=float)
-    if demand.ndim != 1 or np.any(demand < 0) or abs(demand.sum() - 1.0) > 1e-9:
-        raise ValueError("demand must be a probability vector")
+    problem = _row_violation(demand, ("d",)) if demand.ndim == 1 else f"shape {demand.shape}"
+    if problem is not None:
+        raise ValueError(f"demand must be a probability vector: {problem}")
     d_vals = np.arange(len(demand))
     kernel = np.zeros((n_states, n_actions, n_states))
     reward = np.zeros((n_states, n_actions))

@@ -56,7 +56,7 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 class KernelSampler:
     """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a).
 
-    Every row must be a distribution: nonnegative, summing to 1 within ``mdp.ROW_SUM_TOL``. A
+    Every row must be a distribution: finite, nonnegative, summing to 1 within ``mdp.ROW_SUM_TOL``. A
     draw inverts the pair's CDF at one uniform u, returning the count of its first S - 1
     entries below u, which is min(#(cdf < u), S - 1). A guide table (Chen & Asau 1974) splits
     [0, 1) into ``_CELLS`` equal cells and holds that count for each cell that no CDF entry
@@ -128,7 +128,7 @@ class MlmcConfig:
 
     def __post_init__(self):
         if not 0.0 < self.psi < 1.0:
-            raise ValueError(f"psi must be in (0, 1), got {self.psi}")
+            raise ValueError(f"psi must lie in (0, 1), got {self.psi}")
         if not 0 <= self.max_level <= 61:
             raise ValueError(f"max_level must lie in [0, 61], got {self.max_level}")
 

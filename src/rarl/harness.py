@@ -34,7 +34,7 @@ import numpy as np
 from . import environments as envs
 from .estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rvi_q, robust_rvi_td
-from .mdp import OffsetFn, Policy, TabularMDP, validate, validate_policy
+from .mdp import OffsetFn, Policy, TabularMDP, validate
 from .planners import robust_rvi_control, robust_rvi_eval
 from .uncertainty import (
     FAMILIES,
@@ -56,21 +56,27 @@ class RunFailure(RuntimeError):
     """Too many per-seed runs failed, or the planner failed."""
 
 
-# the one algorithm each CLI command runs; a config written for another command fails at once
-ALGORITHMS = {
-    "eval": "td", "control": "q", "plan": "planner", "sweep": "robustness-sweep", "support-check": "support-check"
+# each CLI command's one algorithm, and the fields it does not read with the one value each may take;
+# a config written for another command, or setting a field its command ignores, fails at once
+COMMANDS = {
+    "eval": ("td", {}),
+    "control": ("q", {"policy": "uniform"}),
+    "plan": ("planner", {}),
+    "sweep": ("robustness-sweep", {"policy": "uniform", "n_seeds": 1}),
+    "support-check": ("support-check", {}),
 }
 
 
-def _check_algorithm(cfg: "ExperimentConfig", command: str) -> None:
-    if cfg.algorithm != ALGORITHMS[command]:
-        raise ConfigError(f"algorithm must be {ALGORITHMS[command]!r} for {command}, got {cfg.algorithm!r}")
-
-
-def _integer(name: str, value, low: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def _integer(name: str, value, low: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or (low is not None and value < low):
+        raise ConfigError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
     return value
+
+
+def _number(name: str, value) -> float:
+    if not is_json_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _positive_number(name: str, value) -> float:
@@ -110,7 +116,7 @@ class ExperimentConfig:
             cfg = ExperimentConfig(**doc)
         except TypeError as exc:
             raise ConfigError(f"bad config fields: {exc}") from exc
-        if cfg.algorithm not in ALGORITHMS.values():
+        if cfg.algorithm not in {algorithm for algorithm, _ in COMMANDS.values()}:
             raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
         for name in ("environment", "uncertainty", "offset", "schedule", "estimator", "support_check", "sweep"):
             value = getattr(cfg, name)
@@ -204,29 +210,24 @@ def build_policy(doc, mdp: TabularMDP) -> Policy:
     if not (deterministic or isinstance(doc, list)):
         raise ConfigError(f"unsupported policy spec {doc!r}")
     try:
-        if deterministic:
-            policy = Policy.deterministic(doc["deterministic"], mdp.n_actions)
-        else:
-            policy = Policy(np.asarray(doc, dtype=float))
+        policy = Policy.deterministic(doc["deterministic"], mdp.n_actions) if deterministic else Policy(doc)
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad policy: {exc}") from exc
-    problem = validate_policy(policy, mdp)
-    if problem is not None:
-        raise ConfigError(f"bad policy: {problem}")
+    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ConfigError(f"bad policy: shape {policy.probs.shape} != {(mdp.n_states, mdp.n_actions)}")
     return policy
 
 
 def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig:
-    """The MLMC settings, checked for every family; the contamination estimator reads none of them."""
+    """The MLMC settings, checked for every family; the contamination estimator reads none of them.
+    Their JSON types are checked here, their ranges by ``MlmcConfig``."""
     _known_fields("estimator", doc, ("psi", "max_level"))
-    psi = doc.get("psi")
-    if psi is not None and _positive_number("estimator.psi", psi) >= 1.0:
-        raise ConfigError(f"estimator.psi must lie in (0, 1), got {psi!r}")
-    max_level = _integer("estimator.max_level", doc.get("max_level", 20), 0)
+    psi = default_psi(spec) if doc.get("psi") is None else _number("estimator.psi", doc["psi"])
+    max_level = _integer("estimator.max_level", doc.get("max_level", 20))
     try:
-        return MlmcConfig(psi=float(psi) if psi is not None else default_psi(spec), max_level=max_level)
+        return MlmcConfig(psi, max_level)
     except ValueError as exc:
-        raise ConfigError(f"estimator.{exc}") from exc  # psi is checked above, so this names max_level
+        raise ConfigError(f"estimator.{exc}") from exc
 
 
 def seed_stream(base_seed: int, seed_index: int) -> np.random.Generator:
@@ -284,18 +285,27 @@ def _planner_stats(plan) -> dict:
     return {"iterations": plan.iterations, "damped": plan.damped, "residual": plan.residual}
 
 
+def _prologue(cfg: ExperimentConfig, command: str, out_dir) -> tuple[TabularMDP, UncertaintySet]:
+    """Check ``cfg`` against ``COMMANDS[command]``, build its environment and uncertainty set, then
+    make ``out_dir``."""
+    algorithm, unread = COMMANDS[command]
+    if cfg.algorithm != algorithm:
+        raise ConfigError(f"algorithm must be {algorithm!r} for {command}, got {cfg.algorithm!r}")
+    for name, value in unread.items():
+        if getattr(cfg, name) != value:
+            raise ConfigError(f"{name} is not read by {command}; got {getattr(cfg, name)!r}")
+    mdp, spec = build_environment(cfg.environment), build_uncertainty(cfg.uncertainty)
+    os.makedirs(out_dir, exist_ok=True)
+    return mdp, spec
+
+
 def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
     """Multi-seed TD (``rarl eval``) or Q-learning (``rarl control``) run against its planner baseline.
 
     Every input is built and checked before the planner or any seed runs, so a bad config field
     fails at once. Learners and planners are looked up as module names at call time.
     """
-    _check_algorithm(cfg, "control" if control else "eval")
-    if control and cfg.policy != "uniform":
-        raise ConfigError(f"policy is not read by control, which learns its own; got {cfg.policy!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    mdp = build_environment(cfg.environment)
-    spec = build_uncertainty(cfg.uncertainty)
+    mdp, spec = _prologue(cfg, "control" if control else "eval", out_dir)
     offset = build_offset(cfg.offset, mdp)
     policy = None if control else build_policy(cfg.policy, mdp)
     schedule = build_schedule(cfg.schedule)
@@ -350,10 +360,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     """Model-based baseline only; writes baseline.json with the planner's iterations, ``damped`` count and residual."""
-    _check_algorithm(cfg, "plan")
-    os.makedirs(out_dir, exist_ok=True)
-    mdp = build_environment(cfg.environment)
-    spec = build_uncertainty(cfg.uncertainty)
+    mdp, spec = _prologue(cfg, "plan", out_dir)
     offset = build_offset(cfg.offset, mdp)
     if cfg.policy != "optimal":
         policy = build_policy(cfg.policy, mdp)
@@ -379,12 +386,6 @@ _SWEEP_FAMILIES = {
     "inventory_m": ("inventory", ("b", "m_grid")),
     "one_loop_mix": ("one_loop", ("x_grid",)),
 }
-
-
-def _number(name: str, value) -> float:
-    if not is_json_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _perturbation_grid(cfg: ExperimentConfig):
@@ -436,14 +437,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     The non-robust learner is the same control loop with a zero-radius
     (singleton) uncertainty set, i.e. vanilla synchronous Q-learning.
     """
-    _check_algorithm(cfg, "sweep")
-    # the sweep trains its own two policies, one seed each
-    for name, default in (("policy", "uniform"), ("n_seeds", 1)):
-        if getattr(cfg, name) != default:
-            raise ConfigError(f"{name} is not read by sweep, which trains its own policies; got {getattr(cfg, name)!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    mdp = build_environment(cfg.environment)
-    spec = build_uncertainty(cfg.uncertainty)
+    mdp, spec = _prologue(cfg, "sweep", out_dir)  # the sweep trains its own two policies, one seed each
     offset = build_offset(cfg.offset, mdp)
     schedule = build_schedule(cfg.schedule)
     # the whole grid is built before any training, so a bad sweep section fails at once
@@ -569,11 +563,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
 
 def run_support_check(cfg: ExperimentConfig, out_dir) -> tuple[dict, bool]:
     """Oracle-agreement and estimator-unbiasedness table; returns (report, ok)."""
-    _check_algorithm(cfg, "support-check")
-    # the check draws its own instances, but a config's sections are checked like any command's
-    build_environment(cfg.environment)
-    build_uncertainty(cfg.uncertainty)
-    os.makedirs(out_dir, exist_ok=True)
+    _prologue(cfg, "support-check", out_dir)  # the check draws its own instances, but checks a config's sections
     rows = _support_check_rows(cfg)
     ok = all(r["passed"] for r in rows)
     report = {"ok": ok, "rows": rows}

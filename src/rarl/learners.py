@@ -31,6 +31,11 @@ DIVERGENCE_BOUND = 1e8
 
 
 class StepSchedule:
+    def __post_init__(self):
+        for name, value in vars(self).items():  # every parameter of a schedule is finite and > 0
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{type(self).__name__} requires {name} to be a finite number > 0, got {value!r}")
+
     def __call__(self, n: int) -> float:
         raise NotImplementedError
 
@@ -49,10 +54,6 @@ class RobbinsMonro(StepSchedule):
 
     c: float = 1.0
     offset: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0 or self.offset <= 0:
-            raise ValueError("RobbinsMonro requires c > 0 and offset > 0")
 
     def __call__(self, n: int) -> float:
         return self.c / (n + self.offset)

@@ -1,7 +1,8 @@
 """Exact tabular MDP machinery.
 
 This module provides:
-- ``TabularMDP`` and ``Policy`` containers with validation and JSON round-trips.
+- ``TabularMDP`` and ``Policy`` containers; MDP validation and JSON round-trips, and a
+  ``Policy`` that checks its rows. Kernel rows, policy rows and demand laws share one rule.
 - Induced-chain construction (state transition matrix and state reward vector).
 - Chain structure from one reachability closure of the support graph, and
   dense linear solves on it: unichain detection, exact stationary
@@ -104,12 +105,17 @@ class TabularMDP:
 
 @dataclass(frozen=True)
 class Policy:
-    """Stationary policy; ``probs[s, a]`` is the probability of action a in s."""
+    """Stationary policy; ``probs[s, a]`` is the probability of action a in s. Raises ValueError
+    unless ``probs`` is (S, A) and every row is a distribution, by the rule kernel rows follow."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.ascontiguousarray(self.probs, dtype=float))
+        probs = np.ascontiguousarray(self.probs, dtype=float)
+        problem = _row_violation(probs, ("s", "a")) if probs.ndim == 2 else f"expected shape (S, A), got {probs.shape}"
+        if problem is not None:
+            raise ValueError(f"policy rows must be distributions: {problem}")
+        object.__setattr__(self, "probs", probs)
         self.probs.setflags(write=False)
 
     @staticmethod
@@ -118,11 +124,8 @@ class Policy:
 
     @staticmethod
     def deterministic(actions: Sequence[int], n_actions: int) -> "Policy":
-        if any(not 0 <= a < n_actions for a in actions):
-            raise ValueError(f"actions {list(actions)} outside 0..{n_actions - 1}")
-        probs = np.zeros((len(actions), n_actions))
-        probs[np.arange(len(actions)), list(actions)] = 1.0
-        return Policy(probs)
+        """One-hot rows; an action outside 0..n_actions - 1 leaves its row all zero, which fails the row check."""
+        return Policy((np.asarray(actions)[:, None] == np.arange(n_actions)).astype(float))
 
     def actions(self) -> np.ndarray:
         """Greedy action per state (only meaningful for deterministic policies)."""
@@ -149,6 +152,10 @@ class OffsetFn:
     """
 
     state: int | None = None
+
+    def __post_init__(self):
+        if self.state is not None and (not isinstance(self.state, (int, np.integer)) or self.state < 0):
+            raise ValueError(f"offset state must be None or an integer >= 0, got {self.state!r}")
 
     @staticmethod
     def mean() -> "OffsetFn":
@@ -183,40 +190,27 @@ def validate(mdp: TabularMDP) -> str | None:
     return kernel_violation(mdp.kernel)
 
 
-def kernel_violation(kernel: np.ndarray) -> str | None:
-    """Return None if every row of the (S, A, S) kernel is a distribution (finite, nonnegative,
-    summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad (s, a) row."""
+def _row_violation(x: np.ndarray, axes: tuple[str, ...]) -> str | None:
+    """Return None if every row of ``x`` along its last axis is a distribution (finite, nonnegative,
+    summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad row, placed by
+    ``axes``, one label per axis of ``x``."""
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
-        sums = kernel.sum(axis=2)
-    ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) & (kernel.min(axis=2) >= 0.0)
-    if ok.all():
+        off = np.abs(x.sum(axis=-1) - 1.0)
+    if x.min() >= 0.0 and off.max() <= ROW_SUM_TOL:  # NaN fails both
         return None
-    s, a = np.argwhere(~ok)[0]
-    row = kernel[s, a]
-    if not np.all(np.isfinite(row)):
-        return f"non-finite kernel entry at (s={s},a={a})"
-    if row.min() < 0:
-        j = int(np.flatnonzero(row < 0)[0])
-        return f"negative entry {row[j]:.6g} at (s={s},a={a},s'={j})"
-    return f"row sum {sums[s, a]:.6g} at (s={s},a={a})"
+    at = tuple(np.argwhere(~((off <= ROW_SUM_TOL) & (x.min(axis=-1) >= 0.0)))[0])
+    row, place = x[at], [f"{name}={i}" for name, i in zip(axes, at)]
+    for kind, bad in (("non-finite", ~np.isfinite(row)), ("negative", row < 0)):
+        if bad.any():
+            j = int(np.argmax(bad))
+            return f"{kind} entry {row[j]:.6g} at ({','.join([*place, f'{axes[-1]}={j}'])})"
+    return f"row sum {row.sum():.6g}" + (f" at ({','.join(place)})" if place else "")
 
 
-def validate_policy(policy: Policy, mdp: TabularMDP | None = None) -> str | None:
-    """Return None if the policy rows are simplex rows (of matching shape)."""
-    probs = policy.probs
-    if mdp is not None and probs.shape != (mdp.n_states, mdp.n_actions):
-        return f"policy shape {probs.shape} != {(mdp.n_states, mdp.n_actions)}"
-    if not np.all(np.isfinite(probs)):
-        s, a = np.argwhere(~np.isfinite(probs))[0]
-        return f"non-finite probability at (s={s},a={a})"
-    if np.any(probs < 0):
-        s, a = np.argwhere(probs < 0)[0]
-        return f"negative probability at (s={s},a={a})"
-    sums = probs.sum(axis=1)
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        return f"row sum {sums[bad[0, 0]]:.6g} at s={bad[0, 0]}"
-    return None
+def kernel_violation(kernel: np.ndarray) -> str | None:
+    """Return None if every row of the (S, A, S) kernel is a distribution, else what is wrong with
+    the first bad (s, a) row."""
+    return _row_violation(kernel, ("s", "a", "s'"))
 
 
 def induced_chain(mdp: TabularMDP, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +308,7 @@ def gain_and_bias(
     elif normalization.state is None:
         a[n, :n] = 1.0 / n
     else:
-        a[n, normalization.state] = 1.0
+        a[n, :n][normalization.state] = 1.0  # a state >= n raises IndexError; it never pins the gain column
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

@@ -45,13 +45,14 @@ _FEAS_TOL = 1e-9  # an oracle grid point within this of the radius counts as ins
 
 
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
-    """A probability row; with ``batch``, also a (B, S) stack of them."""
+    """A probability row, finite; with ``batch``, also a (B, S) stack of them."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 and not (batch and p.ndim == 2):
         raise ValueError(f"expected a probability row, got shape {p.shape}")
-    sums = p.sum(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
+        sums = p.sum(axis=-1)
     off = np.abs(sums - 1.0)
-    if np.any(p < -SIMPLEX_TOL) or np.any(off > 1e-8):
+    if not (np.all(p >= -SIMPLEX_TOL) and np.all(off <= 1e-8)):  # NaN fails both
         raise ValueError(f"not a probability row (sum={sums.flat[np.argmax(off)]:.6g}, min={p.min():.6g})")
     return np.maximum(p, 0.0)
 

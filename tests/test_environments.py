@@ -1,6 +1,7 @@
 """Tests for the benchmark environment constructors."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ class TestInventory:
         m = inventory()
         assert validate(m) is None
         assert m.n_states == 17 and m.n_actions == 9
+
+    @pytest.mark.parametrize(
+        "demand, problem",
+        [
+            ([np.nan] + [1 / 16] * 16, "non-finite entry nan at (d=0)"),  # NaN fails no sum or sign test
+            ([0.5, -0.5, 1.0], "negative entry -0.5 at (d=1)"),
+            ([0.5, 0.4], "row sum 0.9"),
+            ([[1.0]], "shape (1, 1)"),
+        ],
+    )
+    def test_rejects_demand_that_is_not_a_distribution(self, demand, problem):
+        with pytest.raises(ValueError, match=re.escape(f"demand must be a probability vector: {problem}")):
+            inventory(demand=np.array(demand))
 
     def test_order_truncated_at_capacity(self):
         demand = np.zeros(17)

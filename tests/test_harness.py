@@ -126,6 +126,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="policy"):
             build_policy(policy, build_environment(eval_config().environment))
 
+    def test_rejects_a_policy_of_the_wrong_shape(self):
+        # the rows are distributions, so only the check against the MDP's shape catches them
+        mdp = build_environment(eval_config().environment)
+        for policy in ([[1.0, 0.0, 0.0]] * 4, [[0.5, 0.5]] * 5):
+            with pytest.raises(ConfigError, match=r"bad policy: shape \(\d, \d\) != \(4, 2\)"):
+                build_policy(policy, mdp)
+
     def test_accepts_valid_policies(self):
         mdp = build_environment(eval_config().environment)
         assert build_policy({"deterministic": [0, 1, 1, 0]}, mdp).actions().tolist() == [0, 1, 1, 0]
@@ -494,6 +501,24 @@ class TestCli:
         assert f"config error: {message}" in err
         if field == "environment":  # one prefix: the unknown id is not wrapped as a bad config
             assert "bad environment config" not in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, name) for command, (_, unread) in harness.COMMANDS.items() for name in unread],
+    )
+    def test_exit_one_on_unread_field(self, tmp_path, capsys, command, name):
+        # a field its command does not read may hold only its default; the check comes before out_dir
+        doc = {
+            "environment": {"id": "one_loop"},
+            "uncertainty": {"kind": "contamination", "delta": 0.4},
+            "algorithm": harness.COMMANDS[command][0],
+            "n_iters": 20,
+            name: {"policy": [[0.5, 0.5]] * 2, "n_seeds": 7}[name],
+        }
+        out = tmp_path / "out"
+        assert main([command, "--config", self.write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert f"config error: {name} is not read by {command}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_one_on_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

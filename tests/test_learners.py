@@ -36,6 +36,14 @@ class TestStepSchedules:
     def test_robbins_monro_rejects_bad_params(self):
         with pytest.raises(ValueError):
             RobbinsMonro(c=0.0)
+        for params in ({"c": float("nan")}, {"c": float("inf")}, {"offset": -1.0}, {"offset": float("nan")}):
+            with pytest.raises(ValueError, match=f"RobbinsMonro requires {next(iter(params))}"):
+                RobbinsMonro(**params)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_constant_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="Constant requires alpha to be a finite number > 0"):
+            Constant(alpha)
 
 
 class TestGreedyPolicy:

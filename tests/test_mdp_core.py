@@ -1,5 +1,7 @@
 """Tests for the exact tabular MDP machinery."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -74,6 +76,10 @@ class TestValidate:
         m = make_mdp([[[-0.1, 1.1]], [[0.5, 0.5]]], [[0.0], [1.0]])
         assert "negative entry" in validate(m)
 
+    def test_nonfinite_kernel_entry(self):
+        m = make_mdp([[[0.5, 0.5]], [[np.nan, 1.0]]], [[0.0], [1.0]])
+        assert validate(m) == "non-finite entry nan at (s=1,a=0,s'=0)"
+
     def test_nonfinite_reward(self):
         m = make_mdp([[[0.5, 0.5]], [[0.5, 0.5]]], [[np.inf], [1.0]])
         assert "non-finite reward" in validate(m)
@@ -84,6 +90,41 @@ class TestValidate:
         back = TabularMDP.from_json(m.to_json())
         np.testing.assert_allclose(back.kernel, m.kernel)
         np.testing.assert_allclose(back.reward, m.reward)
+
+
+class TestPolicy:
+    """A policy checks its rows by the kernel's rule, so an invalid one never reaches a planner or a
+    learner."""
+
+    @pytest.mark.parametrize(
+        "probs, problem",
+        [
+            ([[1.5, -0.5]] * 4, "negative entry -0.5 at (s=0,a=1)"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "non-finite entry nan at (s=1,a=0)"),
+            ([[0.5, 0.5], [np.inf, 0.0]], "non-finite entry inf at (s=1,a=0)"),
+            ([[0.5, 0.5], [0.6, 0.6]], "row sum 1.2 at (s=1)"),
+            ([[1.0, 1e-8]], "row sum 1 at (s=0)"),
+            ([0.5, 0.5], "expected shape (S, A), got (2,)"),
+            ([[[1.0]]], "expected shape (S, A), got (1, 1, 1)"),
+        ],
+    )
+    def test_rejects_rows_that_are_not_distributions(self, probs, problem):
+        with pytest.raises(ValueError, match=re.escape(f"policy rows must be distributions: {problem}")):
+            Policy(np.array(probs))
+
+    def test_accepts_distributions(self):
+        rng = np.random.default_rng(3)
+        probs = rng.dirichlet(np.ones(3), size=5)
+        probs[0] = [0.5, 0.5 + 5e-10, 0.0]  # off by less than ROW_SUM_TOL
+        np.testing.assert_array_equal(Policy(probs).probs, probs)
+        assert Policy.uniform(4, 3).probs.shape == (4, 3)
+        assert Policy.deterministic([2, 0], 3).actions().tolist() == [2, 0]
+
+    @pytest.mark.parametrize("actions", [[0, 2], [0, -1], [0, 0.5]])
+    def test_deterministic_rejects_an_action_outside_the_range(self, actions):
+        # the action's row is all zero, so the row rule names its state
+        with pytest.raises(ValueError, match=re.escape("row sum 0 at (s=1)")):
+            Policy.deterministic(actions, 2)
 
 
 class TestInducedChain:
@@ -344,6 +385,18 @@ class TestOffsetFn:
         q = np.arange(6.0).reshape(2, 3)
         assert OffsetFn.mean()(q) == pytest.approx(2.5)
         assert OffsetFn.reference_state(4)(q) == 4.0
+
+    @pytest.mark.parametrize("state", [-1, 1.5, "0"])
+    def test_rejects_a_state_that_is_not_an_index(self, state):
+        # a negative state would index the gain column of the gain/bias system
+        with pytest.raises(ValueError, match="offset state must be None or an integer >= 0"):
+            OffsetFn(state)
+        assert OffsetFn(np.int64(2)).state == 2
+
+    def test_a_state_past_the_last_never_pins_the_gain(self):
+        m = random_unichain_mdp(np.random.default_rng(7), 4, 2)
+        with pytest.raises(IndexError):
+            gain_and_bias(m, Policy.uniform(4, 2), OffsetFn(4))
 
 
 class TestRobustBellmanResidual:

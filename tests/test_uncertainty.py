@@ -284,6 +284,26 @@ class TestSupportAndWorst:
             self.assert_bitwise(ex.uset, rows, v)
 
 
+class TestRowCheck:
+    """Every entry point that checks its rows rejects a non-finite one; NaN compares False both ways,
+    so only a test that NaN fails catches it, where it would give NaN support values."""
+
+    CALLS = {
+        "support": lambda spec, p, v: spec.support(p, v),
+        "worst_row": lambda spec, p, v: spec.worst_row(p, v),
+        "support_and_worst": lambda spec, p, v: spec.support_and_worst(np.stack([np.full(3, 1 / 3), p]), v),
+        "oracle": lambda spec, p, v: support_oracle_grid(spec, p, v, 20),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("spec", families(0.3), ids=lambda spec: spec.kind)
+    def test_rejects_non_finite_rows(self, spec, call):
+        v = np.array([0.0, 1.0, 2.0])
+        for p in ([0.5, np.nan, 0.5], [np.nan] * 3, [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]):
+            with pytest.raises(ValueError, match="not a probability row"):
+                self.CALLS[call](spec, np.array(p), v)
+
+
 class TestGridOracle:
     def test_zero_radius_only_feasible_point(self):
         # any grid containing p itself: minimum is p.v
