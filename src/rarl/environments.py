@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Policy, TabularMDP, _row_violation, gain_and_bias, gain_vector, induced_chain
+from .mdp import Policy, TabularMDP, gain_and_bias, gain_vector, induced_chain
 from .planners import FiniteKernelSet
+from .uncertainty import _row_violation
 
 
 def garnet(n_states: int, n_actions: int, seed: int) -> TabularMDP:
@@ -148,8 +149,7 @@ def inventory_perturbed_demand(m: int, b: float, n: int = 17) -> np.ndarray:
     if not 0 <= m <= n - 2:
         raise ValueError(f"m must lie in [0, {n - 2}], got {m}")
     u = np.full(n, (1.0 - b) / n)
-    u[m] = 1.0 / n + b * (n - 2) / (2 * n)
-    u[m + 1] = 1.0 / n + b * (n - 2) / (2 * n)
+    u[m : m + 2] = 1.0 / n + b * (n - 2) / (2 * n)
     return u
 
 

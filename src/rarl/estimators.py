@@ -56,7 +56,7 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 class KernelSampler:
     """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a).
 
-    Every row must be a distribution: finite, nonnegative, summing to 1 within ``mdp.ROW_SUM_TOL``. A
+    Every row must be a distribution: finite, nonnegative, summing to 1 within ``uncertainty.ROW_SUM_TOL``. A
     draw inverts the pair's CDF at one uniform u, returning the count of its first S - 1
     entries below u, which is min(#(cdf < u), S - 1). A guide table (Chen & Asau 1974) splits
     [0, 1) into ``_CELLS`` equal cells and holds that count for each cell that no CDF entry

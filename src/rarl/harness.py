@@ -192,15 +192,18 @@ def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
 
 
 def build_schedule(doc: dict):
+    """The step schedule; its JSON types are checked here, its ranges by the schedule itself."""
+    kinds = {"constant": (Constant, {"alpha": 0.01}), "robbins_monro": (RobbinsMonro, {"c": 1.0, "offset": 1.0})}
     kind = doc.get("kind", "constant")
-    if kind == "constant":
-        _known_fields("schedule", doc, ("kind", "alpha"))
-        return Constant(_positive_number("schedule.alpha", doc.get("alpha", 0.01)))
-    if kind == "robbins_monro":
-        _known_fields("schedule", doc, ("kind", "c", "offset"))
-        c = _positive_number("schedule.c", doc.get("c", 1.0))
-        return RobbinsMonro(c, _positive_number("schedule.offset", doc.get("offset", 1.0)))
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    schedule, defaults = kinds[kind]
+    _known_fields("schedule", doc, ("kind", *defaults))
+    params = {name: _number(f"schedule.{name}", doc.get(name, default)) for name, default in defaults.items()}
+    try:
+        return schedule(**params)
+    except ValueError as exc:
+        raise ConfigError(f"schedule.{exc}") from exc
 
 
 def build_policy(doc, mdp: TabularMDP) -> Policy:
@@ -460,15 +463,10 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     )
     robust_pi = greedy_policy(robust_trace.final)
     vanilla_pi = greedy_policy(vanilla_trace.final)
-    rows = []
-    for label, mdps in grid:
-        rows.append(
-            (
-                label,
-                envs.worst_gain_over(robust_pi, mdps, start_state),
-                envs.worst_gain_over(vanilla_pi, mdps, start_state),
-            )
-        )
+    rows = [
+        (label, envs.worst_gain_over(robust_pi, mdps, start_state), envs.worst_gain_over(vanilla_pi, mdps, start_state))
+        for label, mdps in grid
+    ]
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write("perturbation,robust_gain,nonrobust_gain\n")
         for label, rg, ng in rows:

@@ -34,7 +34,7 @@ class StepSchedule:
     def __post_init__(self):
         for name, value in vars(self).items():  # every parameter of a schedule is finite and > 0
             if not 0.0 < value < np.inf:
-                raise ValueError(f"{type(self).__name__} requires {name} to be a finite number > 0, got {value!r}")
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def __call__(self, n: int) -> float:
         raise NotImplementedError

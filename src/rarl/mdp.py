@@ -27,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .uncertainty import UncertaintySet
+from .uncertainty import UncertaintySet, _row_violation
 
-ROW_SUM_TOL = 1e-9
 SUPPORT_EPS = 1e-12
 _GAIN_BIAS_RTOL = 1e-7  # gain_and_bias rejects a residual above this times (1 + max |r_pi|)
 
@@ -154,7 +153,7 @@ class OffsetFn:
     state: int | None = None
 
     def __post_init__(self):
-        if self.state is not None and (not isinstance(self.state, (int, np.integer)) or self.state < 0):
+        if not (self.state is None or (type(self.state) is int or isinstance(self.state, np.integer)) and self.state >= 0):
             raise ValueError(f"offset state must be None or an integer >= 0, got {self.state!r}")
 
     @staticmethod
@@ -173,6 +172,8 @@ class OffsetFn:
         flat = np.asarray(x, dtype=float).reshape(len(x), -1)
         if self.state is None:
             return np.add.reduce(flat, axis=1) / flat.shape[1]  # the sum and divide of ndarray.mean
+        if self.state >= flat.shape[1]:
+            raise IndexError(f"offset state {self.state} is out of range for {flat.shape[1]} entries")
         return flat[:, self.state]
 
 
@@ -188,23 +189,6 @@ def validate(mdp: TabularMDP) -> str | None:
         s, a = np.argwhere(~np.isfinite(mdp.reward))[0]
         return f"non-finite reward at (s={s},a={a})"
     return kernel_violation(mdp.kernel)
-
-
-def _row_violation(x: np.ndarray, axes: tuple[str, ...]) -> str | None:
-    """Return None if every row of ``x`` along its last axis is a distribution (finite, nonnegative,
-    summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad row, placed by
-    ``axes``, one label per axis of ``x``."""
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
-        off = np.abs(x.sum(axis=-1) - 1.0)
-    if x.min() >= 0.0 and off.max() <= ROW_SUM_TOL:  # NaN fails both
-        return None
-    at = tuple(np.argwhere(~((off <= ROW_SUM_TOL) & (x.min(axis=-1) >= 0.0)))[0])
-    row, place = x[at], [f"{name}={i}" for name, i in zip(axes, at)]
-    for kind, bad in (("non-finite", ~np.isfinite(row)), ("negative", row < 0)):
-        if bad.any():
-            j = int(np.argmax(bad))
-            return f"{kind} entry {row[j]:.6g} at ({','.join([*place, f'{axes[-1]}={j}'])})"
-    return f"row sum {row.sum():.6g}" + (f" at ({','.join(place)})" if place else "")
 
 
 def kernel_violation(kernel: np.ndarray) -> str | None:
@@ -303,12 +287,8 @@ def gain_and_bias(
     a[:n, :n] = np.eye(n) - p_pi
     a[:n, n] = 1.0
     b[:n] = r_pi
-    if normalization is None:
-        a[n, :n] = _class_distribution(p_pi, recurrent)
-    elif normalization.state is None:
-        a[n, :n] = 1.0 / n
-    else:
-        a[n, :n][normalization.state] = 1.0  # a state >= n raises IndexError; it never pins the gain column
+    # an offset is linear, so its row of coefficients is its value on each unit vector: 1/n or e_s
+    a[n, :n] = _class_distribution(p_pi, recurrent) if normalization is None else normalization.batch(np.eye(n))
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

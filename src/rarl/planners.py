@@ -39,6 +39,7 @@ from .mdp import (
     gain_and_bias,
     support_table,
 )
+from .uncertainty import _row_violation
 
 
 class FiniteKernelSet:
@@ -48,13 +49,17 @@ class FiniteKernelSet:
     Like the parametric families it answers ``support_batch``, ``worst_row`` and ``support_and_worst``,
     but only for the batch it is built around, the MDP's S*A nominal rows in s-major order, which the
     planners give it whole, repeated rows included. Each pair keeps its rows in lexicographic order,
-    so a tie goes to the smallest row.
+    so a tie goes to the smallest row. Every kernel's rows must be distributions.
     """
 
     kind = "finite"
 
     def __init__(self, kernels):
-        pairs = np.stack([np.asarray(k, dtype=float).reshape(-1, np.shape(k)[-1]) for k in kernels], axis=1)
+        kernels = np.asarray(kernels, dtype=float)  # (K, S, A, S)
+        problem = _row_violation(kernels, ("kernel", "s", "a", "s'"))
+        if problem is not None:
+            raise ValueError(f"kernel rows must be distributions: {problem}")
+        pairs = np.stack([k.reshape(-1, k.shape[-1]) for k in kernels], axis=1)
         self.rows = np.stack([rows[np.lexsort(rows.T[::-1])] for rows in pairs])
 
     def _values(self, rows, v):

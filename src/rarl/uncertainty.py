@@ -10,8 +10,8 @@ on a (B, S) batch of rows, and ``UncertaintySet`` the interface over them:
   (the maximizer of a concave 1-D dual), KL and Wasserstein (multipliers).
 - ``_worst(rows, v, duals)``: exact worst rows from optimality conditions.
 - ``support`` (one row), ``support_batch``, ``worst_row`` (one row or a
-  batch) and ``support_and_worst`` (both from one solve). All but
-  ``support_batch``, the learners' hot path, check their rows.
+  batch) and ``support_and_worst`` (both from one solve). All but the
+  learners' hot path ``support_batch`` check rows by ``_row_violation``.
 - Membership: ``distance(p, qs)`` is, per row q, the least radius whose ball
   around p holds q, so every ball is exactly {q : distance(p, q) <= delta}.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SIMPLEX_TOL = 1e-9
+ROW_SUM_TOL = 1e-9  # a probability row sums to 1 within this
 NEWTON_TOL = 1e-12  # KL root search: |KL - delta| / delta, or relative bracket width, at which it stops
 NEWTON_ITERS = 100
 # KL root search also stops at |f| <= 4 ulps of the terms of f, which sum to about 2 |log z| near the root
@@ -44,17 +44,32 @@ LP_ROWS = 12_341  # most transport LPs in one general-metric distance call: n = 
 _FEAS_TOL = 1e-9  # an oracle grid point within this of the radius counts as inside the ball
 
 
+def _row_violation(x: np.ndarray, axes: tuple[str, ...]) -> str | None:
+    """Return None if every row of ``x`` along its last axis is a distribution (finite, nonnegative,
+    summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad row, placed by
+    ``axes``, one label per axis of ``x``."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
+        off = np.abs(x.sum(axis=-1) - 1.0)
+    if x.min() >= 0.0 and off.max() <= ROW_SUM_TOL:  # NaN fails both
+        return None
+    at = tuple(np.argwhere(~((off <= ROW_SUM_TOL) & (x.min(axis=-1) >= 0.0)))[0])
+    row, place = x[at], [f"{name}={i}" for name, i in zip(axes, at)]
+    for kind, bad in (("non-finite", ~np.isfinite(row)), ("negative", row < 0)):
+        if bad.any():
+            j = int(np.argmax(bad))
+            return f"{kind} entry {row[j]:.6g} at ({','.join([*place, f'{axes[-1]}={j}'])})"
+    return f"row sum {row.sum():.6g}" + (f" at ({','.join(place)})" if place else "")
+
+
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
-    """A probability row, finite; with ``batch``, also a (B, S) stack of them."""
+    """A probability row by ``_row_violation``'s rule; with ``batch``, also a (B, S) stack of them."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 and not (batch and p.ndim == 2):
         raise ValueError(f"expected a probability row, got shape {p.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
-        sums = p.sum(axis=-1)
-    off = np.abs(sums - 1.0)
-    if not (np.all(p >= -SIMPLEX_TOL) and np.all(off <= 1e-8)):  # NaN fails both
-        raise ValueError(f"not a probability row (sum={sums.flat[np.argmax(off)]:.6g}, min={p.min():.6g})")
-    return np.maximum(p, 0.0)
+    problem = _row_violation(p, ("row", "s")[2 - p.ndim :])
+    if problem is not None:
+        raise ValueError(f"not a probability row: {problem}")
+    return p
 
 
 def _as_batch(rows: np.ndarray) -> np.ndarray:
@@ -102,8 +117,8 @@ class UncertaintySet:
         return self.support_and_worst(p, v)[1]
 
     def support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``support_batch(rows, v)`` and ``worst_row(rows, v)`` from one solve; on nonnegative rows
-        both equal those calls bit for bit."""
+        """``support_batch(rows, v)`` and ``worst_row(rows, v)`` from one solve, equal to those calls
+        bit for bit."""
         checked, v = _as_batch(_check_simplex(rows, batch=True)), np.asarray(v, dtype=float)
         values, duals = self._solve(checked, v)
         return values, self._worst(checked, v, duals).reshape(np.shape(rows))
@@ -173,7 +188,8 @@ class TotalVariation(UncertaintySet):
     def _worst(self, rows, v, duals):
         """States above min v, highest first, give up to delta onto argmin v."""
         order, given = duals
-        moved = np.diff(given, axis=1, prepend=0.0)
+        # capped at what each state holds: a difference of cumulative sums can exceed it by an ulp
+        moved = np.minimum(np.diff(given, axis=1, prepend=0.0), rows[:, order])
         q = rows.copy()
         q[:, order] -= moved
         q[:, int(np.argmin(v))] += moved.sum(axis=1)

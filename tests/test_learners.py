@@ -37,13 +37,21 @@ class TestStepSchedules:
         with pytest.raises(ValueError):
             RobbinsMonro(c=0.0)
         for params in ({"c": float("nan")}, {"c": float("inf")}, {"offset": -1.0}, {"offset": float("nan")}):
-            with pytest.raises(ValueError, match=f"RobbinsMonro requires {next(iter(params))}"):
+            with pytest.raises(ValueError, match=f"{next(iter(params))} must be a finite number > 0"):
                 RobbinsMonro(**params)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
     def test_constant_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError, match="Constant requires alpha to be a finite number > 0"):
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
             Constant(alpha)
+
+
+@pytest.mark.parametrize("learner, entries", [(robust_rvi_td, 4), (robust_rvi_q, 8)])
+def test_an_offset_state_past_the_iterate_is_named(learner, entries):
+    m = garnet(4, 2, seed=3)
+    args = (Policy.uniform(4, 2),) if learner is robust_rvi_td else ()
+    with pytest.raises(IndexError, match=f"offset state 9 is out of range for {entries} entries"):
+        learner(KernelSampler.from_mdp(m), m, *args, TotalVariation(0.2), OffsetFn(9), Constant(0.1), 5, None, stream(0))
 
 
 class TestGreedyPolicy:

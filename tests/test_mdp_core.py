@@ -386,16 +386,17 @@ class TestOffsetFn:
         assert OffsetFn.mean()(q) == pytest.approx(2.5)
         assert OffsetFn.reference_state(4)(q) == 4.0
 
-    @pytest.mark.parametrize("state", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("state", [-1, 1.5, "0", True, False])
     def test_rejects_a_state_that_is_not_an_index(self, state):
-        # a negative state would index the gain column of the gain/bias system
+        # a negative state would index the gain column of the gain/bias system, and a bool would
+        # index a whole row of each iterate
         with pytest.raises(ValueError, match="offset state must be None or an integer >= 0"):
             OffsetFn(state)
         assert OffsetFn(np.int64(2)).state == 2
 
     def test_a_state_past_the_last_never_pins_the_gain(self):
         m = random_unichain_mdp(np.random.default_rng(7), 4, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="offset state 4 is out of range for 4 entries"):
             gain_and_bias(m, Policy.uniform(4, 2), OffsetFn(4))
 
 

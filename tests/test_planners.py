@@ -9,6 +9,7 @@ import pytest
 from rarl import planners
 from rarl.environments import example_a, garnet, inventory, one_loop
 from rarl.learners import greedy_policy
+from rarl.estimators import KernelSampler
 from rarl.mdp import (
     ConvergenceError,
     MultichainError,
@@ -16,11 +17,13 @@ from rarl.mdp import (
     OffsetFn,
     Policy,
     gain_and_bias,
+    kernel_violation,
     robust_bellman_residual,
     span,
     support_table,
 )
 from rarl.planners import (
+    FiniteKernelSet,
     finite_set_enumeration,
     robust_rvi_control,
     robust_rvi_eval,
@@ -98,6 +101,15 @@ class TestRobustRviEval:
             rtol=0,
             atol=1e-12,
         )
+
+
+    def test_an_offset_state_past_the_iterate_is_named(self):
+        m = garnet(4, 2, seed=3)
+        # control evaluates each policy on its 4-state value before it reads the 8-entry Q table
+        for plan in (lambda: robust_rvi_eval(m, Policy.uniform(4, 2), TotalVariation(0.2), OffsetFn(9)),
+                     lambda: robust_rvi_control(m, TotalVariation(0.2), OffsetFn(9))):
+            with pytest.raises(IndexError, match="offset state 9 is out of range for 4 entries"):
+                plan()
 
 
 class TestRobustRviControl:
@@ -187,6 +199,15 @@ class TestSolutionStructure:
         np.testing.assert_allclose(ex.uset.worst_row(rows, v)[0], [0.0, 1.0, 0.0])
         assert ex.uset.rows.shape == (3, 2, 3)  # (s, a) pairs, kernels, next states
 
+    def test_finite_kernel_set_rejects_a_kernel_off_the_simplex(self):
+        m = garnet(4, 2, seed=3)
+        with pytest.raises(ValueError, match=r"kernel rows must be distributions: row sum 2 at \(kernel=1,s=0,a=0\)"):
+            FiniteKernelSet([m.kernel, np.full((4, 2, 4), 0.5)])
+        negative = m.kernel.copy()
+        negative[2, 1] = [0.5, 0.5 + 1e-12, -1e-12, 0.0]
+        with pytest.raises(ValueError, match=r"negative entry -1e-12 at \(kernel=0,s=2,a=1,s'=2\)"):
+            FiniteKernelSet([negative, m.kernel])
+
     def test_finite_kernel_set_rejects_other_batches(self):
         ex = example_a(1.0, 2.0, 4.0)
         v = np.zeros(3)
@@ -218,6 +239,27 @@ class TestWorstCaseKernel:
                     for a in range(m.n_actions):
                         np.testing.assert_allclose(kernel[s, a], spec.worst_row(m.kernel[s, a], v), rtol=0, atol=1e-12)
                 assert np.abs(kernel.sum(axis=2) - 1.0).max() <= 1e-12
+
+    def test_every_worst_row_is_a_distribution(self):
+        # a worst row passes the rule its nominal row does; TV's greedy transfer once took an ulp more
+        # than a state held and left entries of -1e-17
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            n = int(rng.integers(2, 20))
+            m = garnet(n, int(rng.integers(1, 4)), seed=int(rng.integers(1000)))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            delta = float(rng.uniform(0, 3))
+            for spec in (Contamination(min(delta, 0.99)), TotalVariation(delta), ChiSquare(delta),
+                         KLDivergence(delta), Wasserstein(delta)):
+                assert kernel_violation(worst_case_kernel(m, spec, v)) is None, (spec, n)
+
+    def test_inventory_tv_worst_kernel_can_be_sampled(self):
+        m, spec = inventory(), TotalVariation(0.3)
+        for v in (robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec).value,
+                  robust_rvi_control(m, spec).q.max(axis=1)):
+            kernel = worst_case_kernel(m, spec, v)
+            assert kernel_violation(kernel) is None
+            KernelSampler(kernel)
 
     def test_finite_kernel_set_per_pair(self):
         ex = example_a(1.0, 2.0, 4.0)

@@ -285,8 +285,9 @@ class TestSupportAndWorst:
 
 
 class TestRowCheck:
-    """Every entry point that checks its rows rejects a non-finite one; NaN compares False both ways,
-    so only a test that NaN fails catches it, where it would give NaN support values."""
+    """Every entry point that checks its rows holds them to the rule kernels and policies follow: it
+    rejects a non-finite row (NaN compares False both ways, so only a test that NaN fails catches
+    it), a sum off by more than 1e-9 and a negative entry, however small."""
 
     CALLS = {
         "support": lambda spec, p, v: spec.support(p, v),
@@ -299,7 +300,8 @@ class TestRowCheck:
     @pytest.mark.parametrize("spec", families(0.3), ids=lambda spec: spec.kind)
     def test_rejects_non_finite_rows(self, spec, call):
         v = np.array([0.0, 1.0, 2.0])
-        for p in ([0.5, np.nan, 0.5], [np.nan] * 3, [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]):
+        rows = [[0.5, np.nan, 0.5], [np.nan] * 3, [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]]
+        for p in (*rows, [0.5, 0.5 + 5e-9, 0.0], [0.5 + 1e-10, 0.5, -1e-10]):
             with pytest.raises(ValueError, match="not a probability row"):
                 self.CALLS[call](spec, np.array(p), v)
 
