@@ -13,7 +13,6 @@ from .mdp import (
     robust_bellman_residual,
     span,
     stationary_distribution,
-    validate,
 )
 from .uncertainty import (
     ChiSquare,
@@ -71,6 +70,5 @@ __all__ = [
     "stationary_distribution",
     "support_oracle_grid",
     "uncertainty_from_json",
-    "validate",
     "worst_case_kernel",
 ]

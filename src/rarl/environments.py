@@ -4,7 +4,7 @@ Garnet-style random instances, the three-state two-kernel counterexample, the
 recycling robot, average-profit inventory control with perturbable demand, the
 two-state one-loop task with its perturbed twin, and a native 4x4 frozen-lake
 grid. Constructors are pure and deterministic given their arguments (and seed
-where applicable); every output passes ``mdp.validate``.
+where applicable); every output is a ``TabularMDP``, which checks itself when built.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import TabularMDP, kernel_violation
+from .mdp import TabularMDP
 from .uncertainty import ChiSquare, Contamination, UncertaintySet
 
 _BLOCK_FLOATS = 1 << 17  # floats in a block's row buffer: 1 MiB
@@ -54,9 +54,9 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 
 
 class KernelSampler:
-    """Generative access to an explicit nominal kernel: i.i.d. next states per (s, a).
+    """Generative access to an MDP's nominal kernel: i.i.d. next states per (s, a).
 
-    Every row must be a distribution: finite, nonnegative, summing to 1 within ``uncertainty.ROW_SUM_TOL``. A
+    Built from a ``TabularMDP``, whose kernel rows are distributions by construction. A
     draw inverts the pair's CDF at one uniform u, returning the count of its first S - 1
     entries below u, which is min(#(cdf < u), S - 1). A guide table (Chen & Asau 1974) splits
     [0, 1) into ``_CELLS`` equal cells and holds that count for each cell that no CDF entry
@@ -66,21 +66,15 @@ class KernelSampler:
     built once, with the sampler.
     """
 
-    def __init__(self, kernel: np.ndarray):
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.ndim != 3 or kernel.shape[2] != kernel.shape[0] or not kernel.size:
-            raise ValueError(f"expected kernel of shape (S, A, S), got {kernel.shape}")
-        self.kernel = kernel
-        self.n_states, self._n_actions = kernel.shape[:2]
-        problem = kernel_violation(kernel)
-        if problem is not None:
-            raise ValueError(f"kernel rows must be distributions: {problem}")
-        self._cdf = np.cumsum(kernel.reshape(-1, self.n_states)[:, :-1], axis=1)  # per pair, the first S - 1 entries
+    def __init__(self, mdp: TabularMDP):
+        self.kernel, self.n_states, self._n_actions = mdp.kernel, mdp.n_states, mdp.n_actions
+        self._cdf = np.cumsum(self.kernel.reshape(-1, self.n_states)[:, :-1], axis=1)  # per pair, the first S - 1 entries
         self._table = _guide_table(self._cdf)
 
     @staticmethod
     def from_mdp(mdp: TabularMDP) -> "KernelSampler":
-        return KernelSampler(mdp.kernel)
+        """The same as ``KernelSampler(mdp)``."""
+        return KernelSampler(mdp)
 
     def draw_one_each(self, s_idx: np.ndarray, a_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One independent next state per (s_idx[i], a_idx[i])."""

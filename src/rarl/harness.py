@@ -34,7 +34,7 @@ import numpy as np
 from . import environments as envs
 from .estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rvi_q, robust_rvi_td
-from .mdp import OffsetFn, Policy, TabularMDP, validate
+from .mdp import OffsetFn, Policy, TabularMDP
 from .planners import robust_rvi_control, robust_rvi_eval
 from .uncertainty import (
     FAMILIES,
@@ -161,13 +161,9 @@ def build_environment(doc: dict) -> TabularMDP:
     if not isinstance(env_id, str) or env_id not in ENVIRONMENTS:
         raise ConfigError(f"unknown environment id {env_id!r}")
     try:
-        mdp = ENVIRONMENTS[env_id](**params)
+        return ENVIRONMENTS[env_id](**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment config: {exc}") from exc
-    problem = validate(mdp)
-    if problem is not None:
-        raise ConfigError(f"environment failed validation: {problem}")
-    return mdp
 
 
 def build_uncertainty(doc: dict) -> UncertaintySet:
@@ -313,7 +309,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
     policy = None if control else build_policy(cfg.policy, mdp)
     schedule = build_schedule(cfg.schedule)
     mlmc = build_mlmc_config(cfg.estimator, spec)
-    source = KernelSampler.from_mdp(mdp)
+    source = KernelSampler(mdp)
     if control:
         learner = functools.partial(robust_rvi_q, source, mdp, spec)
         plan = robust_rvi_control(mdp, spec, offset, tol=cfg.planner_tol)
@@ -453,7 +449,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     start_state = (cfg.sweep or {}).get("start_state")
     if start_state is not None and _integer("sweep.start_state", start_state, 0) >= mdp.n_states:
         raise ConfigError(f"sweep.start_state must be below n_states = {mdp.n_states}, got {start_state}")
-    source = KernelSampler.from_mdp(mdp)
+    source = KernelSampler(mdp)
     mlmc = build_mlmc_config(cfg.estimator, spec)
     robust_trace = robust_rvi_q(
         source, mdp, spec, offset, schedule, cfg.n_iters, mlmc, seed_stream(cfg.base_seed, 0)
@@ -536,9 +532,7 @@ def _support_check_rows(cfg: ExperimentConfig) -> list[dict]:
     # unbiasedness of the multi-level estimator on a fixed three-state row
     p = np.array([0.2, 0.3, 0.5])
     v = np.array([0.0, 1.0, 2.0])
-    kernel = np.zeros((3, 1, 3))
-    kernel[:, 0, :] = p
-    source = KernelSampler(kernel)
+    source = KernelSampler(TabularMDP(3, 1, np.tile(p, (3, 1, 1)), np.zeros((3, 1))))
     for name in ("tv", "chi2", "kl", "wasserstein"):
         spec = FAMILIES[name](0.2)
         exact = spec.support(p, v)

@@ -1,8 +1,8 @@
 """Exact tabular MDP machinery.
 
 This module provides:
-- ``TabularMDP`` and ``Policy`` containers; MDP validation and JSON round-trips, and a
-  ``Policy`` that checks its rows. Kernel rows, policy rows and demand laws share one rule.
+- ``TabularMDP`` and ``Policy`` containers that check themselves when built, and JSON
+  round-trips. Kernel rows, policy rows and demand laws share one rule.
 - Induced-chain construction (state transition matrix and state reward vector).
 - Chain structure from one reachability closure of the support graph, and
   dense linear solves on it: unichain detection, exact stationary
@@ -51,6 +51,9 @@ class TabularMDP:
 
     Row ``kernel[s, a]`` is the next-state distribution after taking action
     ``a`` in state ``s``. Rewards are finite reals; no range is imposed.
+    Raises ValueError, naming the first violation, unless both dimensions
+    are positive, both shapes match them, every reward is finite and every
+    kernel row is a distribution by the rule policy rows follow.
     """
 
     n_states: int
@@ -61,8 +64,25 @@ class TabularMDP:
     def __post_init__(self):
         object.__setattr__(self, "kernel", np.ascontiguousarray(self.kernel, dtype=float))
         object.__setattr__(self, "reward", np.ascontiguousarray(self.reward, dtype=float))
+        problem = self._violation()
+        if problem is not None:
+            raise ValueError(f"invalid MDP: {problem}")
         self.kernel.setflags(write=False)
         self.reward.setflags(write=False)
+
+    def _violation(self) -> str | None:
+        """The first condition of the class docstring that fails, or None."""
+        n_s, n_a = self.n_states, self.n_actions
+        if n_s < 1 or n_a < 1:
+            return f"non-positive dimensions (n_states={n_s}, n_actions={n_a})"
+        if self.kernel.shape != (n_s, n_a, n_s):
+            return f"kernel shape {self.kernel.shape} != {(n_s, n_a, n_s)}"
+        if self.reward.shape != (n_s, n_a):
+            return f"reward shape {self.reward.shape} != {(n_s, n_a)}"
+        if not np.isfinite(self.reward).all():
+            s, a = np.argwhere(~np.isfinite(self.reward))[0]
+            return f"non-finite reward at (s={s},a={a})"
+        return _row_violation(self.kernel, ("s", "a", "s'"))
 
     @cached_property
     def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +100,7 @@ class TabularMDP:
         return distinct, index
 
     def with_kernel(self, kernel: np.ndarray) -> "TabularMDP":
-        """Copy of this MDP with a replacement transition kernel."""
+        """Copy of this MDP with a replacement transition kernel, checked as any MDP is."""
         return TabularMDP(self.n_states, self.n_actions, np.array(kernel, dtype=float), self.reward)
 
     def to_json(self) -> str:
@@ -177,39 +197,19 @@ class OffsetFn:
         return flat[:, self.state]
 
 
-def validate(mdp: TabularMDP) -> str | None:
-    """Return None if the MDP is well formed, else the first violation found."""
-    if mdp.n_states < 1 or mdp.n_actions < 1:
-        return f"non-positive dimensions (n_states={mdp.n_states}, n_actions={mdp.n_actions})"
-    if mdp.kernel.shape != (mdp.n_states, mdp.n_actions, mdp.n_states):
-        return f"kernel shape {mdp.kernel.shape} != {(mdp.n_states, mdp.n_actions, mdp.n_states)}"
-    if mdp.reward.shape != (mdp.n_states, mdp.n_actions):
-        return f"reward shape {mdp.reward.shape} != {(mdp.n_states, mdp.n_actions)}"
-    if not np.all(np.isfinite(mdp.reward)):
-        s, a = np.argwhere(~np.isfinite(mdp.reward))[0]
-        return f"non-finite reward at (s={s},a={a})"
-    return kernel_violation(mdp.kernel)
-
-
-def kernel_violation(kernel: np.ndarray) -> str | None:
-    """Return None if every row of the (S, A, S) kernel is a distribution, else what is wrong with
-    the first bad (s, a) row."""
-    return _row_violation(kernel, ("s", "a", "s'"))
-
-
 def induced_chain(mdp: TabularMDP, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """State transition matrix and state reward vector of the chain under policy.
 
     P_pi[s] = sum_a pi(a|s) kernel[s, a]; r_pi[s] = sum_a pi(a|s) reward[s, a].
     """
-    if policy.probs.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(
-            f"policy shape {policy.probs.shape} does not match MDP "
-            f"{(mdp.n_states, mdp.n_actions)}"
-        )
-    p_pi = np.einsum("sa,sat->st", policy.probs, mdp.kernel)
-    r_pi = np.einsum("sa,sa->s", policy.probs, mdp.reward)
-    return p_pi, r_pi
+    return _induced_chain(mdp.kernel, mdp.reward, policy.probs)
+
+
+def _induced_chain(kernel: np.ndarray, reward: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``induced_chain`` of the policy rows ``probs`` on an (S, A, S) kernel and (S, A) reward table."""
+    if probs.shape != reward.shape:
+        raise ValueError(f"policy shape {probs.shape} does not match MDP {reward.shape}")
+    return np.einsum("sa,sat->st", probs, kernel), np.einsum("sa,sa->s", probs, reward)
 
 
 def _reach(p: np.ndarray) -> np.ndarray:
@@ -279,9 +279,15 @@ def gain_and_bias(
     stationary distribution), which is the unique relative value function in
     the cumulative-deviation sense; an OffsetFn pins f(v) = 0 instead.
     """
-    p_pi, r_pi = induced_chain(mdp, policy)
+    return _gain_and_bias(mdp.kernel, mdp.reward, policy.probs, normalization)
+
+
+def _gain_and_bias(kernel: np.ndarray, reward: np.ndarray, probs: np.ndarray, normalization: OffsetFn | None) -> GainBias:
+    """``gain_and_bias`` on any kernel with the MDP's reward table; the planners evaluate their worst
+    kernels by it without building an MDP around each."""
+    p_pi, r_pi = _induced_chain(kernel, reward, probs)
     recurrent = _recurrent(p_pi)
-    n = mdp.n_states
+    n = len(p_pi)
     a = np.zeros((n + 1, n + 1))
     b = np.zeros(n + 1)
     a[:n, :n] = np.eye(n) - p_pi

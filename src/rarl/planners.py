@@ -35,6 +35,7 @@ from .mdp import (
     OffsetFn,
     Policy,
     TabularMDP,
+    _gain_and_bias,
     _nominal_rows,
     gain_and_bias,
     support_table,
@@ -183,10 +184,11 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     T_pi v off the support table at v. One ``support_and_worst`` call at the new v then gives the
     table that certifies it and the next kernel.
 
-    Control improves a deterministic policy greedily on r + sigma(v) - g once its evaluation
-    certifies to tol/4, keeping its actions wherever they are within tol/4 of the row max, so tied
-    actions cannot cycle; a repeated policy's Q residual is then at most tol. Where the current
-    policy's kernel is multichain and the greedy policy differs, it switches to that policy at once.
+    Control pins its v-iterates by the mean and its Q table by ``offset``. It improves a
+    deterministic policy greedily on r + sigma(v) - g once its evaluation certifies to tol/4,
+    keeping its actions wherever they are within tol/4 of the row max, so tied actions cannot
+    cycle; a repeated policy's Q residual is then at most tol. Where the current policy's kernel
+    is multichain and the greedy policy differs, it switches to that policy at once.
 
     A phase (one policy's evaluation) that stalls (``_stalled``) is where policy iteration ends: the
     call starts over as damped relative value iteration from zero, the damped sweep above for
@@ -196,6 +198,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     raises ``ConvergenceError``, chained from the last failed exact evaluation.
     """
     control = policy is None
+    v_offset = OffsetFn.mean() if control else offset  # control's offset reads the S*A-entry Q table
     v = np.zeros(mdp.n_states)
     sigma, kernel = _support_and_worst(mdp, uset, v)
     sigma0 = sigma
@@ -212,7 +215,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
         exact = not sweeps_only
         if exact:
             try:
-                v = gain_and_bias(mdp.with_kernel(kernel), policy, offset).bias
+                v = _gain_and_bias(kernel, mdp.reward, policy.probs, v_offset).bias
                 solved = True
             except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
                 reason, exact = exc, False
@@ -226,7 +229,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
                     continue
             if q is None:
                 y = 0.5 * v + 0.5 * np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma)
-                v = y - offset(y)
+                v = y - v_offset(y)
             else:
                 y = 0.5 * q + 0.5 * (mdp.reward + sigma)
                 q = y - offset(y)
@@ -238,7 +241,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
             if residual <= tol:
                 return ControlResult(float(g), q, greedy_policy(q), steps, residual, damped)
         else:
-            g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, offset)
+            g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, v_offset)
             if not control and residual <= tol:
                 return PlannerResult(float(g), v, steps, residual, damped)
             if control and residual <= tol / 4:
@@ -300,7 +303,9 @@ def robust_rvi_control(
     r + sigma(v) - g, where (g, v) is its robust evaluation, until the policy
     repeats and the sup-norm Q residual is <= tol. Once an evaluation stalls,
     the call starts over as damped relative value iteration on Q from zero,
-    and fails as ``robust_rvi_eval`` does when that stalls too.
+    and fails as ``robust_rvi_eval`` does when that stalls too. The Q table
+    is pinned by offset(q) = 0, with q read flattened, as ``robust_rvi_q``
+    reads it; the inner evaluations pin v by the mean.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, None)
 

@@ -58,7 +58,8 @@ def _row_violation(x: np.ndarray, axes: tuple[str, ...]) -> str | None:
         if bad.any():
             j = int(np.argmax(bad))
             return f"{kind} entry {row[j]:.6g} at ({','.join([*place, f'{axes[-1]}={j}'])})"
-    return f"row sum {row.sum():.6g}" + (f" at ({','.join(place)})" if place else "")
+    # ten digits: a sum more than ROW_SUM_TOL from 1 never prints as 1
+    return f"row sum {row.sum():.10g}" + (f" at ({','.join(place)})" if place else "")
 
 
 def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:

@@ -17,7 +17,7 @@ from rarl.environments import example_a, garnet, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.harness import ExperimentConfig, run_control_experiment, run_eval_experiment, run_robustness_sweep
 from rarl.learners import Constant, greedy_policy, robust_rvi_q
-from rarl.mdp import OffsetFn, Policy, gain_and_bias, robust_bellman_residual, span
+from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias, robust_bellman_residual, span
 from rarl.planners import finite_set_enumeration, robust_rvi_control, robust_rvi_eval, worst_case_kernel
 from rarl.uncertainty import (
     ChiSquare,
@@ -113,7 +113,7 @@ def test_criterion_3_mlmc_unbiasedness(name):
     exact = spec.support(MLMC_ROW, MLMC_V)
     kernel = np.zeros((3, 1, 3))
     kernel[:, 0, :] = MLMC_ROW
-    source = KernelSampler(kernel)
+    source = KernelSampler(TabularMDP(3, 1, kernel, np.zeros((3, 1))))
     cfg = MlmcConfig(psi=default_psi(spec))
     rng = np.random.default_rng(2000 + ["tv", "chi2", "kl", "wasserstein"].index(name))
     start = time.time()
@@ -326,7 +326,7 @@ def test_criterion_8_variance_proxy(name):
     spec = _families(0.2)[name]
     kernel = np.zeros((3, 1, 3))
     kernel[:, 0, :] = MLMC_ROW
-    source = KernelSampler(kernel)
+    source = KernelSampler(TabularMDP(3, 1, kernel, np.zeros((3, 1))))
     cfg = MlmcConfig(psi=default_psi(spec))
     rng = np.random.default_rng(8000)
     buckets = []

@@ -23,7 +23,7 @@ from rarl.environments import (
     recycling_robot,
     worst_gain_over,
 )
-from rarl.mdp import Policy, gain_and_bias, induced_chain, is_unichain, validate
+from rarl.mdp import Policy, gain_and_bias, induced_chain, is_unichain
 
 
 def all_deterministic_policies(mdp):
@@ -34,7 +34,6 @@ def all_deterministic_policies(mdp):
 class TestGarnet:
     def test_rows_are_simplex(self):
         m = garnet(6, 4, seed=0)
-        assert validate(m) is None
         np.testing.assert_allclose(m.kernel.sum(axis=2), 1.0, atol=1e-9)
 
     def test_deterministic_given_seed(self):
@@ -54,7 +53,6 @@ class TestGarnet:
 class TestExampleA:
     def test_kernels_valid(self):
         ex = example_a(1.0, 2.0, 4.0)
-        assert validate(ex.mdp) is None
         for k in ex.kernels:
             np.testing.assert_allclose(np.asarray(k).sum(axis=2), 1.0)
 
@@ -68,7 +66,6 @@ class TestExampleA:
 class TestRecyclingRobot:
     def test_recharge_and_wait_rows(self):
         m = recycling_robot()
-        assert validate(m) is None
         np.testing.assert_allclose(m.kernel[LOW, RECHARGE], [0.0, 1.0])
         assert m.reward[LOW, RECHARGE] == 0.0
         np.testing.assert_allclose(m.kernel[LOW, WAIT], [1.0, 0.0])
@@ -119,7 +116,6 @@ class TestInventory:
 
     def test_uniform_demand_rows_sum(self):
         m = inventory()
-        assert validate(m) is None
         assert m.n_states == 17 and m.n_actions == 9
 
     @pytest.mark.parametrize(
@@ -168,7 +164,6 @@ class TestPerturbedDemand:
 class TestOneLoop:
     def test_gains(self):
         nominal, perturbed = one_loop()
-        assert validate(nominal) is None and validate(perturbed) is None
         always_right = Policy.deterministic([1, 1], 2)
         always_left = Policy.deterministic([0, 0], 2)
         assert gain_and_bias(nominal, always_right).gain == pytest.approx(1.0, abs=1e-12)
@@ -189,8 +184,7 @@ class TestOneLoop:
 
 class TestFrozenLake:
     def test_rows_sum_and_validate(self):
-        m = frozen_lake_4x4()
-        assert validate(m) is None
+        frozen_lake_4x4()  # the MDP checks its rows when built
 
     def test_deterministic_when_no_slip(self):
         m = frozen_lake_4x4(slip_probability=0.0)

@@ -7,11 +7,17 @@ from rarl import estimators
 from rarl.estimators import EstimateStream, KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.environments import garnet, inventory
 from rarl.learners import Constant, robust_rvi_q, robust_rvi_td
-from rarl.mdp import OffsetFn, Policy, TabularMDP, kernel_violation, validate
+from rarl.mdp import OffsetFn, Policy, TabularMDP
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 
 P3 = np.array([0.2, 0.3, 0.5])
 V3 = np.array([0.0, 1.0, 2.0])
+
+
+def make_source(kernel):
+    """The sampler of an MDP with this (S, A, S) kernel and zero rewards."""
+    n_states, n_actions = kernel.shape[:2]
+    return KernelSampler(TabularMDP(n_states, n_actions, kernel, np.zeros((n_states, n_actions))))
 
 
 def row_sampler(p):
@@ -19,7 +25,7 @@ def row_sampler(p):
     n = len(p)
     kernel = np.zeros((n, 1, n))
     kernel[:, 0, :] = p
-    return KernelSampler(kernel)
+    return make_source(kernel)
 
 
 def one_pair(n):
@@ -311,7 +317,7 @@ class TestSampleSource:
 
     def test_batched_draws_follow_each_pair(self):
         kernel = np.array([[[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]]])
-        src = KernelSampler(kernel)
+        src = make_source(kernel)
         rng = np.random.default_rng(25)
         s_idx, a_idx = np.array([2, 0, 1]), np.zeros(3, dtype=np.int64)
         np.testing.assert_array_equal(src.draw_one_each(s_idx, a_idx, rng), [1, 0, 2])
@@ -336,20 +342,11 @@ class TestSampleSource:
     def test_kernel_rows_must_be_distributions(self, row):
         kernel = np.tile(P3, (3, 2, 1))
         kernel[2, 1] = row
-        with pytest.raises(ValueError, match=r"kernel rows must be distributions: .* at \(s=2,a=1"):
-            KernelSampler(kernel)
+        # a sampler is built from an MDP, and the MDP rejects the row
+        with pytest.raises(ValueError, match=r"invalid MDP: .* at \(s=2,a=1"):
+            make_source(kernel)
         kernel[2, 1] = [0.5, 0.5, 1e-10]  # off by less than ROW_SUM_TOL
-        KernelSampler(kernel)
-
-    def test_sampler_and_validate_name_the_same_first_bad_row(self):
-        # a short row at (0, 1) comes before a negative entry at (2, 0) in (s, a) order
-        kernel = np.tile(P3, (3, 2, 1))
-        kernel[0, 1], kernel[2, 0] = [0.25, 0.25, 0.0], [0.6, 0.5, -0.1]
-        problem = validate(TabularMDP(3, 2, kernel, np.zeros((3, 2))))
-        assert problem == kernel_violation(kernel) == "row sum 0.5 at (s=0,a=1)"
-        with pytest.raises(ValueError) as exc:
-            KernelSampler(kernel)
-        assert str(exc.value).endswith(problem)
+        make_source(kernel)
 
 
 def kernel_of(*rows):
@@ -400,7 +397,7 @@ class TestTableDraws:
     @pytest.mark.parametrize("name", ADVERSARIAL)
     def test_table_draws_equal_inversion(self, name):
         kernel = ADVERSARIAL[name]
-        src = KernelSampler(kernel)
+        src = make_source(kernel)
         edges = np.arange(257) / 256
         near_edges = [edges[:-1], np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], 1.0)]
         random = np.random.default_rng(1).random(2_000)

@@ -459,6 +459,19 @@ class TestCli:
         assert main(["plan", "--config", self.write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         assert "config error: bad uncertainty config" in capsys.readouterr().err
 
+    def test_exit_one_on_a_non_finite_reward(self, tmp_path, capsys):
+        # JSON NaN parses, and the environment's MDP rejects the reward it makes
+        doc = {
+            "environment": {"id": "recycling_robot", "params": {"r_search": float("nan")}},
+            "uncertainty": {"kind": "tv", "delta": 0.2},
+            "algorithm": "planner",
+        }
+        path = self.write_config(tmp_path, doc)
+        assert '"r_search": NaN' in open(path).read()
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: bad environment config: invalid MDP: non-finite reward at (s=0,a=0)" in err
+
     @pytest.mark.parametrize(
         "command, field, value, message",
         [

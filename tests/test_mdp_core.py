@@ -1,5 +1,6 @@
 """Tests for the exact tabular MDP machinery."""
 
+import json
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from rarl.environments import example_a, one_loop
+from rarl.environments import example_a, garnet, one_loop
 from rarl.mdp import (
     SUPPORT_EPS,
     ConvergenceError,
@@ -22,7 +23,6 @@ from rarl.mdp import (
     robust_bellman_residual,
     span,
     stationary_distribution,
-    validate,
 )
 
 
@@ -63,26 +63,60 @@ def random_chain(rng, trial, max_states):
 
 
 class TestValidate:
+    """An MDP checks itself when built and names the first violation."""
+
     def test_valid_two_state(self):
-        m = make_mdp([[[0.5, 0.5]], [[0.5, 0.5]]], [[0.0], [1.0]])
-        assert validate(m) is None
+        make_mdp([[[0.5, 0.5]], [[0.5, 0.5]]], [[0.0], [1.0]])
 
     def test_row_sum_violation(self):
-        m = make_mdp([[[0.6, 0.6]], [[0.5, 0.5]]], [[0.0], [1.0]])
-        report = validate(m)
-        assert report is not None and "row sum 1.2" in report and "(s=0,a=0)" in report
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: row sum 1.2 at (s=0,a=0)")):
+            make_mdp([[[0.6, 0.6]], [[0.5, 0.5]]], [[0.0], [1.0]])
 
     def test_negative_entry(self):
-        m = make_mdp([[[-0.1, 1.1]], [[0.5, 0.5]]], [[0.0], [1.0]])
-        assert "negative entry" in validate(m)
+        with pytest.raises(ValueError, match="invalid MDP: negative entry"):
+            make_mdp([[[-0.1, 1.1]], [[0.5, 0.5]]], [[0.0], [1.0]])
 
     def test_nonfinite_kernel_entry(self):
-        m = make_mdp([[[0.5, 0.5]], [[np.nan, 1.0]]], [[0.0], [1.0]])
-        assert validate(m) == "non-finite entry nan at (s=1,a=0,s'=0)"
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: non-finite entry nan at (s=1,a=0,s'=0)")):
+            make_mdp([[[0.5, 0.5]], [[np.nan, 1.0]]], [[0.0], [1.0]])
 
     def test_nonfinite_reward(self):
-        m = make_mdp([[[0.5, 0.5]], [[0.5, 0.5]]], [[np.inf], [1.0]])
-        assert "non-finite reward" in validate(m)
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: non-finite reward at (s=0,a=0)")):
+            make_mdp([[[0.5, 0.5]], [[0.5, 0.5]]], [[np.inf], [1.0]])
+
+    @pytest.mark.parametrize(
+        "n_states, n_actions, kernel_shape, reward_shape, problem",
+        [
+            (0, 1, (0, 1, 0), (0, 1), "non-positive dimensions (n_states=0, n_actions=1)"),
+            (2, 1, (2, 2, 2), (2, 1), "kernel shape (2, 2, 2) != (2, 1, 2)"),
+            (2, 1, (2, 1, 2), (1, 2), "reward shape (1, 2) != (2, 1)"),
+        ],
+    )
+    def test_dimensions_and_shapes(self, n_states, n_actions, kernel_shape, reward_shape, problem):
+        with pytest.raises(ValueError, match=re.escape(f"invalid MDP: {problem}")):
+            TabularMDP(n_states, n_actions, np.full(kernel_shape, 0.5), np.zeros(reward_shape))
+
+    def test_names_the_first_bad_row_in_s_a_order(self):
+        # a short row at (0, 1) comes before a negative entry at (2, 0) in (s, a) order
+        kernel = np.tile([0.2, 0.3, 0.5], (3, 2, 1))
+        kernel[0, 1], kernel[2, 0] = [0.25, 0.25, 0.0], [0.6, 0.5, -0.1]
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: row sum 0.5 at (s=0,a=1)")):
+            TabularMDP(3, 2, kernel, np.zeros((3, 2)))
+
+    def test_from_json_rejects_a_negative_entry(self):
+        doc = json.loads(garnet(4, 2, seed=3).to_json())
+        doc["kernel"][1] = [0.5, 0.5, 0.5, -0.5]  # pair (s=0, a=1): sums to 1, one entry negative
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: negative entry -0.5 at (s=0,a=1,s'=3)")):
+            TabularMDP.from_json(json.dumps(doc))
+
+    def test_with_kernel_checks_its_kernel(self):
+        m = garnet(4, 2, seed=3)
+        kernel = np.array(m.kernel)
+        kernel[3, 1, 0] += 1e-8
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: row sum 1.00000001 at (s=3,a=1)")):
+            m.with_kernel(kernel)
+        kernel[3, 1, 0] -= 1e-8 - 5e-10  # off by less than ROW_SUM_TOL
+        assert np.array_equal(m.with_kernel(kernel).kernel, kernel)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
@@ -103,7 +137,7 @@ class TestPolicy:
             ([[0.5, 0.5], [np.nan, 1.0]], "non-finite entry nan at (s=1,a=0)"),
             ([[0.5, 0.5], [np.inf, 0.0]], "non-finite entry inf at (s=1,a=0)"),
             ([[0.5, 0.5], [0.6, 0.6]], "row sum 1.2 at (s=1)"),
-            ([[1.0, 1e-8]], "row sum 1 at (s=0)"),
+            ([[1.0, 1e-8]], "row sum 1.00000001 at (s=0)"),
             ([0.5, 0.5], "expected shape (S, A), got (2,)"),
             ([[[1.0]]], "expected shape (S, A), got (1, 1, 1)"),
         ],

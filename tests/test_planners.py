@@ -17,7 +17,6 @@ from rarl.mdp import (
     OffsetFn,
     Policy,
     gain_and_bias,
-    kernel_violation,
     robust_bellman_residual,
     span,
     support_table,
@@ -105,14 +104,23 @@ class TestRobustRviEval:
 
     def test_an_offset_state_past_the_iterate_is_named(self):
         m = garnet(4, 2, seed=3)
-        # control evaluates each policy on its 4-state value before it reads the 8-entry Q table
-        for plan in (lambda: robust_rvi_eval(m, Policy.uniform(4, 2), TotalVariation(0.2), OffsetFn(9)),
-                     lambda: robust_rvi_control(m, TotalVariation(0.2), OffsetFn(9))):
-            with pytest.raises(IndexError, match="offset state 9 is out of range for 4 entries"):
-                plan()
+        # eval pins its 4-state value; control pins only its 8-entry Q table, as robust_rvi_q does
+        with pytest.raises(IndexError, match="offset state 9 is out of range for 4 entries"):
+            robust_rvi_eval(m, Policy.uniform(4, 2), TotalVariation(0.2), OffsetFn(9))
+        with pytest.raises(IndexError, match="offset state 9 is out of range for 8 entries"):
+            robust_rvi_control(m, TotalVariation(0.2), OffsetFn(9))
 
 
 class TestRobustRviControl:
+    def test_offset_pins_the_q_table_only(self):
+        m, spec, tol = garnet(4, 2, seed=3), TotalVariation(0.2), 1e-9
+        mean = robust_rvi_control(m, spec, tol=tol)
+        for k in range(m.n_states * m.n_actions):  # entry k of the flattened Q table, (k // A, k % A)
+            plan = robust_rvi_control(m, spec, OffsetFn(k), tol=tol)
+            assert plan.q.ravel()[k] == 0.0
+            assert plan.gain == pytest.approx(mean.gain, abs=tol)
+            assert plan.residual <= tol
+
     def test_single_action_matches_eval(self):
         m = garnet(4, 1, seed=4)
         spec = TotalVariation(0.25)
@@ -251,15 +259,13 @@ class TestWorstCaseKernel:
             delta = float(rng.uniform(0, 3))
             for spec in (Contamination(min(delta, 0.99)), TotalVariation(delta), ChiSquare(delta),
                          KLDivergence(delta), Wasserstein(delta)):
-                assert kernel_violation(worst_case_kernel(m, spec, v)) is None, (spec, n)
+                m.with_kernel(worst_case_kernel(m, spec, v))  # raises unless every row passes
 
     def test_inventory_tv_worst_kernel_can_be_sampled(self):
         m, spec = inventory(), TotalVariation(0.3)
         for v in (robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec).value,
                   robust_rvi_control(m, spec).q.max(axis=1)):
-            kernel = worst_case_kernel(m, spec, v)
-            assert kernel_violation(kernel) is None
-            KernelSampler(kernel)
+            KernelSampler(m.with_kernel(worst_case_kernel(m, spec, v)))
 
     def test_finite_kernel_set_per_pair(self):
         ex = example_a(1.0, 2.0, 4.0)
@@ -704,18 +710,17 @@ class TestDistinctNominalRows:
         twin = TabularMDP.from_json(m.to_json())
         assert np.array_equal(twin.kernel, m.kernel) and "_distinct_rows" not in vars(twin)
 
-    def test_kernel_copies_never_compute_the_map(self, monkeypatch):
+    def test_planners_build_no_mdp(self, monkeypatch):
+        # the planners evaluate each worst kernel as it is; a with_kernel copy starts without the map
         m = inventory()
-        copies, with_kernel = [], TabularMDP.with_kernel
+        assert "_distinct_rows" not in vars(m.with_kernel(m.kernel))
 
-        def recorded(self, kernel):
-            copies.append(with_kernel(self, kernel))
-            return copies[-1]
+        def forbidden(self):
+            raise AssertionError("a planner built an MDP")
 
-        monkeypatch.setattr(TabularMDP, "with_kernel", recorded)
+        monkeypatch.setattr(TabularMDP, "__post_init__", forbidden)  # with_kernel builds through it too
         robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), KLDivergence(0.3), tol=1e-9)
         robust_rvi_control(m, TotalVariation(0.2), tol=1e-9)
-        assert copies and not any("_distinct_rows" in vars(c) for c in copies)
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
     @pytest.mark.parametrize("env", ["inventory", "repeated"])

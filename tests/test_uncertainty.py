@@ -305,6 +305,11 @@ class TestRowCheck:
             with pytest.raises(ValueError, match="not a probability row"):
                 self.CALLS[call](spec, np.array(p), v)
 
+    @pytest.mark.parametrize("off, total", [(5e-9, "1.000000005"), (-5e-9, "0.999999995")])
+    def test_a_rejected_sum_never_reads_as_1(self, off, total):
+        with pytest.raises(ValueError, match=re.escape(f"not a probability row: row sum {total}")):
+            TotalVariation(0.2).support(np.array([0.5, 0.5 + off]), np.array([0.0, 1.0]))
+
 
 class TestGridOracle:
     def test_zero_radius_only_feasible_point(self):
