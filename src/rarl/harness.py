@@ -173,7 +173,9 @@ def build_uncertainty(doc: dict) -> UncertaintySet:
         raise ConfigError(str(exc)) from exc
 
 
-def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
+def build_offset(doc: dict, mdp: TabularMDP, q_table: bool) -> OffsetFn:
+    """The offset; with ``q_table`` it reads the flattened S*A-entry Q table, as control does, so a
+    reference state may be any of its entries, and otherwise the S-entry value."""
     kind = doc.get("kind", "mean")
     if kind == "mean":
         _known_fields("offset", doc, ("kind",))
@@ -181,8 +183,9 @@ def build_offset(doc: dict, mdp: TabularMDP) -> OffsetFn:
     if kind == "state":
         _known_fields("offset", doc, ("kind", "state"))
         state = _integer("offset.state", doc.get("state", 0), 0)
-        if state >= mdp.n_states:
-            raise ConfigError(f"offset.state must be below n_states = {mdp.n_states}, got {state}")
+        bound, name = (mdp.n_states * mdp.n_actions, "n_states * n_actions") if q_table else (mdp.n_states, "n_states")
+        if state >= bound:
+            raise ConfigError(f"offset.state must be below {name} = {bound}, got {state}")
         return OffsetFn.reference_state(state)
     raise ConfigError(f"unknown offset kind {kind!r}")
 
@@ -305,7 +308,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir, control: bool) -> dict:
     fails at once. Learners and planners are looked up as module names at call time.
     """
     mdp, spec = _prologue(cfg, "control" if control else "eval", out_dir)
-    offset = build_offset(cfg.offset, mdp)
+    offset = build_offset(cfg.offset, mdp, control)
     policy = None if control else build_policy(cfg.policy, mdp)
     schedule = build_schedule(cfg.schedule)
     mlmc = build_mlmc_config(cfg.estimator, spec)
@@ -360,7 +363,7 @@ def run_control_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 def run_planner(cfg: ExperimentConfig, out_dir) -> dict:
     """Model-based baseline only; writes baseline.json with the planner's iterations, ``damped`` count and residual."""
     mdp, spec = _prologue(cfg, "plan", out_dir)
-    offset = build_offset(cfg.offset, mdp)
+    offset = build_offset(cfg.offset, mdp, cfg.policy == "optimal")
     if cfg.policy != "optimal":
         policy = build_policy(cfg.policy, mdp)
         res = robust_rvi_eval(mdp, policy, spec, offset, tol=cfg.planner_tol)
@@ -437,7 +440,7 @@ def run_robustness_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     (singleton) uncertainty set, i.e. vanilla synchronous Q-learning.
     """
     mdp, spec = _prologue(cfg, "sweep", out_dir)  # the sweep trains its own two policies, one seed each
-    offset = build_offset(cfg.offset, mdp)
+    offset = build_offset(cfg.offset, mdp, True)
     schedule = build_schedule(cfg.schedule)
     # the whole grid is built before any training, so a bad sweep section fails at once
     try:

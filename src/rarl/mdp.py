@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .uncertainty import UncertaintySet, _row_violation
+from .uncertainty import UncertaintySet, _distinct, _row_violation
 
 SUPPORT_EPS = 1e-12
 _GAIN_BIAS_RTOL = 1e-7  # gain_and_bias rejects a residual above this times (1 + max |r_pi|)
@@ -228,7 +228,7 @@ def _closed_classes(reach: np.ndarray) -> np.ndarray:
     """The closed classes of a reachability closure, as state masks, one row per class in the
     order of their first states."""
     closed = (reach <= reach.T).all(axis=1)
-    return reach[np.unique(reach[closed].argmax(axis=1))]
+    return reach[_distinct(reach[closed].argmax(axis=1))]
 
 
 def _class_distribution(p: np.ndarray, cls: np.ndarray) -> np.ndarray:

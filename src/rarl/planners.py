@@ -1,13 +1,13 @@
 """Model-based planning oracles for worst-case average reward.
 
 Robust policy iteration provides ground truth for both policy evaluation and
-optimal control. Each step makes one batched ``support_and_worst`` call at the
-current value v, which gives the support table that certifies v and the exact
-worst kernel. That call, like ``worst_case_kernel`` and ``support_table``,
-solves each distinct nominal row of the MDP once and copies its answers to the
-(s, a) pairs that share it. Evaluating the policy exactly under that kernel
-(one linear solve) gives the next v (Iyengar 2005; Ho, Petrik & Wiesemann
-2021). Control improves the policy greedily around that inner loop. Runs
+optimal control. Each step makes one batched solve at the current value v
+(``_support_and_worst``), which gives the support table that certifies v and
+the exact worst kernel. That solve, like ``worst_case_kernel`` and
+``support_table``, solves each distinct nominal row of the MDP once and copies
+its answers to the (s, a) pairs that share it. Evaluating the policy exactly
+under that kernel (one linear solve) gives the next v (Iyengar 2005; Ho,
+Petrik & Wiesemann 2021). Control improves the policy greedily around that inner loop. Runs
 terminate on the sup-norm robust Bellman residual, so every returned solution
 carries its own certificate. Where a worst kernel's chain is multichain or
 singular, the step is a damped sweep instead; where policy iteration stalls,
@@ -40,7 +40,7 @@ from .mdp import (
     gain_and_bias,
     support_table,
 )
-from .uncertainty import _row_violation
+from .uncertainty import UncertaintySet, _row_violation
 
 
 class FiniteKernelSet:
@@ -90,9 +90,16 @@ def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
 
 
 def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``support_table`` and ``worst_case_kernel`` at v, from one ``support_and_worst`` call."""
+    """``support_table`` and ``worst_case_kernel`` at v, from one solve: a family's ``_solve`` and
+    ``_worst`` on the MDP's distinct nominal rows, which its constructor checked, or a finite set's
+    ``support_and_worst``."""
     rows, index = _nominal_rows(mdp, uset)
-    sigma, worst = uset.support_and_worst(rows, np.asarray(v, dtype=float))
+    v = np.asarray(v, dtype=float)
+    if isinstance(uset, UncertaintySet):
+        sigma, duals = uset._solve(rows, v)
+        worst = uset._worst(rows, v, duals)
+    else:
+        sigma, worst = uset.support_and_worst(rows, v)
     # take copies whole rows, about 3x faster than indexing a 2-D array with index
     return sigma[index].reshape(mdp.n_states, mdp.n_actions), worst.take(index, axis=0).reshape(mdp.kernel.shape)
 
@@ -181,7 +188,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     Each step evaluates the policy exactly under the worst kernel at v or, where that kernel's chain
     is multichain or singular, takes the damped sweep v <- y - offset(y) with y = (v + T_pi v) / 2
     (the aperiodicity transformation, which leaves fixed points and gains unchanged), reading
-    T_pi v off the support table at v. One ``support_and_worst`` call at the new v then gives the
+    T_pi v off the support table at v. One ``_support_and_worst`` solve at the new v then gives the
     table that certifies it and the next kernel.
 
     Control pins its v-iterates by the mean and its Q table by ``offset``. It improves a

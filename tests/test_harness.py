@@ -257,6 +257,21 @@ class TestControlExperiment:
         assert planner["damped"] == 0
         assert planner["iterations"] >= 1 and planner["residual"] <= cfg.planner_tol
 
+    def test_offset_state_indexes_the_q_table(self, tmp_path):
+        # control pins the flattened S*A-entry Q table, so on garnet(4, 2, 3) state 5 is entry (2, 1);
+        # evaluation pins the S-entry value
+        def config(algorithm, state, **fields):
+            env = {"id": "garnet", "params": {"n_states": 4, "n_actions": 2, "seed": 3}}
+            return eval_config(algorithm=algorithm, environment=env, offset={"kind": "state", "state": state}, **fields)
+
+        summary = run_control_experiment(config("q", 5, n_iters=200), tmp_path / "q")
+        assert np.isfinite(summary["baseline_gain"])
+        assert len(run_planner(config("planner", 5, policy="optimal"), tmp_path / "plan")["policy"]) == 4
+        with pytest.raises(ConfigError, match=r"offset.state must be below n_states \* n_actions = 8, got 8"):
+            run_control_experiment(config("q", 8), tmp_path / "q8")
+        for run, algorithm in ((run_eval_experiment, "td"), (run_planner, "planner")):
+            with pytest.raises(ConfigError, match="offset.state must be below n_states = 4, got 5"):
+                run(config(algorithm, 5), tmp_path / algorithm)
 
 class TestPlannerCommand:
     def test_eval_and_control(self, tmp_path):

@@ -1,5 +1,5 @@
 """Package-level checks: the README example runs, imports and module-level names are used,
-``__all__`` resolves, and only a general-metric distance loads scipy."""
+``__all__`` resolves, only a general-metric distance loads scipy, and no solve loads numpy.ma."""
 
 import ast
 import json
@@ -157,6 +157,7 @@ rows, v = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]]), np.array([0.0, 1.0, -1.0
 for cls in FAMILIES.values():
     cls(0.3).support_and_worst(rows, v)
 steps["support_and_worst"] = scipy_modules()
+steps["numpy.ma"] = "numpy.ma" in sys.modules
 spec = Wasserstein(0.5, metric=1.0 - np.eye(4))
 try:
     support_oracle_grid(spec, np.ones(4) / 4, np.zeros(4), 41)
@@ -176,6 +177,7 @@ def test_only_a_general_metric_distance_loads_scipy():
     steps = json.loads(done.stdout)
     assert steps["import"] == []
     assert steps["support_and_worst"] == []
+    assert not steps["numpy.ma"]  # np.unique imports it, about 8 ms of start-up
     assert "12341 rows" in steps["row_cap"] and steps["row_cap_scipy"] == []
     assert steps["scipy.optimize"]
     here = Wasserstein(0.5, metric=1.0 - np.eye(4)).distance(np.ones(4) / 4, np.eye(4))

@@ -322,10 +322,11 @@ def rvi_control(m, spec, offset, tol):
 
 
 def count_support_calls(monkeypatch, spec):
-    """The list that gets one entry per ``support_and_worst`` call of ``spec``."""
+    """The list that gets one entry per ``_solve`` call of ``spec``: policy iteration makes one at v = 0
+    and one per step."""
     calls = []
-    solve = spec.support_and_worst
-    monkeypatch.setattr(spec, "support_and_worst", lambda *args: calls.append(None) or solve(*args))
+    solve = spec._solve
+    monkeypatch.setattr(spec, "_solve", lambda *args: calls.append(None) or solve(*args))
     return calls
 
 
@@ -606,23 +607,27 @@ class TestPinnedOutputs:
 
 
 class TestSolveCount:
-    """Each policy-iteration step makes one ``support_and_worst`` call, and nothing else of the set,
-    over the MDP's distinct nominal rows: 25 on inventory(), all 15 on garnet(5, 3, 254)."""
+    """Each policy-iteration step makes one ``_solve`` and one ``_worst`` call, and nothing else of
+    the set, over the MDP's distinct nominal rows: 25 on inventory(), all 15 on garnet(5, 3, 254).
+    It calls no public method, so the rows the MDP checked are not checked again."""
 
-    @staticmethod
-    def count(monkeypatch, spec):
+    NAMES = ("_solve", "_worst", "support_and_worst", "support_batch", "worst_row")
+
+    @classmethod
+    def count(cls, monkeypatch, spec):
         """Per method of the set, the row count of each call made from outside the set (its
-        ``worst_row`` calls its own ``support_and_worst``, which is not counted again)."""
-        calls = {name: [] for name in ("support_and_worst", "support_batch", "worst_row")}
+        ``worst_row`` calls its own ``support_and_worst``, ``_solve`` and ``_worst``, which are not
+        counted again)."""
+        calls = {name: [] for name in cls.NAMES}
         depth = [0]
         for name in calls:
 
-            def counted(rows, v, _name=name, _method=getattr(spec, name)):
+            def counted(rows, *args, _name=name, _method=getattr(spec, name)):
                 if not depth[0]:
                     calls[_name].append(len(rows))
                 depth[0] += 1
                 try:
-                    return _method(rows, v)
+                    return _method(rows, *args)
                 finally:
                     depth[0] -= 1
 
@@ -633,7 +638,8 @@ class TestSolveCount:
         calls = self.count(monkeypatch, spec)
         ev = robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), spec, tol=1e-9)
         assert ev.damped == 0
-        assert calls == {"support_and_worst": [n_rows] * (ev.iterations + 1), "support_batch": [], "worst_row": []}
+        steps = [n_rows] * (ev.iterations + 1)
+        assert calls == self.only(_solve=steps, _worst=steps)
         for rows in calls.values():
             rows.clear()
         ct = robust_rvi_control(m, spec, tol=1e-9)
@@ -641,14 +647,18 @@ class TestSolveCount:
         # the one support_batch is the closing Q-residual certificate
         assert ct.damped == 0
         steps = [n_rows] * (ct.iterations + 1)
-        assert calls == {"support_and_worst": steps, "support_batch": [n_rows], "worst_row": []}
+        assert calls == self.only(_solve=steps, _worst=steps, support_batch=[n_rows])
         for rows in calls.values():
             rows.clear()
         robust_bellman_residual(m, ct.policy, spec, ct.gain, ct.q.max(axis=1))
-        assert calls == {"support_and_worst": [], "support_batch": [n_rows], "worst_row": []}
+        assert calls == self.only(support_batch=[n_rows])
         calls["support_batch"].clear()
         worst_case_kernel(m, spec, ct.q.max(axis=1))
-        assert calls == {"support_and_worst": [], "support_batch": [], "worst_row": [n_rows]}
+        assert calls == self.only(worst_row=[n_rows])
+
+    @classmethod
+    def only(cls, **counts):
+        return {name: counts.get(name, []) for name in cls.NAMES}
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
     def test_k_steps_make_k_plus_one_calls(self, spec, monkeypatch):

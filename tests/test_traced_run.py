@@ -61,8 +61,8 @@ def test_traced_planners_count_every_iteration_and_worst_kernel():
     assert tracer.counts[("sweeps", "chi2", "control")] == 4
     assert tracer.total(2, "planners", "robust_rvi_eval", "chi2") == 1
     assert tracer.total(2, "planners", "robust_rvi_control", "chi2") == 1
-    # policy-iteration steps solve through ``support_and_worst``, which the tracer does not wrap;
-    # it sees only control's closing Q-residual support table
+    # policy-iteration steps solve through the family's ``_solve`` and ``_worst``, which the tracer
+    # does not wrap; it sees only control's closing Q-residual support table
     assert tracer.total(2, "planners", "worst_case_kernel") == 0
     assert tracer.total(2, "uncertainty", "worst_row") == 0
     assert tracer.total(2, "uncertainty", "support_batch", "chi2") == 1

@@ -284,6 +284,103 @@ class TestSupportAndWorst:
             self.assert_bitwise(ex.uset, rows, v)
 
 
+def _mlmc_rows(rng, n, count):
+    """Dirichlet rows and count rows k / 2^N as ``EstimateStream`` builds them: even and odd halves
+    of 2^N draws, each over 2^N, and their pool over 2^(N + 1)."""
+    half = 2 ** rng.integers(0, 7, size=count)
+    probs = rng.dirichlet(np.full(n, 0.5), size=count)
+    even, odd = (np.array([rng.multinomial(h, q) for h, q in zip(half, probs)]) for _ in range(2))
+    half = half[:, None]
+    kinds = [rng.dirichlet(np.ones(n), size=count), even / half, odd / half, (odd + even) / (2 * half)]
+    return np.choose(rng.integers(0, 4, size=count)[:, None], kinds)
+
+
+class TestRunningSums:
+    """TV and chi-square take the running sums of a tall batch state-major (``_scan``) and of a short
+    one by ``np.cumsum`` (``uncertainty._state_major``); both give the same bits."""
+
+    SIZES = [(b, n) for n in (2, 5, 17, 60) for b in (1, 2, 8 * n - 1, 8 * n, 8 * n + 1, 612)]
+
+    @staticmethod
+    def values(rng, n):
+        """v at scales 1e-3 .. 1e3, with a tied minimum and maximum, rounded, and in tied pairs."""
+        scale = 10.0 ** rng.uniform(-3, 3)
+        v = scale * rng.normal(size=n)
+        v[-1], v[0] = v.min(), v.max()
+        return [v, np.round(v, 1), scale * np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]]
+
+    @staticmethod
+    def solve(spec, rows, v, monkeypatch, state_major):
+        with monkeypatch.context() as patch:
+            patch.setattr(uncertainty, "_state_major", lambda shape: state_major)
+            return spec._solve(rows, v)
+
+    @staticmethod
+    def assert_same(got, want):
+        if isinstance(want, tuple):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                TestRunningSums.assert_same(g, w)
+        else:
+            assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_rule(self, monkeypatch):
+        assert uncertainty._state_major((612, 17)) and uncertainty._state_major((60, 5))
+        assert not uncertainty._state_major((25, 17)) and not uncertainty._state_major((39, 5))
+        scans = []
+        scan = uncertainty._scan
+        monkeypatch.setattr(uncertainty, "_scan", lambda t: scans.append(t.shape) or scan(t))
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=17)
+        for spec, count in ((TotalVariation(0.2), 1), (ChiSquare(0.3), 3)):
+            spec._solve(_mlmc_rows(rng, 17, 25), v)
+            assert scans == []
+            spec._solve(_mlmc_rows(rng, 17, 612), v)
+            assert len(scans) == count and all(shape[-1] == 612 for shape in scans)
+            scans.clear()
+
+    @pytest.mark.parametrize("b, n", SIZES)
+    def test_tv_matches_cumsum_reference(self, b, n, monkeypatch):
+        rng = np.random.default_rng(b * 100 + n)
+        rows = _mlmc_rows(rng, n, b)
+        for delta in (0.05, 0.2, 0.9):
+            spec = TotalVariation(delta)
+            for v in self.values(rng, n):
+                order = np.argsort(-v, kind="stable")[: np.count_nonzero(v > v.min())]
+                given = np.minimum(np.cumsum(rows[:, order], axis=1), delta)
+                gap = v[order] - v.min()
+                gap[:-1] -= gap[1:]
+                reference = (rows @ v - given @ gap, (order, given))
+                self.assert_same(spec._solve(rows, v), reference)
+                for state_major in (False, True):
+                    self.assert_same(self.solve(spec, rows, v, monkeypatch, state_major), reference)
+
+    @pytest.mark.parametrize("b, n", SIZES)
+    def test_chi2_matches_cumsum_reference(self, b, n, monkeypatch):
+        rng = np.random.default_rng(b * 100 + n)
+        rows = _mlmc_rows(rng, n, b)
+        for delta in (0.01, 0.3, 3.0):
+            spec = ChiSquare(delta)
+            for v in self.values(rng, n):
+                reference = self.solve(spec, rows, v, monkeypatch, False)
+                self.assert_same(spec._solve(rows, v), reference)
+                self.assert_same(self.solve(spec, rows, v, monkeypatch, True), reference)
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_chi2_row_keeps_its_bits_alone(self, n):
+        rng = np.random.default_rng(n)
+        spec = ChiSquare(0.3)
+        tall = _mlmc_rows(rng, n, 612)
+        short = tall[:4]
+        assert uncertainty._state_major(tall.shape) and not uncertainty._state_major(short.shape)
+        for v in self.values(rng, n):
+            in_tall, in_short = spec.solve(tall, v), spec.solve(short, v)
+            for i in range(len(short)):
+                alone = spec.solve(tall[i], v)
+                for batch in (in_tall, in_short):
+                    assert (alone[0][0], alone[1][0]) == (batch[0][i], batch[1][i])
+
+
 class TestRowCheck:
     """Every entry point that checks its rows holds them to the rule kernels and policies follow: it
     rejects a non-finite row (NaN compares False both ways, so only a test that NaN fails catches
