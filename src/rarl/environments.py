@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Policy, TabularMDP, gain_and_bias, gain_vector, induced_chain
-from .planners import FiniteKernelSet
-from .uncertainty import _row_violation
+from .uncertainty import FiniteKernelSet, _row_violation
 
 
 def garnet(n_states: int, n_actions: int, seed: int) -> TabularMDP:

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import environments as envs
 from .estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
-from .learners import Constant, RobbinsMonro, RunTrace, greedy_policy, robust_rvi_q, robust_rvi_td
-from .mdp import OffsetFn, Policy, TabularMDP
+from .learners import Constant, RobbinsMonro, RunTrace, robust_rvi_q, robust_rvi_td
+from .mdp import OffsetFn, Policy, TabularMDP, greedy_policy
 from .planners import robust_rvi_control, robust_rvi_eval
 from .uncertainty import (
     FAMILIES,

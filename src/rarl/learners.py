@@ -227,11 +227,3 @@ def robust_rvi_q(
         return mdp.reward + sigma.reshape(q.shape)
 
     return _learn(draws, np.tile(q, (n_seeds, 1, 1)), target, offset, schedule, n_iters, record_every, solo)
-
-
-def greedy_policy(q: np.ndarray) -> Policy:
-    """Deterministic argmax policy; ties break toward the lowest action index."""
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("greedy policy of a non-finite Q table")
-    return Policy.deterministic(np.argmax(q, axis=1), q.shape[1])

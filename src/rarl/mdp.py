@@ -1,8 +1,8 @@
 """Exact tabular MDP machinery.
 
 This module provides:
-- ``TabularMDP`` and ``Policy`` containers that check themselves when built, and JSON
-  round-trips. Kernel rows, policy rows and demand laws share one rule.
+- ``TabularMDP`` and ``Policy`` containers that check themselves when built, JSON
+  round-trips, and ``greedy_policy``. Kernel rows, policy rows and demand laws share one rule.
 - Induced-chain construction (state transition matrix and state reward vector).
 - Chain structure from one reachability closure of the support graph, and
   dense linear solves on it: unichain detection, exact stationary
@@ -11,8 +11,8 @@ This module provides:
 - Relative-value-iteration offset functionals (reference state, mean).
 - The span seminorm, the support table sigma(s, a, v) shared with the
   planners, and the worst-case Bellman residual check used to certify
-  solutions of the worst-case average-reward fixed-point equation. They solve
-  each distinct nominal row once and copy its answer to every pair that has it.
+  solutions of the worst-case average-reward fixed-point equation. They solve the
+  rows a set's ``_pairs`` gives (a family's distinct nominal rows) and copy the answers to the pairs.
 
 All containers are immutable after construction; the operations are pure
 functions and safe to call concurrently.
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .uncertainty import UncertaintySet, _distinct, _row_violation
+from .uncertainty import _distinct, _row_violation
 
 SUPPORT_EPS = 1e-12
 _GAIN_BIAS_RTOL = 1e-7  # gain_and_bias rejects a residual above this times (1 + max |r_pi|)
@@ -115,10 +115,19 @@ class TabularMDP:
 
     @staticmethod
     def from_json(text: str) -> "TabularMDP":
-        doc = json.loads(text)
-        n_s, n_a = int(doc["n_states"]), int(doc["n_actions"])
-        kernel = np.asarray(doc["kernel"], dtype=float).reshape(n_s, n_a, n_s)
-        reward = np.asarray(doc["reward"], dtype=float).reshape(n_s, n_a)
+        """The MDP a ``to_json`` document describes. Text that is no JSON, a missing field, a field that is
+        no number or array, or any violation the constructor names raises ValueError("invalid MDP: ...")."""
+        try:
+            doc = json.loads(text)
+            n_s, n_a = int(doc["n_states"]), int(doc["n_actions"])
+            kernel, reward = np.asarray(doc["kernel"], dtype=float), np.asarray(doc["reward"], dtype=float)
+        except KeyError as exc:
+            raise ValueError(f"invalid MDP: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid MDP: {exc}") from exc
+        if n_s > 0 and n_a > 0:  # reshape what fits, so that the constructor's shape check names the rest
+            kernel = kernel.reshape(n_s, n_a, n_s) if kernel.size == n_s * n_a * n_s else kernel
+            reward = reward.reshape(n_s, n_a) if reward.size == n_s * n_a else reward
         return TabularMDP(n_s, n_a, kernel, reward)
 
 
@@ -149,6 +158,14 @@ class Policy:
     def actions(self) -> np.ndarray:
         """Greedy action per state (only meaningful for deterministic policies)."""
         return np.argmax(self.probs, axis=1)
+
+
+def greedy_policy(q: np.ndarray) -> Policy:
+    """Deterministic argmax policy; ties break toward the lowest action index."""
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("greedy policy of a non-finite Q table")
+    return Policy.deterministic(np.argmax(q, axis=1), q.shape[1])
 
 
 @dataclass(frozen=True)
@@ -330,20 +347,10 @@ def span(v: np.ndarray) -> float:
     return float(v.max() - v.min())
 
 
-def _nominal_rows(mdp: TabularMDP, uset) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``uset`` solves for the MDP's S*A pairs, and the pair -> row index that copies its
-    answers back to the pairs, s-major. A family's ball at a pair depends on the pair's nominal row
-    only, so an ``UncertaintySet`` gets each distinct row once; any other set gets all S*A rows and
-    the identity index, since its per-pair collections need not repeat where the nominal rows do."""
-    if isinstance(uset, UncertaintySet):
-        return mdp._distinct_rows
-    return mdp.kernel.reshape(-1, mdp.n_states), np.arange(mdp.n_states * mdp.n_actions)
-
-
 def support_table(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """sigma(s, a, v) for every pair: one ``support_batch`` call over the MDP's distinct nominal
-    rows (``_nominal_rows``), each solved once."""
-    rows, index = _nominal_rows(mdp, uset)
+    """sigma(s, a, v) for every pair: one ``support_batch`` call over the rows the set answers the
+    pairs by (``uset._pairs``), a family's distinct nominal rows each solved once."""
+    rows, index = uset._pairs(mdp)
     return uset.support_batch(rows, np.asarray(v, dtype=float))[index].reshape(mdp.n_states, mdp.n_actions)
 
 

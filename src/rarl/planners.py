@@ -3,9 +3,9 @@
 Robust policy iteration provides ground truth for both policy evaluation and
 optimal control. Each step makes one batched solve at the current value v
 (``_support_and_worst``), which gives the support table that certifies v and
-the exact worst kernel. That solve, like ``worst_case_kernel`` and
-``support_table``, solves each distinct nominal row of the MDP once and copies
-its answers to the (s, a) pairs that share it. Evaluating the policy exactly
+the exact worst kernel. That solve, which ``worst_case_kernel`` shares, and
+``support_table`` take the rows a set's ``_pairs`` gives, each distinct nominal
+row once for a family, and copy the answers to the pairs. Evaluating the policy exactly
 under that kernel (one linear solve) gives the next v (Iyengar 2005; Ho,
 Petrik & Wiesemann 2021). Control improves the policy greedily around that inner loop. Runs
 terminate on the sup-norm robust Bellman residual, so every returned solution
@@ -13,12 +13,9 @@ carries its own certificate. Where a worst kernel's chain is multichain or
 singular, the step is a damped sweep instead; where policy iteration stalls,
 the call starts over as damped relative value iteration from zero (see
 ``_policy_iteration``).
-``FiniteKernelSet`` is an uncertainty set given as an explicit finite
-collection of kernels, answering the same batched ``support_batch`` /
-``worst_row`` / ``support_and_worst`` calls as the parametric families; it
-exists to reproduce the two-kernel counterexample instance.
-``finite_set_enumeration`` evaluates each kernel exactly and returns the
-worst gain with all minimizers.
+A ``FiniteKernelSet`` goes through the same hooks as a family;
+``finite_set_enumeration`` evaluates each kernel of such a set exactly and
+returns the worst gain with all minimizers.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learners import greedy_policy
 from .mdp import (
     ConvergenceError,
     GainBias,
@@ -36,70 +32,24 @@ from .mdp import (
     Policy,
     TabularMDP,
     _gain_and_bias,
-    _nominal_rows,
     gain_and_bias,
+    greedy_policy,
     support_table,
 )
-from .uncertainty import UncertaintySet, _row_violation
-
-
-class FiniteKernelSet:
-    """An explicit finite collection of kernels, (s,a)-rectangular: the support of a pair is the
-    minimum of q.v over the pair's rows in the collection.
-
-    Like the parametric families it answers ``support_batch``, ``worst_row`` and ``support_and_worst``,
-    but only for the batch it is built around, the MDP's S*A nominal rows in s-major order, which the
-    planners give it whole, repeated rows included. Each pair keeps its rows in lexicographic order,
-    so a tie goes to the smallest row. Every kernel's rows must be distributions.
-    """
-
-    kind = "finite"
-
-    def __init__(self, kernels):
-        kernels = np.asarray(kernels, dtype=float)  # (K, S, A, S)
-        problem = _row_violation(kernels, ("kernel", "s", "a", "s'"))
-        if problem is not None:
-            raise ValueError(f"kernel rows must be distributions: {problem}")
-        pairs = np.stack([k.reshape(-1, k.shape[-1]) for k in kernels], axis=1)
-        self.rows = np.stack([rows[np.lexsort(rows.T[::-1])] for rows in pairs])
-
-    def _values(self, rows, v):
-        """q.v for every row q of every pair, shape (S*A, kernels)."""
-        n_pairs, _, n_states = self.rows.shape
-        if np.shape(rows) != (n_pairs, n_states):
-            raise ValueError(f"a finite kernel set answers its ({n_pairs}, {n_states}) rows, got {np.shape(rows)}")
-        return self.rows @ np.asarray(v, dtype=float)
-
-    def support_batch(self, rows, v):
-        return self._values(rows, v).min(axis=1)
-
-    def worst_row(self, rows, v):
-        return self.support_and_worst(rows, v)[1]
-
-    def support_and_worst(self, rows, v):
-        values = self._values(rows, v)
-        pairs, best = np.arange(len(self.rows)), values.argmin(axis=1)
-        return values[pairs, best], self.rows[pairs, best]
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """Kernel assembled from worst-case rows for the given value vector, in one ``worst_row`` call
-    over the MDP's distinct nominal rows, each solved once."""
-    rows, index = _nominal_rows(mdp, uset)
-    return uset.worst_row(rows, np.asarray(v, dtype=float)).take(index, axis=0).reshape(mdp.kernel.shape)
+    """Kernel assembled from worst-case rows at v, by the planners' solve (``_support_and_worst``)."""
+    return _support_and_worst(mdp, uset, v)[1]
 
 
 def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``support_table`` and ``worst_case_kernel`` at v, from one solve: a family's ``_solve`` and
-    ``_worst`` on the MDP's distinct nominal rows, which its constructor checked, or a finite set's
-    ``support_and_worst``."""
-    rows, index = _nominal_rows(mdp, uset)
+    """``support_table`` and ``worst_case_kernel`` at v, from one solve: the set's ``_solve`` and
+    ``_worst`` on the rows it answers the MDP's pairs by (``_pairs``), which are not checked again."""
+    rows, index = uset._pairs(mdp)
     v = np.asarray(v, dtype=float)
-    if isinstance(uset, UncertaintySet):
-        sigma, duals = uset._solve(rows, v)
-        worst = uset._worst(rows, v, duals)
-    else:
-        sigma, worst = uset.support_and_worst(rows, v)
+    sigma, duals = uset._solve(rows, v)
+    worst = uset._worst(rows, v, duals)
     # take copies whole rows, about 3x faster than indexing a 2-D array with index
     return sigma[index].reshape(mdp.n_states, mdp.n_actions), worst.take(index, axis=0).reshape(mdp.kernel.shape)
 

@@ -12,6 +12,8 @@ on a (B, S) batch of rows, and ``UncertaintySet`` the interface over them:
 - ``support`` (one row), ``support_batch``, ``worst_row`` (one row or a
   batch) and ``support_and_worst`` (both from one solve). All but the
   learners' hot path ``support_batch`` check rows by ``_row_violation``.
+- ``_pairs(mdp)``: the rows that answer an MDP's pairs, which the MDP checked
+  when it was built, and each pair's index into them; for the planners.
 - Membership: ``distance(p, qs)`` is, per row q, the least radius whose ball
   around p holds q, so every ball is exactly {q : distance(p, q) <= delta}.
 - ``support_oracle_grid``: an independent brute-force oracle that minimizes
@@ -23,7 +25,9 @@ paths share one implementation. Chi-square and KL give a row the same bits
 alone as in a batch; contamination, TV and Wasserstein reduce rows with BLAS
 products (``rows @ v``), whose last bits can depend on the batch. They need
 numpy only; scipy is imported on the first general-metric Wasserstein
-``distance``, whose transport LPs it solves.
+``distance``, whose transport LPs it solves. ``FiniteKernelSet``, an explicit
+finite collection of kernels, writes the two hooks and ``_pairs`` on its own
+stack of each pair's rows.
 
 TV and chi-square sum each row's entries in sorted-state order. On a tall
 batch (``_state_major``: at least 8 rows per state, as the learners' MLMC
@@ -55,12 +59,12 @@ _FEAS_TOL = 1e-9  # an oracle grid point within this of the radius counts as ins
 def _row_violation(x: np.ndarray, axes: tuple[str, ...]) -> str | None:
     """Return None if every row of ``x`` along its last axis is a distribution (finite, nonnegative,
     summing to 1 within ``ROW_SUM_TOL``), else what is wrong with the first bad row, placed by
-    ``axes``, one label per axis of ``x``."""
+    ``axes``, one label per axis of ``x``. Reductions start at 0: an empty batch passes, an empty row sums to 0."""
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes its row's sum fail the test
         off = np.abs(x.sum(axis=-1) - 1.0)
-    if x.min() >= 0.0 and off.max() <= ROW_SUM_TOL:  # NaN fails both
+    if x.min(initial=0.0) >= 0.0 and off.max(initial=0.0) <= ROW_SUM_TOL:  # NaN fails both
         return None
-    at = tuple(np.argwhere(~((off <= ROW_SUM_TOL) & (x.min(axis=-1) >= 0.0)))[0])
+    at = tuple(np.argwhere(~((off <= ROW_SUM_TOL) & (x.min(axis=-1, initial=0.0) >= 0.0)))[0])
     row, place = x[at], [f"{name}={i}" for name, i in zip(axes, at)]
     for kind, bad in (("non-finite", ~np.isfinite(row)), ("negative", row < 0)):
         if bad.any():
@@ -120,7 +124,7 @@ def _support_split(p, qs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @dataclass
 class UncertaintySet:
     """A ball of radius delta. A family defines ``_solve``, ``_worst`` and ``distance``; ``support``,
-    ``support_batch``, ``worst_row`` and ``support_and_worst`` are written here once. The benchmark
+    ``support_batch``, ``worst_row``, ``support_and_worst`` and ``_pairs`` are written here once. The benchmark
     wraps ``support_batch`` and ``worst_row`` in each family class's own ``__dict__``, so a subclass
     that neither defines them nor inherits them from a family gets the shared ones bound on itself."""
 
@@ -155,6 +159,11 @@ class UncertaintySet:
         checked, v = _as_batch(_check_simplex(rows, batch=True)), np.asarray(v, dtype=float)
         values, duals = self._solve(checked, v)
         return values, self._worst(checked, v, duals).reshape(np.shape(rows))
+
+    def _pairs(self, mdp) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that answer the MDP's S*A pairs, and each pair's index into them, s-major: a ball
+        depends on its pair's nominal row only, so each distinct nominal row once."""
+        return mdp._distinct_rows
 
     def _solve(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, object]:
         """Support values of a (B, S) batch, and the duals ``_worst`` reads its worst rows from."""
@@ -632,6 +641,45 @@ class Wasserstein(UncertaintySet):
         if self.metric is not None:
             doc["metric"] = np.asarray(self.metric).tolist()
         return doc
+
+
+class FiniteKernelSet:
+    """An explicit finite collection of K kernels, (s,a)-rectangular: the support of a pair is the
+    least q.v over its rows in the collection, which the set keeps as an (S*A, K, S) stack, each
+    pair's rows in lexicographic order, so a tie goes to the smallest row. Raises ValueError unless
+    ``kernels`` is a non-empty (K, S, A, S) stack of rows that are distributions."""
+
+    kind = "finite"
+
+    def __init__(self, kernels):
+        kernels = np.asarray(kernels, dtype=float)
+        if kernels.ndim != 4 or kernels.size == 0 or kernels.shape[1] != kernels.shape[3]:
+            raise ValueError(f"expected a non-empty (K, S, A, S) stack of kernels, got shape {kernels.shape}")
+        problem = _row_violation(kernels, ("kernel", "s", "a", "s'"))
+        if problem is not None:
+            raise ValueError(f"kernel rows must be distributions: {problem}")
+        self.kernel_shape = kernels.shape[1:]
+        pairs = kernels.reshape(len(kernels), -1, kernels.shape[-1]).swapaxes(0, 1)  # (S*A, K, S)
+        self.rows = np.stack([rows[np.lexsort(rows.T[::-1])] for rows in pairs])
+
+    def _pairs(self, mdp):
+        """Its own stack and the identity index: its pairs' rows need not repeat where nominal rows do."""
+        if mdp.kernel.shape != self.kernel_shape:
+            raise ValueError(f"finite set kernel shape {self.kernel_shape} != MDP kernel shape {mdp.kernel.shape}")
+        return self.rows, np.arange(len(self.rows))
+
+    def support_batch(self, rows, v):
+        """The support value of each pair of an (S*A, K, S) stack."""
+        return (rows @ np.asarray(v, dtype=float)).min(axis=1)
+
+    def _solve(self, rows, v):
+        """Support values, and as duals the index of each pair's least row."""
+        values = rows @ v
+        best = values.argmin(axis=1)
+        return values[np.arange(len(rows)), best], best
+
+    def _worst(self, rows, v, best):
+        return rows[np.arange(len(rows)), best]
 
 
 FAMILIES = {cls.kind: cls for cls in (Contamination, TotalVariation, ChiSquare, KLDivergence, Wasserstein)}

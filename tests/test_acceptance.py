@@ -16,8 +16,8 @@ import pytest
 from rarl.environments import example_a, garnet, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig, default_psi, sigma_hat_for_pairs
 from rarl.harness import ExperimentConfig, run_control_experiment, run_eval_experiment, run_robustness_sweep
-from rarl.learners import Constant, greedy_policy, robust_rvi_q
-from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias, robust_bellman_residual, span
+from rarl.learners import Constant, robust_rvi_q
+from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias, greedy_policy, robust_bellman_residual, span
 from rarl.planners import finite_set_enumeration, robust_rvi_control, robust_rvi_eval, worst_case_kernel
 from rarl.uncertainty import (
     ChiSquare,

@@ -125,6 +125,7 @@ class TestInventory:
             ([0.5, -0.5, 1.0], "negative entry -0.5 at (d=1)"),
             ([0.5, 0.4], "row sum 0.9"),
             ([[1.0]], "shape (1, 1)"),
+            ([], "row sum 0"),  # no entries: the rule's message, not numpy's zero-size error
         ],
     )
     def test_rejects_demand_that_is_not_a_distribution(self, demand, problem):

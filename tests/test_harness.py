@@ -487,6 +487,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: bad environment config: invalid MDP: non-finite reward at (s=0,a=0)" in err
 
+    def test_exit_one_on_an_empty_demand_law(self, tmp_path, capsys):
+        doc = {
+            "environment": {"id": "inventory", "params": {"demand": []}},
+            "uncertainty": {"kind": "tv", "delta": 0.2},
+            "algorithm": "planner",
+        }
+        path = self.write_config(tmp_path, doc)
+        assert main(["plan", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: bad environment config: demand must be a probability vector: row sum 0" in err
+
     @pytest.mark.parametrize(
         "command, field, value, message",
         [

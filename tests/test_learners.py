@@ -8,8 +8,8 @@ import pytest
 from rarl import estimators
 from rarl.environments import garnet, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig
-from rarl.learners import Constant, RobbinsMonro, greedy_policy, robust_rvi_q, robust_rvi_td
-from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias
+from rarl.learners import Constant, RobbinsMonro, robust_rvi_q, robust_rvi_td
+from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias, greedy_policy
 from rarl.planners import robust_rvi_control, robust_rvi_eval
 from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
 

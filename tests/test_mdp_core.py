@@ -109,6 +109,31 @@ class TestValidate:
         with pytest.raises(ValueError, match=re.escape("invalid MDP: negative entry -0.5 at (s=0,a=1,s'=3)")):
             TabularMDP.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["n_states", "n_actions", "kernel", "reward"])
+    def test_from_json_names_a_missing_field(self, field):
+        doc = json.loads(garnet(2, 1, seed=3).to_json())
+        del doc[field]
+        with pytest.raises(ValueError, match=re.escape(f"invalid MDP: missing field '{field}'")):
+            TabularMDP.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("kernel", [[1.0, 0.0, 0.0]], "kernel shape (1, 3) != (2, 1, 2)"),
+            ("reward", [1.0, 2.0, 3.0], "reward shape (3,) != (2, 1)"),
+            ("n_states", "two", "invalid literal for int() with base 10: 'two'"),
+        ],
+    )
+    def test_from_json_lets_the_constructor_name_a_bad_size(self, field, value, problem):
+        doc = json.loads(garnet(2, 1, seed=3).to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"invalid MDP: {problem}")):
+            TabularMDP.from_json(json.dumps(doc))
+
+    def test_from_json_rejects_text_that_is_not_json(self):
+        with pytest.raises(ValueError, match=re.escape("invalid MDP: Expecting value: line 1 column 1")):
+            TabularMDP.from_json("not json")
+
     def test_with_kernel_checks_its_kernel(self):
         m = garnet(4, 2, seed=3)
         kernel = np.array(m.kernel)

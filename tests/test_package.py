@@ -1,5 +1,6 @@
-"""Package-level checks: the README example runs, imports and module-level names are used,
-``__all__`` resolves, only a general-metric distance loads scipy, and no solve loads numpy.ma."""
+"""Package-level checks: the README example runs, imports and module-level names are used, each
+module imports only the rarl modules below it, ``__all__`` resolves, only a general-metric distance
+loads scipy, and no solve loads numpy.ma."""
 
 import ast
 import json
@@ -45,6 +46,47 @@ def unused_imports(path: pathlib.Path) -> list[str]:
         for name, line in imported.items()
         if name not in used
     ]
+
+
+# the rarl modules each module may import, so that they import in one order; ``__init__`` imports all
+MAY_IMPORT = {
+    "uncertainty": set(),
+    "svgplot": set(),
+    "mdp": {"uncertainty"},
+    "estimators": {"mdp", "uncertainty"},
+    "learners": {"estimators", "mdp", "uncertainty"},
+    "planners": {"mdp", "uncertainty"},
+    "environments": {"mdp", "uncertainty"},
+    "harness": {"environments", "estimators", "learners", "mdp", "planners", "svgplot", "uncertainty"},
+    "cli": {"harness"},
+}
+
+
+def rarl_imports(source: str) -> set[str]:
+    """The rarl modules a module's source imports, relatively or by the package's name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").split(".")[0] == "rarl"):
+            module = (node.module or "").removeprefix("rarl").lstrip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("rarl."))
+    return found
+
+
+def import_order_problems(sources: dict[str, str]) -> list[str]:
+    problems = []
+    for name, text in sources.items():
+        module = name.removesuffix(".py")
+        if module == "__init__":
+            continue
+        if module not in MAY_IMPORT:
+            problems.append(f"{name} has no entry in MAY_IMPORT")
+            continue
+        extra = sorted(rarl_imports(text) - MAY_IMPORT[module])
+        if extra:
+            problems.append(f"{name} imports {extra}; it may import only {sorted(MAY_IMPORT[module])}")
+    return problems
 
 
 def unread_module_names(sources: dict[str, str]) -> list[str]:
@@ -94,6 +136,25 @@ def test_readme_library_usage_runs(capsys):
 def test_no_unused_imports():
     problems = [msg for path in sorted(PACKAGE.glob("*.py")) for msg in unused_imports(path)]
     assert not problems, "\n".join(problems)
+
+
+def test_modules_import_in_one_order():
+    problems = import_order_problems(package_sources())
+    assert not problems, "\n".join(problems)
+
+
+def test_import_order_lint_catches_a_backward_import():
+    sources = package_sources()
+    sources["planners.py"] += "\nfrom .learners import robust_rvi_q\n"
+    sources["environments.py"] += "\nimport rarl.planners\n"
+    sources["mdp.py"] += "\nfrom rarl import estimators\n"
+    sources["extra.py"] = ""
+    assert import_order_problems(sources) == [
+        "environments.py imports ['planners']; it may import only ['mdp', 'uncertainty']",
+        "mdp.py imports ['estimators']; it may import only ['uncertainty']",
+        "planners.py imports ['learners']; it may import only ['mdp', 'uncertainty']",
+        "extra.py has no entry in MAY_IMPORT",
+    ]
 
 
 def test_all_names_resolve():

@@ -2,13 +2,13 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from rarl import planners
 from rarl.environments import example_a, garnet, inventory, one_loop
-from rarl.learners import greedy_policy
 from rarl.estimators import KernelSampler
 from rarl.mdp import (
     ConvergenceError,
@@ -17,18 +17,13 @@ from rarl.mdp import (
     OffsetFn,
     Policy,
     gain_and_bias,
+    greedy_policy,
     robust_bellman_residual,
     span,
     support_table,
 )
-from rarl.planners import (
-    FiniteKernelSet,
-    finite_set_enumeration,
-    robust_rvi_control,
-    robust_rvi_eval,
-    worst_case_kernel,
-)
-from rarl.uncertainty import ChiSquare, Contamination, KLDivergence, TotalVariation, Wasserstein
+from rarl.planners import finite_set_enumeration, robust_rvi_control, robust_rvi_eval, worst_case_kernel
+from rarl.uncertainty import ChiSquare, Contamination, FiniteKernelSet, KLDivergence, TotalVariation, Wasserstein
 
 
 class TestRobustRviEval:
@@ -199,13 +194,32 @@ class TestSolutionStructure:
         assert span(plan.value - bias) <= 10 * tol
 
     def test_finite_kernel_set_interface(self):
+        # the set answers an MDP's pairs by its own stack of (s, a) pairs, kernels, next states
         ex = example_a(1.0, 2.0, 4.0)
         v = np.array([-2.5, -0.5, 0.5])
-        rows = ex.mdp.kernel.reshape(3, 3)
+        rows, index = ex.uset._pairs(ex.mdp)
+        assert rows is ex.uset.rows and rows.shape == (3, 2, 3)
+        assert np.array_equal(index, np.arange(3))
         # state 0 chooses between jumping to state 1 or state 2
-        assert ex.uset.support_batch(rows, v)[0] == pytest.approx(-0.5)
-        np.testing.assert_allclose(ex.uset.worst_row(rows, v)[0], [0.0, 1.0, 0.0])
-        assert ex.uset.rows.shape == (3, 2, 3)  # (s, a) pairs, kernels, next states
+        assert ex.uset.support_batch(rows, v).tolist() == [-0.5, 0.5, -0.5]
+        sigma, best = ex.uset._solve(rows, v)
+        assert sigma.tolist() == [-0.5, 0.5, -0.5]
+        assert ex.uset._worst(rows, v, best).tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert not {"worst_row", "support_and_worst", "_values"} & set(dir(ex.uset))
+
+    @pytest.mark.parametrize(
+        "kernels, shape",
+        [
+            (example_a(1.0, 2.0, 4.0).mdp.kernel, (3, 1, 3)),  # one kernel, no K axis: not S fake kernels
+            ([], (0,)),
+            (np.zeros((0, 3, 1, 3)), (0, 3, 1, 3)),
+            (np.full((2, 3, 1, 2), 0.5), (2, 3, 1, 2)),  # its state axes disagree
+        ],
+        ids=["one-kernel", "empty-list", "no-kernels", "state-axes"],
+    )
+    def test_finite_kernel_set_rejects_a_stack_of_another_shape(self, kernels, shape):
+        with pytest.raises(ValueError, match=re.escape(f"non-empty (K, S, A, S) stack of kernels, got shape {shape}")):
+            FiniteKernelSet(kernels)
 
     def test_finite_kernel_set_rejects_a_kernel_off_the_simplex(self):
         m = garnet(4, 2, seed=3)
@@ -216,14 +230,19 @@ class TestSolutionStructure:
         with pytest.raises(ValueError, match=r"negative entry -1e-12 at \(kernel=0,s=2,a=1,s'=2\)"):
             FiniteKernelSet([negative, m.kernel])
 
-    def test_finite_kernel_set_rejects_other_batches(self):
+    def test_finite_kernel_set_rejects_an_mdp_of_another_shape(self):
         ex = example_a(1.0, 2.0, 4.0)
-        v = np.zeros(3)
-        for rows in (ex.mdp.kernel[0, 0], ex.mdp.kernel.reshape(3, 3)[:2], np.eye(4)):
-            with pytest.raises(ValueError, match="finite kernel set"):
-                ex.uset.support_batch(rows, v)
-            with pytest.raises(ValueError, match="finite kernel set"):
-                ex.uset.worst_row(rows, v)
+        for m in (garnet(3, 2, seed=0), garnet(4, 1, seed=0)):
+            message = re.escape(f"finite set kernel shape (3, 1, 3) != MDP kernel shape {m.kernel.shape}")
+            v = np.zeros(m.n_states)
+            for call in (
+                lambda: support_table(m, ex.uset, v),
+                lambda: worst_case_kernel(m, ex.uset, v),
+                lambda: robust_rvi_eval(m, Policy.uniform(m.n_states, m.n_actions), ex.uset),
+                lambda: robust_rvi_control(m, ex.uset),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class TestWorstCaseKernel:
@@ -609,7 +628,8 @@ class TestPinnedOutputs:
 class TestSolveCount:
     """Each policy-iteration step makes one ``_solve`` and one ``_worst`` call, and nothing else of
     the set, over the MDP's distinct nominal rows: 25 on inventory(), all 15 on garnet(5, 3, 254).
-    It calls no public method, so the rows the MDP checked are not checked again."""
+    It calls no public method, so the rows the MDP checked are not checked again; nor does
+    ``worst_case_kernel``, which makes that step's solve."""
 
     NAMES = ("_solve", "_worst", "support_and_worst", "support_batch", "worst_row")
 
@@ -654,7 +674,7 @@ class TestSolveCount:
         assert calls == self.only(support_batch=[n_rows])
         calls["support_batch"].clear()
         worst_case_kernel(m, spec, ct.q.max(axis=1))
-        assert calls == self.only(worst_row=[n_rows])
+        assert calls == self.only(_solve=[n_rows], _worst=[n_rows])
 
     @classmethod
     def only(cls, **counts):
@@ -670,11 +690,24 @@ class TestSolveCount:
 
 
 class FullRows:
-    """A family seen through a plain wrapper, which is no ``UncertaintySet`` and so gets all S*A
-    nominal rows, repeated ones included: the reference the distinct-row solves are checked against."""
+    """A family seen through a wrapper whose ``_pairs`` gives all S*A nominal rows, repeated ones
+    included, and the identity index: the reference the distinct-row solves are checked against.
+    ``solved`` holds the row count of each solve it makes."""
 
     def __init__(self, spec):
         self.spec = spec
+        self.solved = []
+
+    def _pairs(self, mdp):
+        return mdp.kernel.reshape(-1, mdp.n_states), np.arange(mdp.n_states * mdp.n_actions)
+
+    def _solve(self, rows, v):
+        self.solved.append(len(rows))
+        return self.spec._solve(rows, v)
+
+    def support_batch(self, rows, v):
+        self.solved.append(len(rows))
+        return self.spec.support_batch(rows, v)
 
     def __getattr__(self, name):
         return getattr(self.spec, name)
@@ -758,14 +791,36 @@ class TestDistinctNominalRows:
         for v in (ev.value, ct.q.max(axis=1), 100 * rng.normal(size=m.n_states)):
             same(support_table(m, spec, v), support_table(m, full, v), v)
             same(worst_case_kernel(m, spec, v), worst_case_kernel(m, full, v), v)
+        # the reference solved all S*A rows at every call, more than the distinct ones
+        assert len(m._distinct_rows[0]) < m.n_states * m.n_actions
+        assert full.solved and set(full.solved) == {m.n_states * m.n_actions}
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("env", ["inventory", "repeated"])
+    def test_worst_kernel_is_the_checked_worst_row(self, env, spec):
+        # worst_case_kernel reaches _solve and _worst with no row check; it gives the bits of the
+        # public, checked worst_row on the MDP's distinct nominal rows
+        m = inventory() if env == "inventory" else repeated_rows_mdp()
+        rows, index = m._distinct_rows
+        rng = np.random.default_rng(11)
+        for v in (m.reward.max(axis=1), rng.normal(size=m.n_states), 100 * rng.normal(size=m.n_states)):
+            expected = spec.worst_row(rows, v)[index].reshape(m.kernel.shape)
+            assert np.array_equal(worst_case_kernel(m, spec, v), expected)
 
     def test_finite_kernel_set_answers_from_its_full_batch(self):
-        # nominal rows 0 and 2 repeat, but the pairs' kernel collections differ
+        # nominal rows 0 and 2 repeat, but the pairs' kernel collections differ, so the set answers
+        # by its stack of all S*A pairs; the support tables, worst kernels and planner outputs keep
+        # the bits the set's former row-level support_batch and worst_row gave
         ex = example_a(1.0, 2.0, 4.0)
         assert len(ex.mdp._distinct_rows[0]) == 2
-        v = np.array([0.0, 1.0, -1.0])
-        rows = ex.mdp.kernel.reshape(3, 3)
-        sigma = support_table(ex.mdp, ex.uset, v)
-        assert np.array_equal(sigma.ravel(), ex.uset.support_batch(rows, v))
-        assert np.array_equal(worst_case_kernel(ex.mdp, ex.uset, v).reshape(3, 3), ex.uset.worst_row(rows, v))
-        assert sigma[0, 0] == -1.0 and sigma[2, 0] == 1.0
+        for v, sigma, worst in (
+            ([-2.5, -0.5, 0.5], [-0.5, 0.5, -0.5], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+            ([0.0, 1.0, -1.0], [-1.0, -1.0, 1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        ):
+            assert support_table(ex.mdp, ex.uset, np.array(v)).ravel().tolist() == sigma
+            assert worst_case_kernel(ex.mdp, ex.uset, np.array(v)).reshape(3, 3).tolist() == worst
+        ev = robust_rvi_eval(ex.mdp, ex.policy, ex.uset, tol=1e-10)
+        ct = robust_rvi_control(ex.mdp, ex.uset, tol=1e-10)
+        assert (ev.gain, ev.iterations, ct.gain, ct.iterations) == (3.0, 2, 3.0, 2)
+        assert ev.value.tolist() == [-1.6666666666666665, 0.3333333333333335, 1.3333333333333335]
+        assert ct.q.ravel().tolist() == [-1.6666666666666667, 0.3333333333333332, 1.3333333333333337]

@@ -277,11 +277,17 @@ class TestSupportAndWorst:
                 self.assert_bitwise(spec, rows, v)
 
     def test_finite_kernel_set(self):
+        # the finite set has no row-level support_and_worst: its one solve over its stack of each
+        # pair's rows gives support_batch's bits, and worst rows from the stack that attain them
         ex = example_a(1.0, 2.0, 4.0)
-        rows = ex.mdp.kernel.reshape(3, 3)
+        rows, _ = ex.uset._pairs(ex.mdp)
         rng = np.random.default_rng(22)
         for v in [np.zeros(3), np.array([-2.5, -0.5, 0.5])] + [rng.normal(0.0, 1e3, 3) for _ in range(10)]:
-            self.assert_bitwise(ex.uset, rows, v)
+            values, best = ex.uset._solve(rows, v)
+            worst = ex.uset._worst(rows, v, best)
+            assert values.tobytes() == ex.uset.support_batch(rows, v).tobytes()
+            assert all(any(np.array_equal(q, r) for r in pair) for q, pair in zip(worst, rows))
+            np.testing.assert_allclose(worst @ v, values, rtol=1e-15, atol=0)
 
 
 def _mlmc_rows(rng, n, count):
@@ -401,6 +407,20 @@ class TestRowCheck:
         for p in (*rows, [0.5, 0.5 + 5e-9, 0.0], [0.5 + 1e-10, 0.5, -1e-10]):
             with pytest.raises(ValueError, match="not a probability row"):
                 self.CALLS[call](spec, np.array(p), v)
+
+    @pytest.mark.parametrize("spec", families(0.3), ids=lambda spec: spec.kind)
+    def test_zero_size_input_meets_the_rule(self, spec):
+        # the rule's reductions start from 0: an empty batch passes, and a row with no entries sums to 0
+        assert uncertainty._row_violation(np.zeros((0, 3)), ("row", "s")) is None
+        assert uncertainty._row_violation(np.zeros(0), ("d",)) == "row sum 0"
+        v = np.array([0.0, 1.0, 2.0])
+        assert spec.worst_row(np.zeros((0, 3)), v).shape == (0, 3)
+        values, worst = spec.support_and_worst(np.zeros((0, 3)), v)
+        assert values.shape == (0,) and worst.shape == (0, 3)
+        with pytest.raises(ValueError, match=re.escape("not a probability row: row sum 0")):
+            spec.support(np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError, match=re.escape("not a probability row: row sum 0 at (row=0)")):
+            spec.worst_row(np.zeros((2, 0)), np.zeros(0))
 
     @pytest.mark.parametrize("off, total", [(5e-9, "1.000000005"), (-5e-9, "0.999999995")])
     def test_a_rejected_sum_never_reads_as_1(self, off, total):
