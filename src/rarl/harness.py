@@ -26,7 +26,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -98,7 +98,7 @@ class ExperimentConfig:
     uncertainty: dict
     algorithm: str
     offset: dict = field(default_factory=lambda: {"kind": "mean"})
-    schedule: dict = field(default_factory=lambda: {"kind": "constant", "alpha": 0.01})
+    schedule: dict = field(default_factory=dict)
     n_iters: int = 10_000
     n_seeds: int = 1
     base_seed: int = 0
@@ -191,16 +191,16 @@ def build_offset(doc: dict, mdp: TabularMDP, q_table: bool) -> OffsetFn:
 
 
 def build_schedule(doc: dict):
-    """The step schedule; its JSON types are checked here, its ranges by the schedule itself."""
-    kinds = {"constant": (Constant, {"alpha": 0.01}), "robbins_monro": (RobbinsMonro, {"c": 1.0, "offset": 1.0})}
+    """The step schedule; its JSON types are checked here, its ranges and defaults are the schedule's own."""
+    kinds = {"constant": Constant, "robbins_monro": RobbinsMonro}
     kind = doc.get("kind", "constant")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    schedule, defaults = kinds[kind]
-    _known_fields("schedule", doc, ("kind", *defaults))
-    params = {name: _number(f"schedule.{name}", doc.get(name, default)) for name, default in defaults.items()}
+    names = [f.name for f in fields(kinds[kind])]
+    _known_fields("schedule", doc, ("kind", *names))
+    params = {name: _number(f"schedule.{name}", doc[name]) for name in names if name in doc}
     try:
-        return schedule(**params)
+        return kinds[kind](**params)
     except ValueError as exc:
         raise ConfigError(f"schedule.{exc}") from exc
 
@@ -225,7 +225,7 @@ def build_mlmc_config(doc: dict, spec: UncertaintySet) -> MlmcConfig:
     Their JSON types are checked here, their ranges by ``MlmcConfig``."""
     _known_fields("estimator", doc, ("psi", "max_level"))
     psi = default_psi(spec) if doc.get("psi") is None else _number("estimator.psi", doc["psi"])
-    max_level = _integer("estimator.max_level", doc.get("max_level", 20))
+    max_level = _integer("estimator.max_level", doc.get("max_level", MlmcConfig.max_level))
     try:
         return MlmcConfig(psi, max_level)
     except ValueError as exc:

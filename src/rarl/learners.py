@@ -42,7 +42,7 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class Constant(StepSchedule):
-    alpha: float
+    alpha: float = 0.01
 
     def __call__(self, n: int) -> float:
         return self.alpha
@@ -140,8 +140,14 @@ def _learn(draws, x, target, offset, schedule, n_iters, record_every, solo) -> R
     return RunTrace(steps, fvals, costs, x, dict(sorted(errors.items())))
 
 
-def _seed_batch(rng) -> tuple[bool, int]:
-    """Whether ``rng`` is one generator (a solo run), and the number of seeds it drives."""
+def _seed_batch(source: KernelSampler, mdp: TabularMDP, n_iters, record_every, rng) -> tuple[bool, int]:
+    """Whether ``rng`` is one generator (a solo run), and the number of seeds it drives, once the
+    run's loop is checked: n_iters >= 1, record_every >= 1 and a source of the MDP's own kernel."""
+    for name, value in (("n_iters", n_iters), ("record_every", record_every)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not np.array_equal(source.kernel, mdp.kernel):
+        raise ValueError("source must sample the MDP's own kernel")
     if isinstance(rng, np.random.Generator):
         return True, 1
     if not len(rng):
@@ -173,10 +179,10 @@ def robust_rvi_td(
     kernel in the set; only the nominal kernel can be checked here, so a
     violation warns rather than raises.
     """
+    solo, n_seeds = _seed_batch(source, mdp, n_iters, record_every, rng)
     p_pi, _ = induced_chain(mdp, policy)
     if not is_unichain(p_pi):
         warnings.warn("policy induces a multichain on the nominal kernel", stacklevel=2)
-    solo, n_seeds = _seed_batch(rng)
     n_states = mdp.n_states
     v = np.zeros(n_states) if v0 is None else np.array(v0, dtype=float)
     if v.shape != (n_states,):
@@ -214,7 +220,7 @@ def robust_rvi_q(
     all |S||A| entries). ``rng`` is one generator or a sequence of them, as in
     ``robust_rvi_td``; a batch runs over a (B, S, A) iterate.
     """
-    solo, n_seeds = _seed_batch(rng)
+    solo, n_seeds = _seed_batch(source, mdp, n_iters, record_every, rng)
     shape = (mdp.n_states, mdp.n_actions)
     q = np.zeros(shape) if q0 is None else np.array(q0, dtype=float)
     if q.shape != shape:

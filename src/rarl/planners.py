@@ -1,21 +1,15 @@
 """Model-based planning oracles for worst-case average reward.
 
-Robust policy iteration provides ground truth for both policy evaluation and
-optimal control. Each step makes one batched solve at the current value v
-(``_support_and_worst``), which gives the support table that certifies v and
-the exact worst kernel. That solve, which ``worst_case_kernel`` shares, and
-``support_table`` take the rows a set's ``_pairs`` gives, each distinct nominal
-row once for a family, and copy the answers to the pairs. Evaluating the policy exactly
-under that kernel (one linear solve) gives the next v (Iyengar 2005; Ho,
-Petrik & Wiesemann 2021). Control improves the policy greedily around that inner loop. Runs
-terminate on the sup-norm robust Bellman residual, so every returned solution
-carries its own certificate. Where a worst kernel's chain is multichain or
-singular, the step is a damped sweep instead; where policy iteration stalls,
-the call starts over as damped relative value iteration from zero (see
-``_policy_iteration``).
-A ``FiniteKernelSet`` goes through the same hooks as a family;
-``finite_set_enumeration`` evaluates each kernel of such a set exactly and
-returns the worst gain with all minimizers.
+Robust policy iteration provides ground truth for both policy evaluation and optimal control
+(Iyengar 2005; Ho, Petrik & Wiesemann 2021). Each step makes one batched solve at the current
+value v (``_support_and_worst``), which gives the support table that certifies v and the exact
+worst kernel; evaluating the policy exactly under that kernel gives the next v. That solve, which
+``worst_case_kernel`` shares, and ``support_table`` take the rows a set's ``_pairs`` gives, each
+distinct nominal row once for a family. Runs terminate on the sup-norm robust Bellman residual,
+so every returned solution carries its own certificate. Where policy iteration stalls, one damped
+relative value iteration from zero follows it (``_policy_iteration``). A ``FiniteKernelSet`` goes
+through the same hooks as a family; ``finite_set_enumeration`` evaluates each kernel of such a
+set exactly and returns the worst gain with all minimizers.
 """
 
 from __future__ import annotations
@@ -132,28 +126,34 @@ def _greedy(q, actions, tol):
     return np.where(q[np.arange(len(q)), actions] >= q.max(axis=1) - tol / 4, actions, q.argmax(axis=1))
 
 
+def _sweep(x, tx, offset):
+    """The damped sweep x <- y - offset(y), y = (x + Tx) / 2: the aperiodicity transformation, which
+    leaves fixed points and gains unchanged."""
+    y = 0.5 * x + 0.5 * tx
+    return y - offset(y)
+
+
 def _policy_iteration(mdp, uset, offset, tol, policy):
-    """Robust policy iteration from v = 0, of ``policy``, or with greedy improvement if it is None.
+    """Robust policy iteration from v = 0, of ``policy``, or with greedy improvement if it is None,
+    then, where it stalls, one damped relative value iteration from zero.
 
-    Each step evaluates the policy exactly under the worst kernel at v or, where that kernel's chain
-    is multichain or singular, takes the damped sweep v <- y - offset(y) with y = (v + T_pi v) / 2
-    (the aperiodicity transformation, which leaves fixed points and gains unchanged), reading
-    T_pi v off the support table at v. One ``_support_and_worst`` solve at the new v then gives the
-    table that certifies it and the next kernel.
+    The first loop is policy iteration. Each step evaluates the policy exactly under the worst
+    kernel at v, or where that kernel's chain is multichain or singular takes a damped sweep
+    (``_sweep``) of T_pi, and then makes one ``_support_and_worst`` solve at the new v: the table
+    that certifies v and the next kernel. Control pins v by the mean and its Q table by ``offset``.
+    Once an evaluation certifies to tol/4 it improves its deterministic policy greedily on
+    r + sigma(v) - g, keeping each action within tol/4 of its row max, so tied actions cannot cycle
+    and a repeated policy's Q residual is at most tol; at a multichain kernel it switches to the
+    greedy policy at once if that differs.
 
-    Control pins its v-iterates by the mean and its Q table by ``offset``. It improves a
-    deterministic policy greedily on r + sigma(v) - g once its evaluation certifies to tol/4,
-    keeping its actions wherever they are within tol/4 of the row max, so tied actions cannot
-    cycle; a repeated policy's Q residual is then at most tol. Where the current policy's kernel
-    is multichain and the greedy policy differs, it switches to that policy at once.
-
-    A phase (one policy's evaluation) that stalls (``_stalled``) is where policy iteration ends: the
-    call starts over as damped relative value iteration from zero, the damped sweep above for
-    evaluation (unless every step of the phase already was one, so that it would only repeat it),
-    and for control q <- y - offset(y), y = (q + H q) / 2, with the optimal operator
-    H q = r + sigma(max_a q), until the Q residual certifies. If those sweeps stall too, the call
-    raises ``ConvergenceError``, chained from the last failed exact evaluation.
+    A phase (one policy's evaluation) that stalls (``_stalled``) ends the first loop. The second
+    starts over from zero with damped sweeps, of v under T_pi for evaluation and of the Q table
+    under H q = r + sigma(max_a q) for control; an evaluation none of whose steps solved exactly
+    skips it, as it would only repeat them. Where it stalls too, the call raises
+    ``ConvergenceError``, chained from the last failed exact evaluation.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     control = policy is None
     v_offset = OffsetFn.mean() if control else offset  # control's offset reads the S*A-entry Q table
     v = np.zeros(mdp.n_states)
@@ -162,70 +162,59 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     if control:
         actions = np.argmax(mdp.reward, axis=1)  # greedy at v = 0, where every support value is 0
         policy = Policy.deterministic(actions, mdp.n_actions)
-    target = tol / 4 if control else tol
+    t_pi = lambda sigma: np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma)  # the current policy's T_pi v
     steps = damped = start = 0
-    sweeps_only = False  # whether the phase takes damped sweeps only
-    solved = False  # whether an exact evaluation succeeded in the phase
-    q = None  # control's Q table, once it takes damped sweeps of the optimal operator
     marks, reason = [], None
     while steps < _MAX_STEPS:
-        exact = not sweeps_only
-        if exact:
-            try:
-                v = _gain_and_bias(kernel, mdp.reward, policy.probs, v_offset).bias
-                solved = True
-            except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
-                reason, exact = exc, False
-        if not exact:
-            damped += 1
-            if control and not sweeps_only:
+        try:
+            v = _gain_and_bias(kernel, mdp.reward, policy.probs, v_offset).bias
+        except (MultichainError, np.linalg.LinAlgError, ConvergenceError) as exc:
+            reason, damped = exc, damped + 1
+            if control:
                 greedy = _greedy(mdp.reward + sigma, actions, tol)
                 if not np.array_equal(greedy, actions):
-                    actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
-                    start, marks, solved = steps, [], False
+                    actions, policy, start, marks = greedy, Policy.deterministic(greedy, mdp.n_actions), steps, []
                     continue
-            if q is None:
-                y = 0.5 * v + 0.5 * np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma)
-                v = y - v_offset(y)
-            else:
-                y = 0.5 * q + 0.5 * (mdp.reward + sigma)
-                q = y - offset(y)
-                v = q.max(axis=1)
+            v = _sweep(v, t_pi(sigma), v_offset)
         steps += 1
         sigma, kernel = _support_and_worst(mdp, uset, v)
-        if q is not None:
-            g, residual = _gain_and_residual(mdp.reward + sigma, q, offset)
+        g, residual = _gain_and_residual(t_pi(sigma), v, v_offset)
+        if not control and residual <= tol:
+            return PlannerResult(float(g), v, steps, residual, damped)
+        if control and residual <= tol / 4:
+            q = mdp.reward + sigma - g
+            greedy = _greedy(q, actions, tol)
+            if not np.array_equal(greedy, actions):
+                actions, policy, start, marks = greedy, Policy.deterministic(greedy, mdp.n_actions), steps, []
+                continue
+            q = q - offset(q)
+            g, residual = _gain_and_residual(mdp.reward + support_table(mdp, uset, q.max(axis=1)), q, offset)
             if residual <= tol:
                 return ControlResult(float(g), q, greedy_policy(q), steps, residual, damped)
+            raise ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual) from reason
+        if _stalled(marks, steps - start, residual, tol / 4 if control else tol):
+            break
+    else:
+        raise ConvergenceError(f"policy iteration found no certificate within {_MAX_STEPS} steps", residual) from reason
+    if control or damped < steps:  # an evaluation restarts only if some step of it solved exactly
+        x = np.zeros(mdp.reward.shape if control else mdp.n_states)
+        bellman = (lambda sigma: mdp.reward + sigma) if control else t_pi
+        sigma, start, marks = sigma0, steps, []
+        while steps < _MAX_STEPS:
+            steps, damped = steps + 1, damped + 1
+            x = _sweep(x, bellman(sigma), offset)
+            sigma = _support_and_worst(mdp, uset, x.max(axis=1) if control else x)[0]
+            g, residual = _gain_and_residual(bellman(sigma), x, offset)
+            if residual <= tol:
+                if control:
+                    return ControlResult(float(g), x, greedy_policy(x), steps, residual, damped)
+                return PlannerResult(float(g), x, steps, residual, damped)
+            if _stalled(marks, steps - start, residual, tol):
+                break
         else:
-            g, residual = _gain_and_residual(np.einsum("sa,sa->s", policy.probs, mdp.reward + sigma), v, v_offset)
-            if not control and residual <= tol:
-                return PlannerResult(float(g), v, steps, residual, damped)
-            if control and residual <= tol / 4:
-                q_pi = mdp.reward + sigma - g
-                greedy = _greedy(q_pi, actions, tol)
-                if not np.array_equal(greedy, actions):
-                    actions, policy = greedy, Policy.deterministic(greedy, mdp.n_actions)
-                    start, marks, solved = steps, [], False
-                    continue
-                q_pi = q_pi - offset(q_pi)
-                g, residual = _gain_and_residual(mdp.reward + support_table(mdp, uset, q_pi.max(axis=1)), q_pi, offset)
-                if residual <= tol:
-                    return ControlResult(float(g), q_pi, greedy_policy(q_pi), steps, residual, damped)
-                raise ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual) from reason
-        if not _stalled(marks, steps - start, residual, target if q is None else tol):
-            continue
-        if not sweeps_only and (control or solved):
-            # damped relative value iteration from zero, on Q for control
-            sweeps_only, start, marks, sigma = True, steps, [], sigma0
-            if control:
-                q = np.zeros((mdp.n_states, mdp.n_actions))
-            else:
-                v = np.zeros(mdp.n_states)
-            continue
-        why = f"; the last exact evaluation failed: {reason}" if reason else ""
-        raise ConvergenceError(f"policy iteration stalled at step {steps}{why}", residual) from reason
-    raise ConvergenceError(f"policy iteration found no certificate within {_MAX_STEPS} steps", residual) from reason
+            raise ConvergenceError(f"policy iteration found no certificate within {_MAX_STEPS} steps", residual) from reason
+    why = f"; the last exact evaluation failed: {reason}" if reason else ""
+    raise ConvergenceError(f"policy iteration stalled at step {steps}{why}", residual) from reason
 
 
 def robust_rvi_eval(
@@ -235,15 +224,11 @@ def robust_rvi_eval(
     offset: OffsetFn | None = None,
     tol: float = 1e-9,
 ) -> PlannerResult:
-    """Worst-case gain and value of a fixed policy by robust policy iteration.
+    """Worst-case gain and value of a fixed policy by robust policy iteration (``_policy_iteration``).
 
-    Stops on the sup-norm robust Bellman residual <= tol, with the value
-    pinned by offset(v) = 0. Where a worst kernel is multichain or singular
-    the step is a damped sweep instead of an exact solve; where policy
-    iteration stalls, the call starts over as damped relative value
-    iteration from zero (see ``_policy_iteration``). Raises
-    ``ConvergenceError`` when that stalls too, or after a fixed number of
-    steps.
+    Stops on the sup-norm robust Bellman residual <= tol, with the value pinned by offset(v) = 0.
+    Raises ``ConvergenceError`` where the damped relative value iteration that follows a stall
+    stalls too, or after a fixed number of steps.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, policy)
 
@@ -256,13 +241,11 @@ def robust_rvi_control(
 ) -> ControlResult:
     """Optimal worst-case gain, Q table and greedy policy by robust policy iteration.
 
-    The outer loop improves a deterministic policy greedily on
-    r + sigma(v) - g, where (g, v) is its robust evaluation, until the policy
-    repeats and the sup-norm Q residual is <= tol. Once an evaluation stalls,
-    the call starts over as damped relative value iteration on Q from zero,
-    and fails as ``robust_rvi_eval`` does when that stalls too. The Q table
-    is pinned by offset(q) = 0, with q read flattened, as ``robust_rvi_q``
-    reads it; the inner evaluations pin v by the mean.
+    Improves a deterministic policy greedily on r + sigma(v) - g, where (g, v) is its robust
+    evaluation, until the policy repeats and the sup-norm Q residual is <= tol. A stalled
+    evaluation is followed by damped relative value iteration on Q from zero, and the call fails
+    as ``robust_rvi_eval`` does. The Q table is pinned by offset(q) = 0, with q read flattened as
+    ``robust_rvi_q`` reads it.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, None)
 

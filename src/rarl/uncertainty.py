@@ -85,6 +85,16 @@ def _check_simplex(p: np.ndarray, batch: bool = False) -> np.ndarray:
     return p
 
 
+def _check_value(v, n: int) -> np.ndarray:
+    """A finite value vector of the row length n."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"v must be a 1-D array of the rows' length {n}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"v must be finite, got {v[~np.isfinite(v)][0]} at s={int(np.argmin(np.isfinite(v)))}")
+    return v
+
+
 def _state_major(shape: tuple[int, int]) -> bool:
     """Whether TV and chi-square take the running sums of a (B, S) batch state-major, by ``_scan``,
     rather than by ``np.cumsum`` along its rows. numpy accumulates at about 3.6 ns per element along
@@ -143,7 +153,7 @@ class UncertaintySet:
             raise ValueError(f"radius must be a finite number >= 0, got {self.delta}")
 
     def support(self, p: np.ndarray, v: np.ndarray) -> float:
-        return float(self.support_batch(_check_simplex(p)[None, :], v)[0])
+        return float(self.support_batch(_check_simplex(p)[None, :], _check_value(v, np.shape(p)[-1]))[0])
 
     def support_batch(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Support values of a (B, S) batch or of one row, which are not checked."""
@@ -156,7 +166,7 @@ class UncertaintySet:
     def support_and_worst(self, rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``support_batch(rows, v)`` and ``worst_row(rows, v)`` from one solve, equal to those calls
         bit for bit."""
-        checked, v = _as_batch(_check_simplex(rows, batch=True)), np.asarray(v, dtype=float)
+        checked, v = _as_batch(_check_simplex(rows, batch=True)), _check_value(v, np.shape(rows)[-1])
         values, duals = self._solve(checked, v)
         return values, self._worst(checked, v, duals).reshape(np.shape(rows))
 
@@ -758,7 +768,7 @@ def support_oracle_grid(spec: UncertaintySet, p: np.ndarray, v: np.ndarray, reso
     above as the resolution grows. The grid holds at most ``GRID_POINTS`` points.
     """
     p = _check_simplex(p)
-    v = np.asarray(v, dtype=float)
+    v = _check_value(v, len(p))
     qs = _simplex_grid(p.shape[0], resolution)
     feasible = spec.distance(p, qs) <= spec.delta + _FEAS_TOL
     if not feasible.any():

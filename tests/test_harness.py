@@ -23,9 +23,9 @@ from rarl.harness import (
     run_support_check,
     seed_stream,
 )
-from rarl.learners import Constant, robust_rvi_td
+from rarl.learners import Constant, RobbinsMonro, robust_rvi_td
 from rarl.mdp import OffsetFn, Policy, gain_and_bias
-from rarl.uncertainty import TotalVariation
+from rarl.uncertainty import ChiSquare, TotalVariation
 
 
 def eval_config(**overrides):
@@ -54,6 +54,15 @@ class TestConfig:
     def test_max_level_61_accepted(self):
         # 62 and 63 exit 1: TestCli::test_exit_one_on_bad_run_field
         assert build_mlmc_config({"max_level": 61}, TotalVariation(0.2)) == MlmcConfig(0.25, 61)
+
+    def test_empty_sections_build_the_class_defaults(self):
+        # the defaults are the classes' own: alpha 0.01, c = offset = 1, max_level 20
+        assert harness.build_schedule({}) == Constant() == Constant(0.01)
+        assert harness.build_schedule({"kind": "robbins_monro"}) == RobbinsMonro() == RobbinsMonro(1.0, 1.0)
+        assert harness.build_schedule({"kind": "robbins_monro", "c": 2}) == RobbinsMonro(2.0)
+        assert build_mlmc_config({}, TotalVariation(0.2)) == MlmcConfig(0.25) == MlmcConfig(0.25, 20)
+        assert build_mlmc_config({}, ChiSquare(0.2)) == MlmcConfig(0.2)
+        assert harness.build_schedule(eval_config().schedule) == Constant()
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,13 @@
 """Tests for the stochastic-approximation learners and step schedules."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from rarl import estimators
-from rarl.environments import garnet, one_loop
+from rarl.environments import garnet, inventory, one_loop
 from rarl.estimators import KernelSampler, MlmcConfig
 from rarl.learners import Constant, RobbinsMonro, robust_rvi_q, robust_rvi_td
 from rarl.mdp import OffsetFn, Policy, TabularMDP, gain_and_bias, greedy_policy
@@ -52,6 +53,44 @@ def test_an_offset_state_past_the_iterate_is_named(learner, entries):
     args = (Policy.uniform(4, 2),) if learner is robust_rvi_td else ()
     with pytest.raises(IndexError, match=f"offset state 9 is out of range for {entries} entries"):
         learner(KernelSampler.from_mdp(m), m, *args, TotalVariation(0.2), OffsetFn(9), Constant(0.1), 5, None, stream(0))
+
+
+class TestLoopArguments:
+    """Both learners name a loop argument they cannot run with before the run starts."""
+
+    @staticmethod
+    def run(learner, **change):
+        m = garnet(4, 2, seed=3)
+        args = dict(source=KernelSampler(m), mdp=m, spec=TotalVariation(0.2), offset=OffsetFn.mean())
+        args.update(schedule=Constant(0.1), n_iters=5, cfg=None, rng=stream(0), record_every=1)
+        if learner is robust_rvi_td:
+            args["policy"] = Policy.uniform(4, 2)
+        return learner(**{**args, **change})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"record_every": 0}, "record_every must be an integer >= 1, got 0"),
+            ({"record_every": -1}, "record_every must be an integer >= 1, got -1"),
+            ({"record_every": 2.0}, "record_every must be an integer >= 1, got 2.0"),
+            ({"n_iters": 0}, "n_iters must be an integer >= 1, got 0"),
+            ({"n_iters": -3}, "n_iters must be an integer >= 1, got -3"),
+            ({"source": KernelSampler(inventory())}, "source must sample the MDP's own kernel"),
+            ({"source": KernelSampler(garnet(4, 2, seed=4))}, "source must sample the MDP's own kernel"),
+        ],
+        ids=["record-0", "record-negative", "record-float", "iters-0", "iters-negative", "other-shape", "other-kernel"],
+    )
+    @pytest.mark.parametrize("learner", [robust_rvi_td, robust_rvi_q], ids=["td", "q"])
+    def test_rejected(self, learner, change, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.run(learner, **change)
+
+    @pytest.mark.parametrize("learner", [robust_rvi_td, robust_rvi_q], ids=["td", "q"])
+    def test_edge_values_run(self, learner):
+        # one iteration, a record period past the run (its last iteration is still recorded), numpy
+        # integers and a sampler built from an equal kernel of another MDP instance
+        trace = self.run(learner, source=KernelSampler(garnet(4, 2, seed=3)), n_iters=np.int64(1), record_every=7)
+        assert trace.iters.tolist() == [1] and np.isfinite(trace.tail_mean())
 
 
 class TestGreedyPolicy:

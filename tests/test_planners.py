@@ -154,6 +154,17 @@ class TestRobustRviControl:
                 assert abs(res) <= 10 * tol
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_planners_reject_a_bad_tol(tol):
+    # a tol of 0 or below ran hundreds of steps and then raised a stall
+    m, spec = garnet(4, 2, seed=3), TotalVariation(0.2)
+    message = re.escape(f"tol must be a finite number > 0, got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        robust_rvi_eval(m, Policy.uniform(4, 2), spec, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        robust_rvi_control(m, spec, tol=tol)
+
+
 class TestFiniteSetEnumeration:
     def test_identical_kernels_both_minimize(self):
         m = garnet(3, 1, seed=7)
@@ -623,6 +634,53 @@ class TestPinnedOutputs:
             ).hexdigest()[:24],
         )
         assert digests == self.PINNED[env, spec.kind]
+
+
+class TestPinnedRestartPaths:
+    """The paths other than plain policy iteration, pinned as ``TestPinnedOutputs`` pins its calls,
+    with (iterations, damped): the damped-RVI restart of eval and of control, a stall forced at the
+    first reading, control's switch at a multichain kernel, damped eval steps and an evaluation that
+    is damped sweeps only. Tests that check these paths' gains to 1e-12 would not see a moved bit."""
+
+    CASES = {
+        "eval-restart": ("226f49c1b6c8ec46dc957b7c", 102, 101),
+        "control-restart": ("50199dfc39b574b05567d492", 254, 254),
+        "forced-stall": ("b3aea4b2891df998ef8bd1ab", 48, 47),
+        "multichain-switch": ("6adf0d09a4c2aa3d7c083992", 8, 1),
+        "damped-eval": ("2eee127833101b86c874691a", 7, 4),
+        "damped-only": ("2594c05689bae1fe61903b13", 2022, 2022),
+    }
+
+    @staticmethod
+    def solve(case, monkeypatch):
+        tol = 1e-9
+        if case == "eval-restart":
+            m = garnet(6, 2, seed=26)
+            policy = Policy.deterministic(np.argmin(m.reward, axis=1), m.n_actions)
+            return robust_rvi_eval(m, policy, ChiSquare(10.0), tol=tol)
+        if case == "control-restart":
+            return robust_rvi_control(garnet(8, 4, seed=24), KLDivergence(3.0), tol=tol)
+        if case == "forced-stall":
+            readings = []
+            monkeypatch.setattr(planners, "_stalled", lambda *args: readings.append(args[1]) or len(readings) == 1)
+            return robust_rvi_control(garnet(5, 3, seed=251), KLDivergence(0.3), tol=tol)
+        if case == "multichain-switch":
+            return robust_rvi_control(inventory(), ChiSquare(3.0), tol=tol)
+        if case == "damped-eval":
+            return robust_rvi_eval(garnet(4, 2, seed=39), Policy.uniform(4, 2), ChiSquare(5.0), tol=tol)
+        # the leak of test_slow_damped_sweeps_certify: every step of its evaluation is damped
+        kernel = np.array([[[0.98, 0.01, 0.01]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]])
+        m = TabularMDP(3, 1, kernel, np.array([[0.0], [1.0], [1.0]]))
+        return robust_rvi_eval(m, Policy.uniform(3, 1), Contamination(0.0), tol=tol)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hashes(self, case, monkeypatch):
+        r = self.solve(case, monkeypatch)
+        if isinstance(r, planners.ControlResult):
+            data = np.float64(r.gain).tobytes() + r.q.tobytes() + r.policy.actions().astype(np.int64).tobytes()
+        else:
+            data = np.float64(r.gain).tobytes() + r.value.tobytes()
+        assert (hashlib.sha256(data).hexdigest()[:24], r.iterations, r.damped) == self.CASES[case]
 
 
 class TestSolveCount:

@@ -408,6 +408,20 @@ class TestRowCheck:
             with pytest.raises(ValueError, match="not a probability row"):
                 self.CALLS[call](spec, np.array(p), v)
 
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("spec", families(0.3), ids=lambda spec: spec.kind)
+    def test_rejects_a_value_vector_that_does_not_fit(self, spec, call):
+        p = np.array([0.2, 0.3, 0.5])
+        for v, message in (
+            ([0.0, 1.0], "v must be a 1-D array of the rows' length 3, got shape (2,)"),
+            ([0.0, 1.0, 2.0, 3.0], "v must be a 1-D array of the rows' length 3, got shape (4,)"),
+            ([[0.0, 1.0, 2.0]], "v must be a 1-D array of the rows' length 3, got shape (1, 3)"),
+            ([0.0, np.nan, 1.0], "v must be finite, got nan at s=1"),
+            ([0.0, 1.0, -np.inf], "v must be finite, got -inf at s=2"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                self.CALLS[call](spec, p, np.array(v))
+
     @pytest.mark.parametrize("spec", families(0.3), ids=lambda spec: spec.kind)
     def test_zero_size_input_meets_the_rule(self, spec):
         # the rule's reductions start from 0: an empty batch passes, and a row with no entries sums to 0
