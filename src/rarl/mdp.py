@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .uncertainty import _distinct, _row_violation
+from .uncertainty import _check_value, _distinct, _row_violation
 
 SUPPORT_EPS = 1e-12
 _GAIN_BIAS_RTOL = 1e-7  # gain_and_bias rejects a residual above this times (1 + max |r_pi|)
@@ -365,8 +365,9 @@ def robust_bellman_residual(
 
     residual[s] = sum_a pi(a|s) (r(s,a) - gain + sigma(s,a,v)) - v(s), where
     sigma is the uncertainty set's support value at the nominal row, taken
-    from ``support_table``.
+    from ``support_table``. Raises ValueError unless v is a finite vector of
+    length S.
     """
-    v = np.asarray(v, dtype=float)
+    v = _check_value(v, mdp.n_states)
     sigma = support_table(mdp, uset, v)
     return np.einsum("sa,sa->s", policy.probs, mdp.reward - gain + sigma) - v

@@ -5,8 +5,10 @@ Robust policy iteration provides ground truth for both policy evaluation and opt
 value v (``_support_and_worst``), which gives the support table that certifies v and the exact
 worst kernel; evaluating the policy exactly under that kernel gives the next v. That solve, which
 ``worst_case_kernel`` shares, and ``support_table`` take the rows a set's ``_pairs`` gives, each
-distinct nominal row once for a family. Runs terminate on the sup-norm robust Bellman residual,
-so every returned solution carries its own certificate. Where policy iteration stalls, one damped
+distinct nominal row once for a family. Runs terminate on the sup-norm robust Bellman residual
+of Tx - g - x with g the mean of Tx - x, so every returned solution carries its own certificate,
+and that certificate is the same whichever offset pins x: a solution is fixed only up to an added
+constant, and the offset picks which one is returned. Where policy iteration stalls, one damped
 relative value iteration from zero follows it (``_policy_iteration``). A ``FiniteKernelSet`` goes
 through the same hooks as a family; ``finite_set_enumeration`` evaluates each kernel of such a
 set exactly and returns the worst gain with all minimizers.
@@ -30,11 +32,13 @@ from .mdp import (
     greedy_policy,
     support_table,
 )
+from .uncertainty import _check_value
 
 
 def worst_case_kernel(mdp: TabularMDP, uset, v: np.ndarray) -> np.ndarray:
-    """Kernel assembled from worst-case rows at v, by the planners' solve (``_support_and_worst``)."""
-    return _support_and_worst(mdp, uset, v)[1]
+    """Kernel assembled from worst-case rows at v, by the planners' solve (``_support_and_worst``);
+    raises ValueError unless v is a finite vector of length S."""
+    return _support_and_worst(mdp, uset, _check_value(v, mdp.n_states))[1]
 
 
 def _support_and_worst(mdp: TabularMDP, uset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +88,16 @@ class ControlResult:
     damped: int
 
 
-def _gain_and_residual(tx, x, offset) -> tuple[float, float]:
-    """The gain g = offset(Tx) - offset(x) and the sup-norm residual of Tx - g - x."""
-    g = offset(tx) - offset(x)
+_MEAN = OffsetFn.mean()
+
+
+def _gain_and_residual(tx, x) -> tuple[float, float]:
+    """The gain g = mean(Tx) - mean(x), the mean of Tx - x, and the sup-norm residual of Tx - g - x.
+
+    Both are unchanged when x moves by a constant, since T(x + c) = Tx + c, so one certificate holds
+    whichever offset pins x: the planners' stall rule, control's tol/4 trigger and their results
+    read no user setting."""
+    g = _MEAN(tx) - _MEAN(x)
     return g, float(np.abs(tx - g - x).max())
 
 
@@ -140,22 +151,26 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
     The first loop is policy iteration. Each step evaluates the policy exactly under the worst
     kernel at v, or where that kernel's chain is multichain or singular takes a damped sweep
     (``_sweep``) of T_pi, and then makes one ``_support_and_worst`` solve at the new v: the table
-    that certifies v and the next kernel. Control pins v by the mean and its Q table by ``offset``.
-    Once an evaluation certifies to tol/4 it improves its deterministic policy greedily on
-    r + sigma(v) - g, keeping each action within tol/4 of its row max, so tied actions cannot cycle
-    and a repeated policy's Q residual is at most tol; at a multichain kernel it switches to the
-    greedy policy at once if that differs.
+    that certifies v and the next kernel. Every certificate reads the gain as the mean of Tx - x
+    (``_gain_and_residual``), so the stall rule and control's tol/4 trigger follow one residual
+    whatever ``offset`` is; the offset only pins eval's exact evaluations and sweeps, the second
+    loop's iterates and control's returned Q table (control pins its v by the mean). Once an
+    evaluation certifies to tol/4 it improves its deterministic policy greedily on
+    r + sigma(v) - g, keeping each action within tol/4 of its row max, so tied actions cannot
+    cycle and a repeated policy's Q residual is at most tol; at a multichain kernel it switches
+    to the greedy policy at once if that differs.
 
     A phase (one policy's evaluation) that stalls (``_stalled``) ends the first loop. The second
     starts over from zero with damped sweeps, of v under T_pi for evaluation and of the Q table
-    under H q = r + sigma(max_a q) for control; an evaluation none of whose steps solved exactly
-    skips it, as it would only repeat them. Where it stalls too, the call raises
-    ``ConvergenceError``, chained from the last failed exact evaluation.
+    under H q = r + sigma(max_a q) for control, each sweep reading its support table alone
+    (``support_table``); an evaluation none of whose steps solved exactly skips it, as it would
+    only repeat them. Where it stalls too, the call raises ``ConvergenceError``, chained from the
+    last failed exact evaluation.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     control = policy is None
-    v_offset = OffsetFn.mean() if control else offset  # control's offset reads the S*A-entry Q table
+    v_offset = _MEAN if control else offset  # control's offset reads the S*A-entry Q table
     v = np.zeros(mdp.n_states)
     sigma, kernel = _support_and_worst(mdp, uset, v)
     sigma0 = sigma
@@ -178,7 +193,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
             v = _sweep(v, t_pi(sigma), v_offset)
         steps += 1
         sigma, kernel = _support_and_worst(mdp, uset, v)
-        g, residual = _gain_and_residual(t_pi(sigma), v, v_offset)
+        g, residual = _gain_and_residual(t_pi(sigma), v)
         if not control and residual <= tol:
             return PlannerResult(float(g), v, steps, residual, damped)
         if control and residual <= tol / 4:
@@ -188,7 +203,7 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
                 actions, policy, start, marks = greedy, Policy.deterministic(greedy, mdp.n_actions), steps, []
                 continue
             q = q - offset(q)
-            g, residual = _gain_and_residual(mdp.reward + support_table(mdp, uset, q.max(axis=1)), q, offset)
+            g, residual = _gain_and_residual(mdp.reward + support_table(mdp, uset, q.max(axis=1)), q)
             if residual <= tol:
                 return ControlResult(float(g), q, greedy_policy(q), steps, residual, damped)
             raise ConvergenceError("policy iteration's repeated policy left a Q residual above tol", residual) from reason
@@ -203,8 +218,8 @@ def _policy_iteration(mdp, uset, offset, tol, policy):
         while steps < _MAX_STEPS:
             steps, damped = steps + 1, damped + 1
             x = _sweep(x, bellman(sigma), offset)
-            sigma = _support_and_worst(mdp, uset, x.max(axis=1) if control else x)[0]
-            g, residual = _gain_and_residual(bellman(sigma), x, offset)
+            sigma = support_table(mdp, uset, x.max(axis=1) if control else x)
+            g, residual = _gain_and_residual(bellman(sigma), x)
             if residual <= tol:
                 if control:
                     return ControlResult(float(g), x, greedy_policy(x), steps, residual, damped)
@@ -226,9 +241,11 @@ def robust_rvi_eval(
 ) -> PlannerResult:
     """Worst-case gain and value of a fixed policy by robust policy iteration (``_policy_iteration``).
 
-    Stops on the sup-norm robust Bellman residual <= tol, with the value pinned by offset(v) = 0.
-    Raises ``ConvergenceError`` where the damped relative value iteration that follows a stall
-    stalls too, or after a fixed number of steps.
+    Stops on the sup-norm robust Bellman residual <= tol, with the gain read as the mean of
+    Tv - v, and returns the value pinned by offset(v) = 0. The offset changes which value is
+    returned; up to rounding, the certificate, the steps taken and the outcome are the same for
+    every offset. Raises ``ConvergenceError`` where the damped relative value iteration that
+    follows a stall stalls too, or after a fixed number of steps.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, policy)
 
@@ -244,8 +261,9 @@ def robust_rvi_control(
     Improves a deterministic policy greedily on r + sigma(v) - g, where (g, v) is its robust
     evaluation, until the policy repeats and the sup-norm Q residual is <= tol. A stalled
     evaluation is followed by damped relative value iteration on Q from zero, and the call fails
-    as ``robust_rvi_eval`` does. The Q table is pinned by offset(q) = 0, with q read flattened as
-    ``robust_rvi_q`` reads it.
+    as ``robust_rvi_eval`` does. Every certificate reads the gain as the mean of Hq - q (or
+    Tv - v); the returned Q table is pinned by offset(q) = 0, with q read flattened as
+    ``robust_rvi_q`` reads it, and that is all the offset changes.
     """
     return _policy_iteration(mdp, uset, offset or OffsetFn.mean(), tol, None)
 

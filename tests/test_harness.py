@@ -411,6 +411,64 @@ class TestCli:
         assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert "baseline=" in capsys.readouterr().out
 
+    def test_exit_zero_on_control(self, tmp_path, capsys):
+        doc = {
+            "environment": {"id": "garnet", "params": {"n_states": 3, "n_actions": 2, "seed": 1}},
+            "uncertainty": {"kind": "contamination", "delta": 0.2},
+            "algorithm": "q",
+            "n_iters": 200,
+            "n_seeds": 2,
+        }
+        out = tmp_path / "out"
+        assert main(["control", "--config", self.write_config(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        expected = f"baseline={summary['baseline_gain']:.6g} final={summary['final_mean']:.6g}\n"
+        assert capsys.readouterr().out == expected
+
+    def test_exit_zero_on_sweep(self, tmp_path, capsys):
+        doc = {
+            "environment": {"id": "one_loop"},
+            "uncertainty": {"kind": "contamination", "delta": 0.4},
+            "algorithm": "robustness-sweep",
+            "n_iters": 200,
+            "sweep": {"family": "one_loop_mix", "x_grid": [0.0, 1.0], "start_state": 0},
+        }
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", self.write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "sweep written\n"
+        assert len((out / "sweep.csv").read_text().strip().splitlines()) == 3
+
+    def support_check_config(self, tmp_path):
+        return self.write_config(
+            tmp_path,
+            {
+                "environment": {"id": "one_loop"},
+                "uncertainty": {"kind": "contamination", "delta": 0.4},
+                "algorithm": "support-check",
+                "base_seed": 17,
+                "support_check": {"instances": 4, "resolution": 60, "mlmc_draws": 4000},
+            },
+        )
+
+    def test_exit_zero_on_support_check(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["support-check", "--config", self.support_check_config(tmp_path), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert all(row["passed"] for row in rows)
+        expected = "".join(f"PASS  {row['check']}: {row['metric']}\n" for row in rows)
+        assert capsys.readouterr().out == expected
+
+    def test_exit_three_on_a_failed_support_check_row(self, tmp_path, capsys, monkeypatch):
+        rows = [
+            {"check": "oracle-agreement/tv", "metric": "m1", "value": 0.5, "passed": True},
+            {"check": "mlmc-unbiased/kl", "metric": "m2", "value": 2.0, "passed": False},
+        ]
+        monkeypatch.setattr(harness, "_support_check_rows", lambda cfg: rows)
+        out = tmp_path / "out"
+        assert main(["support-check", "--config", self.support_check_config(tmp_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().out == "PASS  oracle-agreement/tv: m1\nFAIL  mlmc-unbiased/kl: m2\n"
+        assert json.loads((out / "report.json").read_text()) == {"ok": False, "rows": rows}
+
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"environment": {"id": "nope"}, "uncertainty": {}, "algorithm": "td"})
         assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 1

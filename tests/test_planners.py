@@ -306,6 +306,34 @@ class TestWorstCaseKernel:
                 candidates = np.stack([k[s, a] for k in ex.kernels])
                 np.testing.assert_allclose(kernel[s, a], candidates[np.argmin(candidates @ v)], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ([0.0, np.nan, 1.0], "v must be finite, got nan at s=1"),
+            ([0.0, 1.0, -np.inf], "v must be finite, got -inf at s=2"),
+            ([0.0, 1.0, 2.0, 3.0], "v must be a 1-D array of the rows' length 3, got shape (4,)"),
+            ([[0.0], [1.0], [2.0]], "v must be a 1-D array of the rows' length 3, got shape (3, 1)"),
+        ],
+        ids=["nan", "inf", "length", "column"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [*(Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3)), "finite"],
+        ids=lambda spec: getattr(spec, "kind", spec),
+    )
+    def test_certificates_check_their_value(self, spec, v, message):
+        # a NaN gave chi2 and KL worst kernels with non-finite rows, and an (S, 1) column gave
+        # contamination and Wasserstein an (S, S) residual
+        if spec == "finite":
+            ex = example_a(1.0, 2.0, 4.0)
+            m, spec, policy = ex.mdp, ex.uset, ex.policy
+        else:
+            m, policy = garnet(3, 2, seed=3), Policy.uniform(3, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            worst_case_kernel(m, spec, np.array(v))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            robust_bellman_residual(m, policy, spec, 0.0, np.array(v))
+
 
 FAMILIES = (Contamination(0.4), TotalVariation(0.2), ChiSquare(0.3), KLDivergence(0.3), Wasserstein(0.3))
 
@@ -745,6 +773,65 @@ class TestSolveCount:
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: spec.kind)
     def test_distinct_rows_pass_whole(self, spec, monkeypatch):
         self.check(garnet(5, 3, seed=254), 15, spec, monkeypatch)
+
+
+class TestRestartSolveCount:
+    """Each sweep of the damped-RVI restart reads its support table alone: one ``support_batch``
+    solve and no ``_worst`` call, after the p + 1 ``_solve`` and ``_worst`` calls of the p
+    policy-iteration steps before the stall."""
+
+    @pytest.mark.parametrize(
+        "case, steps, sweeps", [("eval-restart", 64, 38), ("control-restart", 131, 123)], ids=lambda x: str(x)
+    )
+    def test_k_sweeps_make_k_support_batch_solves(self, case, steps, sweeps, monkeypatch):
+        if case == "eval-restart":
+            m, spec = garnet(6, 2, seed=26), ChiSquare(10.0)
+            policy = Policy.deterministic(np.argmin(m.reward, axis=1), m.n_actions)
+            solve = lambda: robust_rvi_eval(m, policy, spec, tol=1e-9)
+        else:
+            m, spec = garnet(8, 4, seed=24), KLDivergence(3.0)
+            solve = lambda: robust_rvi_control(m, spec, tol=1e-9)
+        n_rows = m.n_states * m.n_actions  # a garnet's nominal rows are distinct
+        calls = TestSolveCount.count(monkeypatch, spec)
+        r = solve()
+        assert r.iterations == steps + sweeps
+        step_calls = [n_rows] * (steps + 1)
+        assert calls == TestSolveCount.only(_solve=step_calls, _worst=step_calls, support_batch=[n_rows] * sweeps)
+
+
+class TestOffsetFreeCertificate:
+    """Every certificate reads the gain as the mean of Tx - x, which no offset moves, so a call takes
+    the steps and has the outcome of its mean-offset twin; the offset only pins what it returns."""
+
+    def test_control_restart_certifies_for_every_offset(self):
+        # with the gain read through the offset, OffsetFn(0), (1) and (5) stalled at step 195 here
+        m, spec, tol = garnet(8, 4, seed=24), KLDivergence(3.0), 1e-9
+        mean = robust_rvi_control(m, spec, tol=tol)
+        assert (mean.iterations, mean.damped) == (254, 254)
+        for k in (0, 1, 5):
+            ct = robust_rvi_control(m, spec, OffsetFn(k), tol=tol)
+            assert (ct.iterations, ct.damped) == (254, 254) and ct.residual <= tol
+            assert abs(ct.gain - mean.gain) <= 1e-12
+            assert ct.q.ravel()[k] == 0.0
+            np.testing.assert_array_equal(ct.policy.actions(), mean.policy.actions())
+
+    def test_eval_restart_takes_the_mean_offsets_steps(self):
+        # with the gain read through the offset, OffsetFn(1) took 167 steps here
+        m, spec, tol = garnet(6, 2, seed=26), KLDivergence(3.0), 1e-9
+        policy = Policy.deterministic(np.argmin(m.reward, axis=1), m.n_actions)
+        mean = robust_rvi_eval(m, policy, spec, tol=tol)
+        ev = robust_rvi_eval(m, policy, spec, OffsetFn(1), tol=tol)
+        assert (mean.iterations, mean.damped) == (ev.iterations, ev.damped) == (102, 101)
+        assert ev.residual <= tol and abs(ev.gain - mean.gain) <= 1e-12
+        assert ev.value[1] == 0.0
+
+    def test_gain_and_residual_ignore_a_constant_shift(self):
+        rng = np.random.default_rng(7)
+        x, tx = rng.normal(size=6), rng.normal(size=6)
+        g, residual = planners._gain_and_residual(tx, x)
+        assert g == pytest.approx(np.mean(tx - x), abs=1e-15)
+        shifted = planners._gain_and_residual(tx + 3.0, x + 3.0)
+        assert shifted == pytest.approx((g, residual), abs=1e-14)
 
 
 class FullRows:
